@@ -1,0 +1,12 @@
+"""Make ``perfbench`` and ``cadinterop`` importable for the benchmark's tests.
+
+Run from the repository root:  python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (str(ROOT / "src"), str(ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
