@@ -45,7 +45,7 @@ audit:
 checklist:
 	$(PYTHON) -m cadinterop.cli checklist --scenario full-asic
 
-# Kernel equivalence (compiled vs interpreter oracle) + the E18 speedup row.
+# Lowering equivalence (compiled vs reference lowering) + the E18 speedup row.
 kernels:
 	$(PYTHON) -m pytest tests/hdl/test_kernel_differential.py -q
 	$(PYTHON) -m pytest benchmarks/test_bench_kernel_compile.py -s --benchmark-disable

@@ -7,10 +7,9 @@ Subcommands
     and tool catalog; print the interoperability checklist.
 ``cadinterop methodology``
     Print the 200-task methodology's statistics and scenario pruning table.
-``cadinterop races FILE.v [--observe SIG ...] [--kernel {interp,compiled}]``
-    Parse a Verilog-subset file and run ensemble race detection.  The
-    default ``compiled`` kernel lowers the model once and fans policies
-    out over it; ``--kernel interp`` forces the reference interpreter.
+``cadinterop races FILE.v [--observe SIG ...]``
+    Parse a Verilog-subset file and run ensemble race detection: the
+    model is compiled once and every ordering policy runs over it.
 ``cadinterop subsets FILE.v``
     Report which synthesis vendors accept the design and why not.
 ``cadinterop naming NAME [NAME ...]``
@@ -106,7 +105,6 @@ def _cmd_races(args: argparse.Namespace) -> int:
         module, _name_map = flatten(unit)
     report = detect_races(
         module, observed=args.observe or None, until=args.until,
-        kernel=args.kernel,
     )
     print(report.summary())
     for divergence in report.divergences:
@@ -446,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     races.add_argument("file")
     races.add_argument("--observe", nargs="*", default=None)
     races.add_argument("--until", type=int, default=1_000_000)
-    races.add_argument("--kernel", choices=("interp", "compiled"),
-                       default="compiled",
-                       help="simulation kernel: the closure-compiled fast "
-                            "path (default) or the interpreted reference "
-                            "oracle")
     races.set_defaults(fn=_cmd_races)
 
     subsets = commands.add_parser("subsets", help="synthesis subset portability")

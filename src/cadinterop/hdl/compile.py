@@ -1,49 +1,45 @@
-"""Closure compilation of HDL models: compile once, simulate many times.
+"""Lowering HDL models to closures: compile once, simulate many times.
 
-The interpreter in :mod:`cadinterop.hdl.simulator` walks the AST with
-isinstance-dispatch on every process activation — fine as a reference
-semantics, wasteful as the inner loop of an ensemble.  Race detection
-(:func:`cadinterop.hdl.races.detect_races`) and co-simulation run the
-*same model* under many :class:`OrderingPolicy` variants; re-elaborating
-and re-interpreting per run repeats work whose result cannot change.
-
-This module splits *model* from *run*, echoing the tool-model abstraction
-of the interoperability literature: :func:`compile_model` lowers a
-:class:`Module` to an immutable :class:`CompiledModel` —
+Race detection (:func:`cadinterop.hdl.races.detect_races`) and
+co-simulation run the *same model* under many :class:`OrderingPolicy`
+variants, so the model is split from the run:
+:func:`compile_model` lowers a :class:`Module` to an immutable
+:class:`CompiledModel` —
 
 * one Python closure per continuous assign, gate, always body, and
   initial step (expressions become nested closures over the precomputed
   :mod:`cadinterop.hdl.logic` lookup tables, so an activation is closure
   calls and dict hits, no AST in sight);
 * a sensitivity *trigger index* (signal -> processes that care, with the
-  edge kind), replacing the interpreter's scan over every process on
-  every signal change;
+  edge kind), so a signal change consults only the processes it can wake;
 * a driver map for multi-driver net resolution.
 
 A ``CompiledModel`` holds no simulation state and is safely shared: every
 ``Simulator(model, policy)`` spawned from it gets fresh values, queues,
-and waveforms.  Correctness is anchored by differential tests — compiled
-and interpreted kernels must produce identical waveforms under every
-ordering policy (tests/hdl/test_kernel_differential.py).
+and waveforms.  The simulator has one scheduler and runs nothing else.
+
+:func:`reference_model` is the second lowering into the same layout —
+same driver ids, trigger index and startup list — whose leaf closures
+walk the AST with :func:`evaluate` and a small statement interpreter.
+It is the oracle: both lowerings must give identical values, waveforms
+and activation counts under every ordering policy
+(tests/hdl/test_kernel_differential.py).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from cadinterop.hdl.ast_nodes import (
-    AlwaysBlock,
     Assign,
     Binary,
     Cond,
     Const,
-    ContAssign,
     Delay,
     Expr,
     GateInst,
     HDLError,
     If,
-    InitialBlock,
     Module,
     Stmt,
     Unary,
@@ -58,6 +54,7 @@ from cadinterop.hdl.logic import (
     NOT_TABLE,
     OR_TABLE,
     XOR_TABLE,
+    Logic4,
 )
 from cadinterop.obs import get_metrics, get_tracer
 
@@ -104,8 +101,8 @@ _BINARY_TABLES: Dict[str, Dict[str, Dict[str, str]]] = {
 def compile_expr(expr: Expr) -> ExprFn:
     """Lower an expression tree to a closure over the value map.
 
-    Semantics match :func:`cadinterop.hdl.simulator.evaluate` exactly
-    (the interpreter remains the oracle; see the differential tests).
+    Semantics match :func:`evaluate` exactly (the interpreter remains
+    the oracle; see tests/hdl/test_compile.py).
     """
     if isinstance(expr, Const):
         value = expr.value
@@ -211,13 +208,14 @@ def compile_stmt(stmt: Stmt) -> StmtFn:
     raise HDLError(f"cannot compile {stmt!r}")
 
 
-def compile_always_body(body: Sequence[Stmt]) -> StmtFn:
-    """Compile an always body; delays are rejected here, at compile time
-    (the interpreter rejects them at first activation instead)."""
+def compile_always_body(
+    body: Sequence[Stmt], lower_stmt: Callable[[Stmt], StmtFn] = compile_stmt
+) -> StmtFn:
+    """Compile an always body; delays are rejected here, at compile time."""
     for stmt in body:
         if isinstance(stmt, Delay):
             raise HDLError("delays inside always blocks are not supported")
-    steps = tuple(compile_stmt(stmt) for stmt in body)
+    steps = tuple(lower_stmt(stmt) for stmt in body)
 
     def run(sim) -> None:
         for fn in steps:
@@ -226,15 +224,14 @@ def compile_always_body(body: Sequence[Stmt]) -> StmtFn:
     return run
 
 
-def compile_initial_body(body: Sequence[Stmt]) -> Tuple[InitialStep, ...]:
+def compile_initial_body(
+    body: Sequence[Stmt], lower_stmt: Callable[[Stmt], StmtFn] = compile_stmt
+) -> Tuple[InitialStep, ...]:
     """Compile an initial body to a step list: closures and delay amounts."""
-    steps: List[InitialStep] = []
-    for stmt in body:
-        if isinstance(stmt, Delay):
-            steps.append(stmt.amount)
-        else:
-            steps.append(compile_stmt(stmt))
-    return tuple(steps)
+    return tuple(
+        stmt.amount if isinstance(stmt, Delay) else lower_stmt(stmt)
+        for stmt in body
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +290,109 @@ def compile_gate_eval(gate: GateInst) -> ExprFn:
         return NOT_TABLE[result] if invert else result
 
     return folded
+
+
+# ---------------------------------------------------------------------------
+# The reference interpreter (the oracle the closures are checked against)
+# ---------------------------------------------------------------------------
+
+
+def evaluate(expr: Expr, values: Dict[str, str]) -> str:
+    """Evaluate an expression by walking its AST (the reference semantics)."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        return values[expr.name]
+    if isinstance(expr, Unary):
+        # Both ``~`` and ``!`` reduce to scalar inversion on 4-value levels.
+        return Logic4.not_(evaluate(expr.operand, values))
+    if isinstance(expr, Binary):
+        left = evaluate(expr.left, values)
+        right = evaluate(expr.right, values)
+        if expr.op in ("&", "&&"):
+            return Logic4.and_(left, right)
+        if expr.op in ("|", "||"):
+            return Logic4.or_(left, right)
+        if expr.op == "^":
+            return Logic4.xor(left, right)
+        if expr.op == "~^":
+            return Logic4.not_(Logic4.xor(left, right))
+        if expr.op == "==":
+            return Logic4.eq(left, right)
+        if expr.op == "!=":
+            return Logic4.not_(Logic4.eq(left, right))
+        if expr.op == "===":
+            return Logic4.case_eq(left, right)
+        if expr.op == "!==":
+            return Logic4.not_(Logic4.case_eq(left, right))
+        raise HDLError(f"unhandled operator {expr.op!r}")
+    if isinstance(expr, Cond):
+        condition = evaluate(expr.condition, values)
+        if condition == "1":
+            return evaluate(expr.if_true, values)
+        if condition == "0":
+            return evaluate(expr.if_false, values)
+        # x/z selector: merge both arms (Verilog-style pessimism).
+        a = evaluate(expr.if_true, values)
+        b = evaluate(expr.if_false, values)
+        return a if a == b else "x"
+    raise HDLError(f"cannot evaluate {expr!r}")
+
+
+def _fold(fn: Callable[[str, str], str], values: List[str]) -> str:
+    result = values[0]
+    for value in values[1:]:
+        result = fn(result, value)
+    return result
+
+
+_GATE_EVAL: Dict[str, Callable[[List[str]], str]] = {
+    "and": lambda ins: _fold(Logic4.and_, ins),
+    "or": lambda ins: _fold(Logic4.or_, ins),
+    "nand": lambda ins: Logic4.not_(_fold(Logic4.and_, ins)),
+    "nor": lambda ins: Logic4.not_(_fold(Logic4.or_, ins)),
+    "xor": lambda ins: _fold(Logic4.xor, ins),
+    "xnor": lambda ins: Logic4.not_(_fold(Logic4.xor, ins)),
+    "not": lambda ins: Logic4.not_(ins[0]),
+    "buf": lambda ins: "x" if ins[0] in "xz" else ins[0],
+}
+
+
+def _reference_gate(kind: str, ins: List[str]) -> str:
+    if kind in ("bufif0", "bufif1"):
+        if ins[1] in "xz":
+            return "x"
+        active = "1" if kind == "bufif1" else "0"
+        return ("x" if ins[0] in "xz" else ins[0]) if ins[1] == active else "z"
+    return _GATE_EVAL[kind](ins)
+
+
+def _execute_stmt(sim, stmt: Stmt) -> None:
+    if isinstance(stmt, Assign):
+        value = evaluate(stmt.expr, sim.values)
+        if stmt.nonblocking:
+            sim._nba.append((stmt.target, value))
+        else:
+            sim.set_signal(stmt.target, value)
+    elif isinstance(stmt, If):
+        body = stmt.then_body if evaluate(stmt.condition, sim.values) == "1" else stmt.else_body
+        for inner in body or ():
+            _execute_stmt(sim, inner)
+    else:
+        raise HDLError(f"cannot execute {stmt!r}")
+
+
+def _reference_stmt(stmt: Stmt) -> StmtFn:
+    return lambda sim: _execute_stmt(sim, stmt)
+
+
+def _reference_expr(expr: Expr) -> ExprFn:
+    return lambda values: evaluate(expr, values)
+
+
+def _reference_gate_eval(gate: GateInst) -> ExprFn:
+    kind, inputs = gate.gate, tuple(gate.inputs)
+    return lambda values: _reference_gate(kind, [values[name] for name in inputs])
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +461,31 @@ def compile_calls() -> int:
     return _compile_calls
 
 
+class _Lowering(NamedTuple):
+    """The leaf closures a lowering supplies; :func:`_compile` lays out
+    everything else (driver ids, trigger index, startup list)."""
+
+    expr: Callable[[Expr], ExprFn]
+    gate: Callable[[GateInst], ExprFn]
+    stmt: Callable[[Stmt], StmtFn]
+    #: May a zero-delay driver of a single-driver net bypass ``sim.drive``
+    #: (its resolution is the identity) and go straight to ``set_signal``?
+    shortcut: bool
+
+
+_CLOSURES = _Lowering(compile_expr, compile_gate_eval, compile_stmt, shortcut=True)
+#: The reference always drives through ``sim.drive``, so the compiled
+#: shortcut is checked against the full resolution path.
+_REFERENCE = _Lowering(
+    _reference_expr, _reference_gate_eval, _reference_stmt, shortcut=False
+)
+
+
 def compile_model(module: Module) -> CompiledModel:
     """Validate and lower ``module`` to a shareable :class:`CompiledModel`."""
     global _compile_calls
     with get_tracer().span("hdl:compile", module=module.name) as span:
-        model = _compile(module)
+        model = _compile(module, _CLOSURES)
         span.set(
             processes=len(model.processes),
             nets=len(module.nets),
@@ -376,7 +496,16 @@ def compile_model(module: Module) -> CompiledModel:
     return model
 
 
-def _compile(module: Module) -> CompiledModel:
+def reference_model(module: Module) -> CompiledModel:
+    """Lower ``module`` through the AST interpreter: the test oracle.
+
+    Same layout as :func:`compile_model`, so the one scheduler runs both;
+    only the leaf closures differ.  Not counted by :func:`compile_calls`.
+    """
+    return _compile(module, _REFERENCE)
+
+
+def _compile(module: Module, lower: _Lowering) -> CompiledModel:
     module.validate()
     if module.instances:
         raise HDLError(
@@ -385,75 +514,58 @@ def _compile(module: Module) -> CompiledModel:
 
     processes: List[CompiledProcess] = []
     # signal -> process index -> kinds (insertion-ordered on both levels,
-    # so triggering preserves the interpreter's process-scan order).
+    # so triggering follows process-definition order).
     sensitivity: Dict[str, Dict[int, List[str]]] = {}
+    # Assigns, then gates, open the process list, so a driver's id is its
+    # process index.  Lay the ids out first so the closures below know
+    # which targets are single-driver.
+    targets = [a.target for a in module.assigns] + [g.output for g in module.gates]
     drivers_of: Dict[str, List[int]] = {}
-    driver_id = 0
-
-    # First pass: lay out driver ids so the closures below know which
-    # targets are single-driver (their resolution is the identity, so a
-    # zero-delay update can go straight to set_signal).
-    for assign in module.assigns:
-        drivers_of.setdefault(assign.target, []).append(driver_id)
-        driver_id += 1
-    for gate in module.gates:
-        drivers_of.setdefault(gate.output, []).append(driver_id)
-        driver_id += 1
-    driver_count = driver_id
-    single_driver = {s for s, ids in drivers_of.items() if len(ids) == 1}
+    for driver_id, target in enumerate(targets):
+        drivers_of.setdefault(target, []).append(driver_id)
+    shortcut = (
+        {s for s, ids in drivers_of.items() if len(ids) == 1}
+        if lower.shortcut else set()
+    )
 
     def register(signal: str, index: int, kind: str) -> None:
         kinds = sensitivity.setdefault(signal, {}).setdefault(index, [])
         if kind not in kinds:
             kinds.append(kind)
 
-    driver_id = 0
-    for assign in module.assigns:
+    def add_driver(kind: str, value: ExprFn, target: str, delay: int) -> int:
         index = len(processes)
-        expr = compile_expr(assign.expr)
-        target, delay, this_driver = assign.target, assign.delay, driver_id
-        if delay <= 0 and target in single_driver:
+        if delay <= 0 and target in shortcut:
 
-            def run_assign(sim, _e=expr, _t=target) -> None:
+            def run(sim, _e=value, _t=target) -> None:
                 sim.set_signal(_t, _e(sim.values))
 
         else:
 
-            def run_assign(sim, _e=expr, _t=target, _d=delay, _i=this_driver) -> None:
+            def run(sim, _e=value, _t=target, _d=delay, _i=index) -> None:
                 sim.drive(_i, _t, _e(sim.values), _d)
 
-        processes.append(CompiledProcess(index, "assign", run_assign))
-        driver_id += 1
+        processes.append(CompiledProcess(index, kind, run))
+        return index
+
+    for assign in module.assigns:
+        index = add_driver(
+            "assign", lower.expr(assign.expr), assign.target, assign.delay
+        )
         for name in sorted(expr_reads(assign.expr)):
             register(name, index, "level")
 
     for gate in module.gates:
-        index = len(processes)
-        evaluate_gate = compile_gate_eval(gate)
-        output, delay, this_driver = gate.output, gate.delay, driver_id
-        if delay <= 0 and output in single_driver:
-
-            def run_gate(sim, _e=evaluate_gate, _t=output) -> None:
-                sim.set_signal(_t, _e(sim.values))
-
-        else:
-
-            def run_gate(sim, _e=evaluate_gate, _t=output, _d=delay, _i=this_driver) -> None:
-                sim.drive(_i, _t, _e(sim.values), _d)
-
-        processes.append(CompiledProcess(index, "gate", run_gate))
-        driver_id += 1
+        index = add_driver("gate", lower.gate(gate), gate.output, gate.delay)
         for name in gate.inputs:
             register(name, index, "level")
 
     for block in module.always_blocks:
         index = len(processes)
-        processes.append(
-            CompiledProcess(index, "always", compile_always_body(block.body))
-        )
+        run_always = compile_always_body(block.body, lower.stmt)
+        processes.append(CompiledProcess(index, "always", run_always))
         if block.sensitivity.is_edge_triggered():
-            # Mirrors the interpreter: an edge-triggered list ignores any
-            # stray level items.
+            # An edge-triggered list ignores any stray level items.
             for item in block.sensitivity.items:
                 if item.edge != "level":
                     register(item.signal, index, item.edge)
@@ -463,10 +575,10 @@ def _compile(module: Module) -> CompiledModel:
 
     for block in module.initial_blocks:
         index = len(processes)
-        steps = compile_initial_body(block.body)
+        steps = compile_initial_body(block.body, lower.stmt)
 
         def run_initial(sim, _steps=steps) -> None:
-            sim._resume_compiled_initial(_steps, 0)
+            sim._resume_initial(_steps, 0)
 
         processes.append(CompiledProcess(index, "initial", run_initial))
 
@@ -483,6 +595,6 @@ def _compile(module: Module) -> CompiledModel:
         processes=tuple(processes),
         triggers=triggers,
         drivers_of={s: tuple(ids) for s, ids in drivers_of.items()},
-        driver_count=driver_count,
+        driver_count=len(targets),
         startup=startup,
     )

@@ -61,14 +61,13 @@ class CoSimulation:
         left_policy: OrderingPolicy = FIFO,
         right_policy: OrderingPolicy = FIFO,
         max_exchange_iterations: int = 16,
-        kernel: Optional[str] = None,
     ) -> None:
         if value_mode not in ("correct", "naive"):
             raise ValueError(f"unknown value mode {value_mode!r}")
         # Either side may be a pre-built CompiledModel: repeated co-sim
         # sessions over the same sides then elaborate once, not per session.
-        self.left = Simulator(left, left_policy, kernel=kernel)
-        self.right = Simulator(right, right_policy, kernel=kernel)
+        self.left = Simulator(left, left_policy)
+        self.right = Simulator(right, right_policy)
         # The kernels see one tiny run() per joint time step; the cosim span
         # below covers the whole session, so keep the per-run spans quiet.
         self.left._obs_quiet = True
@@ -135,22 +134,31 @@ class CoSimulation:
             design=f"{self.left.module.name}+{self.right.module.name}"
         ):
             # Time zero settle + initial exchange.
-            self.left.run(0)
-            self.right.run(0)
+            self._advance(0)
             self._exchange_phase()
 
             while True:
                 next_time = self._next_time()
                 if next_time is None or next_time > until:
                     break
-                self.left.run(next_time)
-                self.right.run(next_time)
+                self._advance(next_time)
                 self._exchange_phase()
             span.set(exchanges=self.exchanges - exchanges_before)
         get_metrics().counter("hdl.cosim.exchanges").inc(
             self.exchanges - exchanges_before
         )
         return until
+
+    def _advance(self, time: int) -> None:
+        """Bring both kernels to the joint time ``time``.
+
+        A kernel with no event of its own at ``time`` stops at its last
+        one; its clock must still reach ``time``, or values it receives in
+        the exchange are stamped — and delays scheduled — from a stale now.
+        """
+        for sim in (self.left, self.right):
+            sim.run(time)
+            sim.now = time
 
     def _exchange_phase(self) -> None:
         if not self.aligned:

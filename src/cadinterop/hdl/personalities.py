@@ -11,7 +11,7 @@ product evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.namemap import NameMap, truncating_transform
@@ -28,7 +28,6 @@ from cadinterop.hdl.ast_nodes import (
 from cadinterop.hdl.compile import CompiledModel, compile_model
 from cadinterop.hdl.flatten import _rename_body
 from cadinterop.hdl.simulator import (
-    DEFAULT_KERNEL,
     FIFO,
     LIFO,
     OrderingPolicy,
@@ -146,7 +145,6 @@ def run_personality(
     until: int = 1_000_000,
     trace: Optional[Sequence[str]] = None,
     log: Optional[IssueLog] = None,
-    kernel: str = DEFAULT_KERNEL,
     compiled: Optional[CompiledModel] = None,
 ) -> Simulator:
     """Prepare a module for a personality and simulate it.
@@ -158,15 +156,8 @@ def run_personality(
     simulates a different module and compiles its own.
     """
     prepared = personality.prepare(module, log)
-    if kernel == "compiled":
-        if compiled is not None and prepared is module:
-            model: Union[Module, CompiledModel] = compiled
-        else:
-            model = compile_model(prepared)
-        sim = Simulator(model, personality.policy, trace_signals=trace)
-    else:
-        sim = Simulator(
-            prepared, personality.policy, trace_signals=trace, kernel=kernel
-        )
+    if compiled is None or prepared is not module:
+        compiled = compile_model(prepared)
+    sim = Simulator(compiled, personality.policy, trace_signals=trace)
     sim.run(until)
     return sim

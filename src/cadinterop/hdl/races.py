@@ -27,7 +27,6 @@ from cadinterop.hdl.personalities import (
     SimulatorPersonality,
     run_personality,
 )
-from cadinterop.hdl.simulator import DEFAULT_KERNEL, KERNELS
 
 
 @dataclass
@@ -77,7 +76,6 @@ def detect_races(
     observed: Optional[Sequence[str]] = None,
     personalities: Sequence[SimulatorPersonality] = DEFAULT_ENSEMBLE,
     until: int = 1_000_000,
-    kernel: str = DEFAULT_KERNEL,
 ) -> RaceReport:
     """Simulate under every personality and compare observed signals.
 
@@ -85,26 +83,21 @@ def detect_races(
     full waveforms are compared: a transient glitch that converges is still
     a divergence (some downstream tool may sample mid-glitch).
 
-    On the (default) compiled kernel the module is lowered to a
+    The module is lowered to a
     :class:`~cadinterop.hdl.compile.CompiledModel` exactly once and every
-    personality run is a cheap ``Simulator(model, policy)`` spawn;
-    ``kernel="interp"`` keeps the reference interpreter for differential
-    checks.
+    personality run is a cheap ``Simulator(model, policy)`` spawn.
     """
     if len(personalities) < 2:
         raise ValueError("need at least two personalities to compare")
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     signals = list(observed) if observed is not None else list(module.nets)
     report = RaceReport(module.name, [p.name for p in personalities])
 
-    compiled = compile_model(module) if kernel == "compiled" else None
+    compiled = compile_model(module)
     finals: Dict[str, Dict[str, str]] = {s: {} for s in signals}
     waves: Dict[str, Dict[str, List[Tuple[int, str]]]] = {s: {} for s in signals}
     for personality in personalities:
         sim = run_personality(
-            module, personality, until=until, trace=signals,
-            kernel=kernel, compiled=compiled,
+            module, personality, until=until, trace=signals, compiled=compiled,
         )
         for signal in signals:
             finals[signal][personality.name] = sim.value(signal)

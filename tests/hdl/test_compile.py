@@ -1,8 +1,8 @@
 """Tests for the closure-compilation layer (cadinterop.hdl.compile).
 
-The interpreter (``evaluate`` / ``Simulator`` process objects) is the
-reference semantics; ``compile_expr`` / ``compile_model`` must agree with
-it everywhere.  These tests sweep expressions and gates exhaustively over
+The interpreter (``evaluate`` and the ``reference_model`` lowering) is
+the reference semantics; ``compile_expr`` / ``compile_model`` must agree
+with it everywhere.  These tests sweep expressions and gates exhaustively over
 small input spaces and check the model/run split — one CompiledModel
 shared by many Simulators with zero state bleed.
 """
@@ -32,10 +32,12 @@ from cadinterop.hdl.compile import (
     compile_expr,
     compile_gate_eval,
     compile_model,
+    evaluate,
+    reference_model,
 )
 from cadinterop.hdl.logic import Logic4
 from cadinterop.hdl.parser import parse_module
-from cadinterop.hdl.simulator import FIFO, LIFO, Simulator, evaluate
+from cadinterop.hdl.simulator import FIFO, LIFO, Simulator
 
 V4 = Logic4.VALUES
 BINARY_OPERATORS = ["&", "&&", "|", "||", "^", "~^", "==", "!=", "===", "!=="]
@@ -110,10 +112,10 @@ class TestGateEquivalence:
         inputs = [f"i{k}" for k in range(arity)]
         gate = GateInst(name="g", gate=kind, output="o", inputs=inputs)
         fn = compile_gate_eval(gate)
-        module = gate_module(gate, inputs)
+        model = reference_model(gate_module(gate, inputs))
         for combo in itertools.product(V4, repeat=arity):
             values = dict(zip(inputs, combo))
-            sim = Simulator(module, FIFO, kernel="interp")
+            sim = Simulator(model, FIFO)
             for name, value in values.items():
                 sim.set_signal(name, value)
             sim.run(10)
@@ -124,10 +126,10 @@ class TestGateEquivalence:
         inputs = ["d"] if kind in ("buf", "not") else ["d", "e"]
         gate = GateInst(name="g", gate=kind, output="o", inputs=inputs)
         fn = compile_gate_eval(gate)
-        module = gate_module(gate, inputs)
+        model = reference_model(gate_module(gate, inputs))
         for combo in itertools.product(V4, repeat=len(inputs)):
             values = dict(zip(inputs, combo))
-            sim = Simulator(module, FIFO, kernel="interp")
+            sim = Simulator(model, FIFO)
             for name, value in values.items():
                 sim.set_signal(name, value)
             sim.run(10)
@@ -145,8 +147,9 @@ class TestCompileModel:
         module = Module("m")
         module.add_net("clk", "reg")
         module.always_blocks.append(block)
-        with pytest.raises(HDLError, match="delays inside always"):
-            compile_model(module)
+        for lower in (compile_model, reference_model):
+            with pytest.raises(HDLError, match="delays inside always"):
+                lower(module)
 
     def test_unflattened_hierarchy_rejected(self):
         from cadinterop.hdl.ast_nodes import ModuleInst
@@ -183,29 +186,20 @@ class TestCompileModel:
         third.run(100)
         assert third.values == first.values
 
-    def test_compiled_model_with_interp_kernel_is_an_error(self):
-        module = parse_module("module m; reg a; endmodule")
-        model = compile_model(module)
-        with pytest.raises(HDLError):
-            Simulator(model, FIFO, kernel="interp")
-
-    def test_unknown_kernel_rejected(self):
-        module = parse_module("module m; reg a; endmodule")
-        with pytest.raises(ValueError):
-            Simulator(module, FIFO, kernel="turbo")
-
     def test_compile_calls_counter_advances_once_per_compile(self):
         module = parse_module("module m; reg a; endmodule")
         before = compile_calls()
         compile_model(module)
         assert compile_calls() == before + 1
-        Simulator(module, FIFO)  # kernel="compiled" default compiles once
+        Simulator(module, FIFO)  # a Module is compiled once on the way in
         assert compile_calls() == before + 2
         model = compile_model(module)
         baseline = compile_calls()
         Simulator(model, FIFO)
         Simulator(model, LIFO)
         assert compile_calls() == baseline  # spawning runs never recompiles
+        Simulator(reference_model(module), FIFO)
+        assert compile_calls() == baseline  # the test oracle is not counted
 
     def test_multi_driver_nets_still_resolve(self):
         module = parse_module(
@@ -218,7 +212,7 @@ class TestCompileModel:
             endmodule
             """
         )
-        for kernel in ("interp", "compiled"):
-            sim = Simulator(module, FIFO, kernel=kernel)
+        for lower in (reference_model, compile_model):
+            sim = Simulator(lower(module), FIFO)
             sim.run(10)
-            assert sim.value("w") == "1", kernel
+            assert sim.value("w") == "1", lower.__name__

@@ -167,6 +167,19 @@ class TestCycleAlignment:
         assert aligned.value("left", "back") == "0"
         assert cosim.value("left", "back") != "0"
 
+    def test_receiving_kernel_clock_follows_joint_time(self):
+        """A kernel with no events of its own still reaches each joint
+        time: bridged values are stamped at it and delays run from it."""
+        left = parse_module(
+            "module l; reg a; initial begin a = 0; #10 a = 1; #10 a = 0; end endmodule"
+        )
+        right = parse_module("module r; reg i; wire o; assign #3 o = ~i; endmodule")
+        cosim = CoSimulation(left, right, [BridgeSignal("left", "a", "i")])
+        cosim.run(40)
+        assert cosim.right.waveform("i") == [(0, "0"), (10, "1"), (20, "0")]
+        assert cosim.right.waveform("o") == [(3, "1"), (13, "0"), (23, "1")]
+        assert cosim.right.now == cosim.left.now == 23
+
     def test_divergent_exchange_detected(self):
         """A cross-kernel combinational loop with an odd number of
         inversions oscillates and the exchange fixpoint never converges."""

@@ -1,16 +1,42 @@
-"""Differential tests: compiled kernel vs the interpreter oracle.
+"""Differential tests: the closure lowering vs the interpreter lowering.
 
-The compiled kernel is only allowed to be *faster*, never *different*:
-for every module in the corpus and every ordering policy, final values
-and full waveforms must be identical between ``kernel="interp"`` and
-``kernel="compiled"``.  The corpus deliberately includes racy models —
-where the policy choice is observable — so the test also proves the two
-kernels present races to the policies in the same order.
+The simulator has one scheduler; a module reaches it either through
+``compile_model`` (closures over lookup tables, the production path) or
+through ``reference_model`` (closures that walk the AST, the oracle).
+The compiled lowering is only allowed to be *faster*, never *different*:
+for every module — a hand-written corpus plus hypothesis-generated flat
+modules — and every ordering policy, final values, full waveforms and
+activation counts must be identical.  The corpus deliberately includes
+racy models, where the policy choice is observable, so the test also
+proves both lowerings present races to the policies in the same order.
+
+The trigger index both lowerings share is checked separately, against a
+brute-force scan over the AST.
 """
 
-import pytest
+import itertools
 
-from cadinterop.hdl.compile import compile_calls, compile_model
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cadinterop.hdl.ast_nodes import (
+    Assign,
+    Binary,
+    Cond,
+    Const,
+    Delay,
+    GateInst,
+    HDLError,
+    If,
+    Module,
+    SensItem,
+    Sensitivity,
+    Unary,
+    Var,
+    expr_reads,
+)
+from cadinterop.hdl.compile import compile_calls, compile_model, reference_model
+from cadinterop.hdl.logic import Logic4
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.personalities import DEFAULT_ENSEMBLE
 from cadinterop.hdl.races import detect_races
@@ -102,63 +128,237 @@ POLICIES = [
     ("shuffle97", seeded_shuffle_policy(97)),
 ]
 
+V4 = Logic4.VALUES
 
-def run_kernel(module, policy, kernel):
-    sim = Simulator(
-        module, policy, trace_signals=sorted(module.nets), kernel=kernel
-    )
-    sim.run(1000)
-    return sim
+
+# ---------------------------------------------------------------------------
+# Generated flat modules
+# ---------------------------------------------------------------------------
+
+#: Procedural blocks write the regs; assigns and gates drive the wires.
+REGS = ("r0", "r1", "r2", "r3")
+WIRES = ("w0", "w1", "w2")
+NETS = REGS + WIRES
+GATE_KINDS = ("and", "or", "nand", "nor", "xor", "xnor", "not", "buf",
+              "bufif0", "bufif1")
+
+
+#: Every leaf an expression can have: a net or a 4-value constant.
+LEAVES = tuple(Var(name) for name in NETS) + tuple(Const(value) for value in V4)
+CONSTS = LEAVES[len(NETS):]
+
+
+@st.composite
+def flat_modules(draw):
+    """A flat module over a few regs and wires.
+
+    Covers plain, delayed and multi-driver assigns (several drivers share
+    the three wires), 2- and 3-input gates plus buf/not/bufif0/bufif1,
+    edge / level / ``@(*)`` always blocks with blocking and nonblocking
+    assigns, x/z conditionals, and delayed initials.  Every choice is one
+    integer draw: nested ``builds``/``one_of``/``recursive`` strategies
+    made an example ten times slower to generate.
+    """
+
+    def number(low, high):
+        return draw(st.integers(low, high))
+
+    def pick(options):
+        return options[number(0, len(options) - 1)]
+
+    def expr(depth=2):
+        shape = number(0, 3) if depth else 0
+        if shape == 0:
+            return pick(LEAVES)
+        if shape == 1:
+            return Unary(pick(Unary.OPS), expr(depth - 1))
+        if shape == 2:
+            return Binary(pick(Binary.OPS), expr(depth - 1), expr(depth - 1))
+        return Cond(expr(depth - 1), expr(depth - 1), expr(depth - 1))
+
+    def assign():
+        return Assign(pick(REGS), expr(), nonblocking=bool(number(0, 1)))
+
+    def assigns():
+        return [assign() for _ in range(number(1, 2))]
+
+    def statement():
+        if number(0, 1):
+            return assign()
+        return If(expr(), assigns(), assigns() if number(0, 1) else None)
+
+    def sensitivity():
+        shape = number(0, 2)
+        if shape == 0:
+            items = [
+                SensItem(pick(NETS), pick(("posedge", "negedge")))
+                for _ in range(number(1, 2))
+            ]
+            # A stray level item in an edge list is ignored; add one sometimes.
+            items += [SensItem(pick(NETS)) for _ in range(number(0, 1))]
+            return Sensitivity(items=items)
+        if shape == 1:
+            return Sensitivity(items=[SensItem(pick(NETS)) for _ in range(number(1, 3))])
+        return Sensitivity(star=True)
+
+    def initial_step():
+        shape = number(0, 2)
+        if shape == 0:
+            return Delay(number(1, 6))
+        if shape == 1:
+            return Assign(pick(REGS), pick(CONSTS))
+        return assign()
+
+    module = Module("generated")
+    for name in REGS:
+        module.add_net(name, "reg")
+    for name in WIRES:
+        module.add_net(name, "wire")
+    for _ in range(number(0, 4)):
+        module.add_assign(pick(WIRES), expr(), pick((0, 0, 1, 3)))
+    for index in range(number(0, 3)):
+        kind = pick(GATE_KINDS)
+        if kind in ("not", "buf"):
+            arity = 1
+        elif kind in ("bufif0", "bufif1"):
+            arity = 2
+        else:
+            arity = number(2, 3)
+        inputs = [pick(NETS) for _ in range(arity)]
+        module.add_gate(GateInst(f"g{index}", kind, pick(WIRES), inputs, pick((0, 0, 2))))
+    for _ in range(number(0, 3)):
+        module.add_always(sensitivity(), [statement() for _ in range(number(1, 3))])
+    for _ in range(number(1, 2)):
+        module.add_initial([initial_step() for _ in range(number(1, 8))])
+    return module
+
+
+# ---------------------------------------------------------------------------
+# Lowering equivalence
+# ---------------------------------------------------------------------------
+
+
+def run_model(model, policy, until=1000, max_activations=1_000_000):
+    """Run to ``until``; a budget overrun is a result, not a failure."""
+    sim = Simulator(model, policy, trace_signals=sorted(model.module.nets))
+    try:
+        sim.run(until, max_activations=max_activations)
+    except HDLError as exc:
+        return sim, str(exc)
+    return sim, None
+
+
+def assert_lowerings_agree(module, policy, **run):
+    compiled, compiled_error = run_model(compile_model(module), policy, **run)
+    reference, reference_error = run_model(reference_model(module), policy, **run)
+    # Same error (message carries the time), or none on both sides.
+    assert compiled_error == reference_error
+    assert compiled.values == reference.values
+    assert compiled.waveforms == reference.waveforms
+    # Same number of scheduling decisions means the policies saw the
+    # same ready-queue evolution, not just converging end states.
+    assert compiled.activations == reference.activations
 
 
 class TestWaveformEquivalence:
     @pytest.mark.parametrize("policy_name,policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_compiled_matches_interpreter(self, name, policy_name, policy):
-        module = parse_module(CORPUS[name])
-        interp = run_kernel(module, policy, "interp")
-        compiled = run_kernel(module, policy, "compiled")
-        assert interp.values == compiled.values, (name, policy_name)
-        assert interp.waveforms == compiled.waveforms, (name, policy_name)
-        # Same number of scheduling decisions means the policies saw the
-        # same ready-queue evolution, not just converging end states.
-        assert interp.activations == compiled.activations, (name, policy_name)
+        assert_lowerings_agree(parse_module(CORPUS[name]), policy)
+
+    @given(module=flat_modules())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_modules_match_interpreter(self, module):
+        for _, policy in POLICIES:
+            # Short horizon and budget: generated zero-delay loops must
+            # exhaust the budget identically, and fast.
+            assert_lowerings_agree(module, policy, until=60, max_activations=400)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_shared_model_matches_per_run_compilation(self, name):
         module = parse_module(CORPUS[name])
         model = compile_model(module)
         for _, policy in POLICIES:
-            fresh = run_kernel(module, policy, "compiled")
-            shared = Simulator(model, policy, trace_signals=sorted(module.nets))
-            shared.run(1000)
+            fresh, _ = run_model(compile_model(module), policy)
+            shared, _ = run_model(model, policy)
             assert fresh.values == shared.values
             assert fresh.waveforms == shared.waveforms
 
 
-class TestEnsembleEquivalence:
-    def test_detect_races_verdicts_agree_across_kernels(self):
-        for name, src in sorted(CORPUS.items()):
-            module = parse_module(src)
-            interp = detect_races(module, until=1000, kernel="interp")
-            compiled = detect_races(module, until=1000, kernel="compiled")
-            assert interp.has_race == compiled.has_race, name
-            assert interp.racy_signals == compiled.racy_signals, name
-            for a, b in zip(interp.divergences, compiled.divergences):
-                assert a.final_values == b.final_values, name
+# ---------------------------------------------------------------------------
+# The trigger index vs a brute-force scan
+# ---------------------------------------------------------------------------
 
+
+def scan_woken(module, signal, old, new):
+    """Process indices a change of ``signal`` wakes, by scanning the AST.
+
+    The rules are the ones the removed per-process interpreter applied:
+    assigns and gates wake on any change of an input; non-edge always
+    blocks on their effective sensitivity; edge lists on a matching
+    posedge/negedge; initial blocks never.
+    """
+    if old == new:
+        return []
+    woken = []
+    index = 0
+    for assign in module.assigns:
+        if signal in expr_reads(assign.expr):
+            woken.append(index)
+        index += 1
+    for gate in module.gates:
+        if signal in gate.inputs:
+            woken.append(index)
+        index += 1
+    for block in module.always_blocks:
+        if block.sensitivity.is_edge_triggered():
+            wants = any(
+                item.signal == signal and (
+                    (item.edge == "posedge" and new == "1" and old != "1")
+                    or (item.edge == "negedge" and new == "0" and old != "0")
+                )
+                for item in block.sensitivity.items
+            )
+        else:
+            wants = signal in block.effective_sensitivity()
+        if wants:
+            woken.append(index)
+        index += 1
+    return woken
+
+
+def assert_trigger_index_matches_scan(module):
+    sim = Simulator(compile_model(module), FIFO)
+    for signal in module.nets:
+        for old, new in itertools.product(V4, repeat=2):
+            sim._ready.clear()
+            sim._ready_set.clear()
+            sim.values[signal] = old
+            sim.set_signal(signal, new)
+            woken = [process.index for process in sim._ready]
+            assert woken == scan_woken(module, signal, old, new), (signal, old, new)
+
+
+class TestTriggerIndex:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_index_matches_scan(self, name):
+        assert_trigger_index_matches_scan(parse_module(CORPUS[name]))
+
+    @given(module=flat_modules())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_index_matches_scan(self, module):
+        assert_trigger_index_matches_scan(module)
+
+
+class TestEnsembleEquivalence:
     def test_ensemble_compiles_exactly_once(self):
         module = parse_module(CORPUS["racy_blocking"])
         before = compile_calls()
-        detect_races(module, until=1000, kernel="compiled")
+        detect_races(module, until=1000)
         assert compile_calls() == before + 1
         assert len(DEFAULT_ENSEMBLE) >= 4  # one compile serves all of these
-
-    def test_interp_ensemble_never_compiles(self):
-        module = parse_module(CORPUS["racy_blocking"])
-        before = compile_calls()
-        detect_races(module, until=1000, kernel="interp")
-        assert compile_calls() == before
 
 
 class TestPolicyDeterminism:
@@ -167,8 +367,8 @@ class TestPolicyDeterminism:
         # reuses its shuffle personalities across detect_races calls.
         module = parse_module(CORPUS["racy_blocking"])
         policy = seeded_shuffle_policy(1234)
-        first = run_kernel(module, policy, "compiled")
-        second = run_kernel(module, policy, "compiled")
+        first, _ = run_model(compile_model(module), policy)
+        second, _ = run_model(compile_model(module), policy)
         assert first.values == second.values
         assert first.waveforms == second.waveforms
 

@@ -26,7 +26,8 @@ from cadinterop.hdl.ast_nodes import (
 )
 from cadinterop.hdl.flatten import flatten, unflatten_name
 from cadinterop.hdl.parser import parse
-from cadinterop.hdl.simulator import FIFO, LIFO, Simulator, evaluate, seeded_shuffle_policy
+from cadinterop.hdl.compile import evaluate
+from cadinterop.hdl.simulator import FIFO, LIFO, Simulator, seeded_shuffle_policy
 from cadinterop.hdl.synth import synthesize
 from cadinterop.schematic.busnotation import COMPOSER_BUS_SYNTAX, VIEWDRAW_BUS_SYNTAX
 
