@@ -11,8 +11,7 @@ and:
   re-migrates only that design;
 * fans cache misses out across a ``concurrent.futures`` process pool
   (``jobs > 1``); each worker keeps one long-lived ``Migrator`` so symbol
-  scaling and source-netlist extraction amortize across the designs it
-  handles;
+  scaling amortizes across the designs it handles;
 * aggregates the pipeline's per-stage timings plus its own bookkeeping
   stages (``farm:digest``, ``farm:cache-lookup``, ``farm:cache-store``)
   into a :class:`~cadinterop.farm.report.FarmReport`.
@@ -42,7 +41,6 @@ from cadinterop.schematic.migrate import (
     schematic_digest,
 )
 from cadinterop.schematic.model import Schematic
-from cadinterop.schematic.verify import NetlistCache
 
 #: A unit of work shipped to a worker: (corpus index, schematic).
 _Task = Tuple[int, Schematic]
@@ -65,7 +63,7 @@ def _process_worker_init(
     lineage: bool = False,
 ) -> None:
     global _WORKER_MIGRATOR
-    _WORKER_MIGRATOR = Migrator(plan, netlist_cache=NetlistCache())
+    _WORKER_MIGRATOR = Migrator(plan)
     if trace_id is not None:
         # Join the parent's trace: this worker's spans carry the same trace
         # id and are shipped back (and re-parented) with each outcome.
@@ -150,6 +148,8 @@ class MigrationFarm:
         )
         registry = MetricsRegistry()
         profiler = StageProfiler(registry=registry)
+        # A reused cache keeps lifetime totals; the report counts this run.
+        cache_before = self._cache_counters()
         report = FarmReport(
             jobs=self.jobs, executor=self.executor, total=len(designs), profile=profiler
         )
@@ -231,9 +231,10 @@ class MigrationFarm:
             if count:
                 registry.counter(f"farm.designs.{outcome}").inc(count)
         if self.cache is not None:
-            report.cache_hits = self.cache.hits
-            report.cache_misses = self.cache.misses
-            report.cache_corrupt = self.cache.corrupt
+            report.cache_hits, report.cache_misses, report.cache_corrupt = (
+                after - before
+                for after, before in zip(self._cache_counters(), cache_before)
+            )
             for name, value in (
                 ("farm.cache.hits", report.cache_hits),
                 ("farm.cache.misses", report.cache_misses),
@@ -252,6 +253,11 @@ class MigrationFarm:
         get_metrics().merge(report.metrics)
         return report
 
+    def _cache_counters(self) -> Tuple[int, int, int]:
+        if self.cache is None:
+            return (0, 0, 0)
+        return (self.cache.hits, self.cache.misses, self.cache.corrupt)
+
     # -- executors -------------------------------------------------------
 
     def _execute(self, tasks: List[_Task], run_span) -> List[_Outcome]:
@@ -264,7 +270,7 @@ class MigrationFarm:
         return self._execute_inline(tasks)
 
     def _execute_inline(self, tasks: List[_Task]):
-        migrator = Migrator(self.plan, netlist_cache=NetlistCache())
+        migrator = Migrator(self.plan)
         outcomes = []
         for index, design in tasks:
             t0 = time.perf_counter()
@@ -299,7 +305,7 @@ class MigrationFarm:
         def migrate_one(task: _Task):
             index, design = task
             if not hasattr(local, "migrator"):
-                local.migrator = Migrator(self.plan, netlist_cache=NetlistCache())
+                local.migrator = Migrator(self.plan)
             # Worker threads start with an empty span context; attach the
             # run span so each migrate span parents to it.
             token = tracer.attach(run_span.span_id) if tracer.enabled else None

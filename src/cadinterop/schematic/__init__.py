@@ -55,6 +55,7 @@ from cadinterop.schematic.model import (
     SymbolPin,
     TextLabel,
     Wire,
+    WireIndex,
 )
 from cadinterop.schematic.netlist import Net, Netlist, extract
 from cadinterop.schematic.propertymap import (
@@ -123,6 +124,7 @@ __all__ = [
     "VIEWDRAW_LIKE",
     "VerificationResult",
     "Wire",
+    "WireIndex",
     "audit_properties",
     "build_connector_library",
     "copy_schematic",

@@ -35,6 +35,7 @@ from cadinterop.schematic.model import (
     Symbol,
     SymbolPin,
     Wire,
+    WireIndex,
 )
 
 
@@ -83,19 +84,13 @@ def find_floating_ends(page: Page) -> List[FloatingEnd]:
     for instance in page.instances:
         pin_points.update(instance.pin_positions().values())
 
+    wires = WireIndex(page.wires)
     floating: List[FloatingEnd] = []
     for index, wire in enumerate(page.wires):
         for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1])):
             if point in pin_points:
                 continue
-            touched = False
-            for other_index, other in enumerate(page.wires):
-                if other_index == index:
-                    continue
-                if other.touches_point(point):
-                    touched = True
-                    break
-            if not touched:
+            if not wires.wires_at(point.x, point.y) - {index}:
                 floating.append(FloatingEnd(page.number, index, end_index, point))
     return floating
 

@@ -59,7 +59,7 @@ from cadinterop.schematic.propertymap import PropertyRuleSet
 from cadinterop.schematic.ripup import BatchReplacementReport, replace_component
 from cadinterop.schematic.symbolmap import SymbolKey, SymbolMap
 from cadinterop.schematic.text import TextAdjustReport, adjust_labels
-from cadinterop.schematic.verify import NetlistCache, VerificationResult, verify_migration
+from cadinterop.schematic.verify import VerificationResult, verify_migration
 
 #: Version tag of the pipeline's *semantics*.  It participates in every
 #: farm cache key, so bump it whenever a stage's behavior changes in a way
@@ -208,20 +208,16 @@ class Migrator:
     """Executes a :class:`MigrationPlan` on schematic cells.
 
     ``stage_observer`` is called with a :class:`StageSample` as each pipeline
-    stage finishes (the farm's profiler hooks in here); ``netlist_cache``
-    memoizes source netlist extraction across verifications of the same
-    source object (see :class:`cadinterop.schematic.verify.NetlistCache`).
+    stage finishes (the farm's profiler hooks in here).
     """
 
     def __init__(
         self,
         plan: MigrationPlan,
         stage_observer: Optional[StageObserver] = None,
-        netlist_cache: Optional[NetlistCache] = None,
     ) -> None:
         self.plan = plan
         self.stage_observer = stage_observer
-        self.netlist_cache = netlist_cache
         self._scaled_symbols: Dict[Tuple[str, str, str], Symbol] = {}
 
     def migrate(self, source: Schematic) -> MigrationResult:
@@ -405,8 +401,7 @@ class Migrator:
         if plan.verify:
             with _timed_stage(samples, self.stage_observer, "verification") as sample:
                 verification = verify_migration(
-                    source, working, plan.symbol_map, plan.global_map,
-                    netlist_cache=self.netlist_cache,
+                    source, working, plan.symbol_map, plan.global_map
                 )
                 log.merge(verification.log)
                 sample.items = verification.source_nets

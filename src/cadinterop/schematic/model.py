@@ -14,7 +14,7 @@ from this geometry, which is what migration verification compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from cadinterop.common.geometry import (
     Orientation,
@@ -210,11 +210,87 @@ class Wire:
     def endpoints(self) -> Tuple[Point, Point]:
         return (self.points[0], self.points[-1])
 
-    def touches_point(self, point: Point) -> bool:
-        return any(seg.contains_point(point) for seg in self.segments())
-
     def length(self) -> int:
         return sum(seg.length for seg in self.segments())
+
+
+#: One segment of a wire on its fixed line: (low coordinate, high coordinate,
+#: wire number).
+_Interval = Tuple[int, int, int]
+
+
+class WireIndex:
+    """Point-on-wire lookups over one page's wires, built once per page.
+
+    Each segment becomes an interval on its fixed line: horizontal segments
+    are bucketed by ``y``, vertical ones by ``x``, each bucket sorted by its
+    low end.  Two wires touch exactly when a segment of one contains a
+    segment end of the other, so every touch and pin-attach test on a page
+    is a :meth:`wires_at` lookup instead of a scan over all wires.
+    ``bare`` lists the wires with no segment (every point the same), which
+    no lookup returns.
+
+    The index is a snapshot: edit a wire's points and it is stale.
+    """
+
+    def __init__(self, wires: Sequence[Wire]) -> None:
+        horizontal: Dict[int, List[_Interval]] = {}
+        vertical: Dict[int, List[_Interval]] = {}
+        self.bare: List[int] = []
+        for number, wire in enumerate(wires):
+            first = wire.points[0]
+            px, py = first.x, first.y
+            bare = True
+            for point in wire.points:
+                x, y = point.x, point.y
+                if y == py:
+                    if x == px:
+                        continue  # a repeated point
+                    interval = (x, px, number) if x < px else (px, x, number)
+                    line, fixed = horizontal, y
+                elif x == px:
+                    interval = (y, py, number) if y < py else (py, y, number)
+                    line, fixed = vertical, x
+                else:
+                    raise ValueError(f"segment {Point(px, py)}->{point} is not Manhattan")
+                bucket = line.get(fixed)
+                if bucket is None:
+                    line[fixed] = [interval]
+                else:
+                    bucket.append(interval)
+                px, py = x, y
+                bare = False
+            if bare:
+                self.bare.append(number)
+        for bucket in horizontal.values():
+            bucket.sort()
+        for bucket in vertical.values():
+            bucket.sort()
+        self._horizontal = horizontal
+        self._vertical = vertical
+
+    def segment_ends(self) -> Iterator[Tuple[int, int, int]]:
+        """``(wire number, x, y)`` for both ends of every segment."""
+        for y, bucket in self._horizontal.items():
+            for lo, hi, number in bucket:
+                yield number, lo, y
+                yield number, hi, y
+        for x, bucket in self._vertical.items():
+            for lo, hi, number in bucket:
+                yield number, x, lo
+                yield number, x, hi
+
+    def wires_at(self, x: int, y: int) -> Set[int]:
+        """Numbers of the wires with a segment containing ``(x, y)``."""
+        found: Set[int] = set()
+        for along, bucket in ((x, self._horizontal.get(y)), (y, self._vertical.get(x))):
+            if bucket:
+                for lo, hi, number in bucket:
+                    if lo > along:
+                        break
+                    if along <= hi:
+                        found.add(number)
+        return found
 
 
 @dataclass

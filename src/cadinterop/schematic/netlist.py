@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point
 from cadinterop.schematic.dialects import Dialect, get_dialect
-from cadinterop.schematic.model import Instance, Page, Schematic, Wire
+from cadinterop.schematic.model import Instance, Schematic, Wire, WireIndex
 
 
 Terminal = Tuple[str, str]  # (instance name, pin name)
@@ -131,31 +131,31 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
 
     # node keys: ("wire", page#, index) and ("pt", page#, x, y)
     wire_nodes: Dict[Tuple[int, int], Wire] = {}
+    indexes = [WireIndex(page.wires) for page in schematic.pages]
 
-    for page in schematic.pages:
-        for index, wire in enumerate(page.wires):
-            key = ("wire", page.number, index)
-            uf.add(key)
-            wire_nodes[(page.number, index)] = wire
-        # Merge wires that touch geometrically.
-        for i in range(len(page.wires)):
-            for j in range(i + 1, len(page.wires)):
-                if _wires_touch(page.wires[i], page.wires[j]):
-                    uf.union(("wire", page.number, i), ("wire", page.number, j))
+    for page, index in zip(schematic.pages, indexes):
+        for number, wire in enumerate(page.wires):
+            uf.add(("wire", page.number, number))
+            wire_nodes[(page.number, number)] = wire
+        # Merge wires that touch geometrically: a segment of one contains a
+        # segment end of the other.
+        for number, x, y in index.segment_ends():
+            for other in index.wires_at(x, y):
+                if other != number:
+                    uf.union(("wire", page.number, number), ("wire", page.number, other))
 
     # Attach instance pins to wires passing through their location; pins at
     # identical locations connect by abutment even with no wire.
     pin_terminals: Dict[Tuple[int, Point], List[Tuple[Terminal, Instance]]] = {}
-    for page in schematic.pages:
+    for page, index in zip(schematic.pages, indexes):
         for instance in page.instances:
             for pin_name, position in instance.pin_positions().items():
                 terminal = (instance.name, pin_name)
                 point_key = ("pt", page.number, position.x, position.y)
                 uf.add(point_key)
                 pin_terminals.setdefault((page.number, position), []).append((terminal, instance))
-                for index, wire in enumerate(page.wires):
-                    if wire.touches_point(position):
-                        uf.union(point_key, ("wire", page.number, index))
+                for number in index.wires_at(position.x, position.y):
+                    uf.union(point_key, ("wire", page.number, number))
 
     groups = uf.groups()
 
@@ -186,11 +186,12 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
     offpage_binding: Dict[int, str] = {}
     hier_binding: Dict[int, str] = {}
 
-    def provisional_index_of(terminal: Terminal) -> Optional[int]:
-        for idx, net in enumerate(provisional):
-            if terminal in net.terminals:
-                return idx
-        return None
+    # A terminal's first provisional net (an instance name may repeat on
+    # another page, so later nets do not overwrite earlier ones).
+    provisional_index: Dict[Terminal, int] = {}
+    for idx, net in enumerate(provisional):
+        for terminal in net.terminals:
+            provisional_index.setdefault(terminal, idx)
 
     for page in schematic.pages:
         for instance in page.instances:
@@ -203,7 +204,7 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
                 or instance.symbol.name
             )
             for pin_name in instance.symbol.pin_names():
-                idx = provisional_index_of((instance.name, pin_name))
+                idx = provisional_index.get((instance.name, pin_name))
                 if idx is None:
                     netlist.log.add(
                         Severity.WARNING, Category.CONNECTIVITY, instance.name,
@@ -319,11 +320,3 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
                 )
 
     return netlist
-
-
-def _wires_touch(a: Wire, b: Wire) -> bool:
-    for seg_a in a.segments():
-        for seg_b in b.segments():
-            if seg_a.touches(seg_b):
-                return True
-    return False

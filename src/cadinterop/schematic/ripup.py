@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point, Segment, Transform
-from cadinterop.schematic.model import Instance, Page, SchematicError, Symbol, Wire
+from cadinterop.schematic.model import Instance, Page, SchematicError, Symbol, Wire, WireIndex
 from cadinterop.schematic.symbolmap import SymbolMapping
 
 
@@ -108,15 +108,25 @@ def replace_component(
     page.remove_instance(instance_name)
     page.add_instance(new_instance)
 
-    for wire_index, wire in enumerate(list(page.wires)):
+    # Only wires through an old pin position or ending on one can need
+    # work; visit them in page order so warnings keep their order.  A wire
+    # ending on a pin has a segment through it unless it has no segment at
+    # all, and then its every point is the same.
+    index = WireIndex(page.wires)
+    tapped = {old_pos: index.wires_at(old_pos.x, old_pos.y) for old_pos in pin_moves}
+    visit = set().union(*tapped.values())
+    visit.update(n for n in index.bare if page.wires[n].points[0] in pin_moves)
+
+    for wire_index in sorted(visit):
+        wire = page.wires[wire_index]
         attached_ends = [
             (end_index, point)
             for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1]))
             if point in pin_moves
         ]
         mid_attach = any(
-            wire.touches_point(old_pos) and old_pos not in wire.endpoints
-            for old_pos in pin_moves
+            wire_index in wires and old_pos not in wire.endpoints
+            for old_pos, wires in tapped.items()
         )
         if mid_attach:
             log.add(

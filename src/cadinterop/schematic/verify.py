@@ -14,9 +14,8 @@ invented shows up as a split, merge, or terminal mismatch.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.schematic.dialects import get_dialect
@@ -50,49 +49,6 @@ class VerificationResult:
         )
 
 
-class NetlistCache:
-    """Memoizes geometric netlist extraction across verification calls.
-
-    Extraction dominates verification cost, and a batch run checks the same
-    source schematic against several targets (or re-verifies after property
-    audits), re-extracting an unchanged drawing each time.  The cache is
-    keyed by object identity plus dialect name and holds only a weak
-    reference to the schematic, so entries die with the design and a
-    recycled ``id()`` can never alias a different object.
-
-    The cache does **not** observe mutation: it is meant to be scoped to one
-    batch run over frozen inputs (the farm creates one per worker).  Callers
-    that edit a schematic mid-run must call :meth:`invalidate` or use a
-    fresh cache.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, str], Tuple["weakref.ref", Netlist]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def extract(self, schematic: Schematic, dialect) -> Netlist:
-        key = (id(schematic), dialect.name)
-        entry = self._entries.get(key)
-        if entry is not None:
-            ref, netlist = entry
-            if ref() is schematic:
-                self.hits += 1
-                return netlist
-            del self._entries[key]
-        self.misses += 1
-        netlist = extract(schematic, dialect)
-        self._entries[key] = (weakref.ref(schematic), netlist)
-        return netlist
-
-    def invalidate(self, schematic: Schematic) -> None:
-        for key in [k for k in self._entries if k[0] == id(schematic)]:
-            del self._entries[key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def _component_terminals(netlist: Netlist, connector_instances: Set[str]) -> Dict[str, Set[Terminal]]:
     """Net -> component terminals, dropping synthesized connector pins."""
     result: Dict[str, Set[Terminal]] = {}
@@ -116,24 +72,16 @@ def verify_migration(
     target: Schematic,
     symbol_map: Optional[SymbolMap] = None,
     global_map: Optional[GlobalMap] = None,
-    netlist_cache: Optional[NetlistCache] = None,
 ) -> VerificationResult:
     """Compare connectivity of ``source`` and ``target`` schematics.
 
     Source terminals are normalized through the symbol map's pin-name maps
     (the migration legitimately renames pins); everything else must match
     exactly.  Returns a result whose ``log`` lists every divergence.
-
-    ``netlist_cache`` memoizes the source extraction so a batch run checking
-    one source against multiple targets (or re-verifying) extracts it once;
-    the target is always freshly extracted — it is the object under test.
     """
     result = VerificationResult(equivalent=True)
 
-    if netlist_cache is not None:
-        source_netlist = netlist_cache.extract(source, get_dialect(source.dialect))
-    else:
-        source_netlist = extract(source, get_dialect(source.dialect))
+    source_netlist = extract(source, get_dialect(source.dialect))
     target_netlist = extract(target, get_dialect(target.dialect))
     result.log.merge(source_netlist.log)
     result.log.merge(target_netlist.log)

@@ -14,6 +14,7 @@ from cadinterop.schematic.samples import (
     build_sample_plan,
     build_sample_schematic,
     build_vl_libraries,
+    generate_chain_schematic,
 )
 
 
@@ -61,6 +62,25 @@ class TestWarmHitEqualsColdRun:
         assert report.cache_misses == 1 and report.cache_hits == 0
         report = run_once(plan, [sample], cache)
         assert report.cache_hits == 1
+
+    def test_reused_cache_reports_this_run_only(self, tmp_path, plan, vl_libs):
+        # One farm, one cache, three runs over the same four designs: the
+        # cache's lifetime totals after run 3 are 8 hits / 4 misses, but the
+        # run itself served all four from the cache.
+        designs = []
+        for index in range(4):
+            cell = generate_chain_schematic(
+                vl_libs, pages=1, chains_per_page=2, stages=3, seed=index
+            )
+            cell.name = f"unit{index:02d}"
+            designs.append(cell)
+        farm = MigrationFarm(plan, jobs=1, cache=ResultCache(tmp_path))
+        for _ in range(3):
+            report = farm.run(designs)
+        assert (report.cache_hits, report.cache_misses) == (4, 0)
+        assert report.metrics["farm.cache.hits"]["value"] == 4
+        assert "farm.cache.misses" not in report.metrics
+        assert (farm.cache.hits, farm.cache.misses) == (8, 4)
 
 
 class TestInvalidation:

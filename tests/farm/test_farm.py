@@ -13,7 +13,6 @@ from cadinterop.schematic.samples import (
     build_vl_libraries,
     generate_chain_schematic,
 )
-from cadinterop.schematic.verify import NetlistCache
 
 
 @pytest.fixture(scope="module")
@@ -253,16 +252,3 @@ class TestFarmLineage:
         # Cached designs never re-entered the pipeline, so no migration
         # records (and no losses) this time around.
         assert report.loss.total == 2 and report.loss.losses == 0
-
-
-class TestNetlistCache:
-    def test_source_extraction_is_reused(self, vl_libs, plan):
-        from cadinterop.schematic.migrate import Migrator
-
-        corpus = build_corpus(vl_libs, count=1)
-        cache = NetlistCache()
-        migrator = Migrator(plan, netlist_cache=cache)
-        migrator.migrate(corpus[0])
-        assert cache.misses == 1 and cache.hits == 0
-        migrator.migrate(corpus[0])
-        assert cache.hits == 1

@@ -1,0 +1,556 @@
+"""The per-page wire index against brute-force geometry oracles.
+
+:class:`~cadinterop.schematic.model.WireIndex` replaced three pairwise
+scans: wire-against-wire touch tests and pin attachment in netlist
+extraction, the wire selection in ``replace_component``, and the
+wire-end search in ``find_floating_ends``.  This module keeps those scans,
+as they were before the index, as test-local oracles and checks on
+hypothesis-generated multi-page Manhattan schematics that the indexed code
+gives exactly the same answers: every net field in the same order, the
+same diagnostics in the same order, the same rip-up statistics, wire
+points and warnings, and the same floating ends.
+
+The generator works on a small lattice so that T-junctions, collinear
+overlaps, crossings that do not touch, pins mid-segment, repeated points
+and wires with no segment at all come up often.  Labels repeat across
+pages, instance names repeat across pages, and global, off-page and
+hierarchy connectors bind nets by signal name, under both dialects.
+"""
+
+from __future__ import annotations
+
+import copy
+from typing import Dict, List, Optional, Set, Tuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cadinterop.common.diagnostics import Category, IssueLog, Severity
+from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.schematic.connectors import FloatingEnd, find_floating_ends
+from cadinterop.schematic.dialects import COMPOSER_LIKE, VIEWDRAW_LIKE, Dialect, get_dialect
+from cadinterop.schematic.model import (
+    Instance,
+    Page,
+    PinDirection,
+    Port,
+    Schematic,
+    Symbol,
+    SymbolPin,
+    Wire,
+    WireIndex,
+)
+from cadinterop.schematic.netlist import Net, Netlist, Terminal, _UnionFind, extract
+from cadinterop.schematic.ripup import (
+    ReplacementStats,
+    RipupError,
+    _minimal_reroute,
+    _naive_reroute,
+    replace_component,
+)
+from cadinterop.schematic.migrate import Migrator
+from cadinterop.schematic.samples import (
+    build_sample_plan,
+    build_vl_libraries,
+    generate_chain_schematic,
+)
+from cadinterop.schematic.symbolmap import SymbolKey, SymbolMapping
+
+
+# -- oracles: the pairwise scans the index replaced ---------------------------
+
+
+def _touches_point(wire: Wire, point: Point) -> bool:
+    return any(seg.contains_point(point) for seg in wire.segments())
+
+
+def _wires_touch(a: Wire, b: Wire) -> bool:
+    for seg_a in a.segments():
+        for seg_b in b.segments():
+            if seg_a.touches(seg_b):
+                return True
+    return False
+
+
+def pairwise_extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
+    """Oracle: the extractor as it was before the wire index.
+
+    ``dialect`` defaults to the schematic's own dialect and controls the
+    cross-page discipline and connector-symbol recognition.
+    """
+    active = dialect or get_dialect(schematic.dialect)
+    netlist = Netlist(schematic.name)
+    uf = _UnionFind()
+
+    # node keys: ("wire", page#, index) and ("pt", page#, x, y)
+    wire_nodes: Dict[Tuple[int, int], Wire] = {}
+
+    for page in schematic.pages:
+        for index, wire in enumerate(page.wires):
+            key = ("wire", page.number, index)
+            uf.add(key)
+            wire_nodes[(page.number, index)] = wire
+        # Merge wires that touch geometrically.
+        for i in range(len(page.wires)):
+            for j in range(i + 1, len(page.wires)):
+                if _wires_touch(page.wires[i], page.wires[j]):
+                    uf.union(("wire", page.number, i), ("wire", page.number, j))
+
+    # Attach instance pins to wires passing through their location; pins at
+    # identical locations connect by abutment even with no wire.
+    pin_terminals: Dict[Tuple[int, Point], List[Tuple[Terminal, Instance]]] = {}
+    for page in schematic.pages:
+        for instance in page.instances:
+            for pin_name, position in instance.pin_positions().items():
+                terminal = (instance.name, pin_name)
+                point_key = ("pt", page.number, position.x, position.y)
+                uf.add(point_key)
+                pin_terminals.setdefault((page.number, position), []).append((terminal, instance))
+                for index, wire in enumerate(page.wires):
+                    if _touches_point(wire, position):
+                        uf.union(point_key, ("wire", page.number, index))
+
+    groups = uf.groups()
+
+    # Build provisional nets from connected groups.
+    provisional: List[Net] = []
+    for members in groups.values():
+        net = Net(name="")
+        for member in members:
+            kind = member[0]
+            if kind == "wire":
+                _, page_number, index = member
+                wire = wire_nodes[(page_number, index)]
+                net.pages.add(page_number)
+                net.wire_length += wire.length()
+                if wire.label:
+                    net.labels.add(wire.label)
+            else:
+                _, page_number, x, y = member
+                for terminal, _instance in pin_terminals.get((page_number, Point(x, y)), []):
+                    net.terminals.add(terminal)
+                net.pages.add(page_number)
+        if net.terminals or net.labels or net.wire_length:
+            provisional.append(net)
+
+    # Handle connector instances: their single pin joins the net at its
+    # location (already done geometrically); the *meaning* differs by kind.
+    global_binding: Dict[int, str] = {}  # provisional index -> global net name
+    offpage_binding: Dict[int, str] = {}
+    hier_binding: Dict[int, str] = {}
+
+    def provisional_index_of(terminal: Terminal) -> Optional[int]:
+        for idx, net in enumerate(provisional):
+            if terminal in net.terminals:
+                return idx
+        return None
+
+    for page in schematic.pages:
+        for instance in page.instances:
+            kind = instance.symbol.kind
+            if kind == "component":
+                continue
+            signal = str(
+                instance.properties.get("signal")
+                or instance.properties.get("net")
+                or instance.symbol.name
+            )
+            for pin_name in instance.symbol.pin_names():
+                idx = provisional_index_of((instance.name, pin_name))
+                if idx is None:
+                    netlist.log.add(
+                        Severity.WARNING, Category.CONNECTIVITY, instance.name,
+                        f"{kind} connector pin {pin_name!r} is not attached to anything",
+                    )
+                    continue
+                if kind == "global":
+                    global_binding[idx] = signal
+                elif kind == "offpage_connector":
+                    offpage_binding[idx] = signal
+                elif kind == "hier_connector":
+                    hier_binding[idx] = signal
+
+    # Merge nets by binding name: globals always; off-page connectors in
+    # explicit dialects; same-label nets across pages in implicit dialects.
+    merge_uf = _UnionFind()
+    for idx in range(len(provisional)):
+        merge_uf.add(idx)
+
+    def merge_by(binding: Dict[int, str]) -> None:
+        by_name: Dict[str, int] = {}
+        for idx, name in binding.items():
+            if name in by_name:
+                merge_uf.union(by_name[name], idx)
+            else:
+                by_name[name] = idx
+
+    merge_by(global_binding)
+    merge_by(offpage_binding)
+
+    if active.implicit_cross_page_by_name:
+        by_label: Dict[str, int] = {}
+        for idx, net in enumerate(provisional):
+            for label in net.labels:
+                if label in by_label:
+                    merge_uf.union(by_label[label], idx)
+                else:
+                    by_label[label] = idx
+
+    # Hierarchy connectors bind a net to a schematic port name.
+    port_names = {port.name for port in schematic.ports}
+
+    merged: Dict[object, Net] = {}
+    for idx, net in enumerate(provisional):
+        root = merge_uf.find(idx)
+        if root not in merged:
+            merged[root] = Net(name="")
+        target = merged[root]
+        target.terminals |= net.terminals
+        target.labels |= net.labels
+        target.pages |= net.pages
+        target.wire_length += net.wire_length
+        if idx in global_binding:
+            target.is_global = True
+            target.labels.add(global_binding[idx])
+        if idx in offpage_binding:
+            target.labels.add(offpage_binding[idx])
+        if idx in hier_binding:
+            target.labels.add(hier_binding[idx])
+
+    # Name nets: prefer a label bound to a port, then any label, else synthesize.
+    counter = 0
+    used_names: Set[str] = set()
+    for net in merged.values():
+        port_labels = sorted(net.labels & port_names)
+        other_labels = sorted(net.labels - port_names)
+        if port_labels:
+            name = port_labels[0]
+        elif other_labels:
+            name = other_labels[0]
+        else:
+            counter += 1
+            name = f"unnamed${counter}"
+        if name in used_names:
+            netlist.log.add(
+                Severity.ERROR, Category.CONNECTIVITY, name,
+                "two disjoint nets carry the same name after extraction",
+                remedy="expected a single net; check off-page connector usage",
+            )
+            suffix = 2
+            while f"{name}${suffix}" in used_names:
+                suffix += 1
+            name = f"{name}${suffix}"
+        used_names.add(name)
+        net.name = name
+        netlist.add_net(net)
+        if len(net.labels) > 1 and not net.is_global:
+            netlist.log.add(
+                Severity.WARNING, Category.CONNECTIVITY, net.name,
+                f"net carries multiple labels {sorted(net.labels)}; shorted nets?",
+            )
+
+    # Implicit cross-page connection without labels cannot be resolved; in
+    # explicit dialects an unlabeled multi-page net is impossible by
+    # construction, but a same-name pair NOT joined by an off-page connector
+    # deserves a diagnostic because the implicit dialect would have joined it.
+    if not active.implicit_cross_page_by_name:
+        label_pages: Dict[str, Set[int]] = {}
+        for net in netlist.nets.values():
+            for label in net.labels:
+                label_pages.setdefault(label, set()).update(net.pages)
+        seen: Dict[str, int] = {}
+        for net in netlist.nets.values():
+            for label in net.labels:
+                seen[label] = seen.get(label, 0) + 1
+        for label, count in seen.items():
+            if count > 1:
+                netlist.log.add(
+                    Severity.ERROR, Category.CONNECTIVITY, label,
+                    f"label appears on {count} disjoint nets; {active.name} does not "
+                    "connect same-named nets implicitly",
+                    remedy="insert off-page connectors to make the connection explicit",
+                )
+
+    return netlist
+
+
+def scan_replace_component(
+    page: Page,
+    instance_name: str,
+    mapping: SymbolMapping,
+    target_symbol: Symbol,
+    log: Optional[IssueLog] = None,
+    strategy: str = "minimal",
+) -> ReplacementStats:
+    """Oracle: ``replace_component`` visiting every wire, testing every pin."""
+    log = log if log is not None else IssueLog()
+    old_instance = page.instance(instance_name)
+    stats = ReplacementStats(instance=instance_name)
+    correction = Transform(mapping.origin_offset, mapping.rotation)
+    new_instance = Instance(
+        name=old_instance.name,
+        symbol=target_symbol,
+        transform=correction.compose(old_instance.transform),
+        properties=old_instance.properties.copy(),
+    )
+    old_positions = old_instance.pin_positions()
+    new_positions = new_instance.pin_positions()
+    pin_moves: Dict[Point, Point] = {}
+    for old_pin, old_pos in old_positions.items():
+        new_pos = new_positions[mapping.map_pin(old_pin)]
+        pin_moves[old_pos] = new_pos
+        if old_pos == new_pos:
+            stats.unmoved_pins += 1
+        else:
+            stats.moved_pins += 1
+    page.remove_instance(instance_name)
+    page.add_instance(new_instance)
+
+    for wire in list(page.wires):
+        attached_ends = [
+            (end_index, point)
+            for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1]))
+            if point in pin_moves
+        ]
+        mid_attach = any(
+            _touches_point(wire, old_pos) and old_pos not in wire.endpoints
+            for old_pos in pin_moves
+        )
+        if mid_attach:
+            log.add(
+                Severity.WARNING, Category.CONNECTIVITY, instance_name,
+                f"wire taps pin mid-segment; rerouting endpoint-attached wires only",
+                remedy="verification will flag any broken connection",
+            )
+        if not attached_ends:
+            continue
+        if strategy == "naive":
+            _naive_reroute(wire, attached_ends, pin_moves, stats)
+        else:
+            _minimal_reroute(wire, attached_ends, pin_moves, stats)
+    return stats
+
+
+def scan_floating_ends(page: Page) -> List[FloatingEnd]:
+    """Oracle: ``find_floating_ends`` testing each end against every wire."""
+    pin_points: Set[Point] = set()
+    for instance in page.instances:
+        pin_points.update(instance.pin_positions().values())
+    floating: List[FloatingEnd] = []
+    for index, wire in enumerate(page.wires):
+        for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1])):
+            if point in pin_points:
+                continue
+            if not any(
+                _touches_point(other, point)
+                for other_index, other in enumerate(page.wires)
+                if other_index != index
+            ):
+                floating.append(FloatingEnd(page.number, index, end_index, point))
+    return floating
+
+
+# -- generated Manhattan schematics --------------------------------------------
+
+GRID = 16
+SPAN = 6  # lattice coordinates 0..SPAN, in GRID units
+LABELS = ("A", "B", "C")
+SIGNALS = ("A", "B", "VDD")
+NAMES = tuple(f"U{i}" for i in range(6))
+
+
+def _symbol(name: str, kind: str, pins) -> Symbol:
+    return Symbol(
+        library="gen", name=name, kind=kind, body=Rect(0, 0, 32, 32),
+        pins=[SymbolPin(pin, Point(x, y), PinDirection.BIDIRECTIONAL) for pin, (x, y) in pins],
+    )
+
+
+COMPONENTS = (
+    _symbol("buf", "component", [("A", (0, 0)), ("Y", (32, 0))]),
+    _symbol("tap", "component", [("A", (0, 0)), ("B", (0, 32)), ("Y", (32, 16))]),
+)
+CONNECTORS = (
+    _symbol("VDD", "global", [("P", (0, 0))]),
+    _symbol("GND", "global", [("P", (0, 0))]),
+    _symbol("opc", "offpage_connector", [("P", (0, 0))]),
+    _symbol("hier", "hier_connector", [("P", (0, 0))]),
+)
+
+
+def _lattice(draw, low: int = 0, high: int = SPAN) -> Point:
+    return Point(
+        draw(st.integers(low, high)) * GRID, draw(st.integers(low, high)) * GRID
+    )
+
+
+def _polyline(draw, pins: List[Point]) -> List[Point]:
+    """A Manhattan polyline; zero steps repeat a point, so some wires have
+    no segment at all.  Half the wires start on a pin."""
+    if pins and draw(st.booleans()):
+        x, y = draw(st.sampled_from(pins))
+    else:
+        x, y = _lattice(draw)
+    points = [Point(x, y)]
+    for _ in range(draw(st.integers(1, 4))):
+        step = draw(st.integers(-3, 3)) * GRID
+        if draw(st.booleans()):
+            x += step
+        else:
+            y += step
+        points.append(Point(x, y))
+    return points
+
+
+def _fill_page(draw, page: Page, min_instances: int = 0) -> None:
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, min_size=min_instances, max_size=4))
+    for position, name in enumerate(names):
+        symbols = COMPONENTS if position < min_instances else COMPONENTS + CONNECTORS
+        symbol = draw(st.sampled_from(symbols))
+        instance = Instance(
+            name, symbol, Transform(_lattice(draw), draw(st.sampled_from(list(Orientation))))
+        )
+        if symbol.kind != "component" and draw(st.booleans()):
+            instance.properties.set("signal", draw(st.sampled_from(SIGNALS)))
+        page.add_instance(instance)
+    pins = [point for instance in page.instances for point in instance.pin_positions().values()]
+    for _ in range(draw(st.integers(0, 7))):
+        label = draw(st.sampled_from((None, None) + LABELS))
+        page.add_wire(Wire(_polyline(draw, pins), label=label))
+
+
+@st.composite
+def schematics(draw, min_instances: int = 0, max_pages: int = 3) -> Schematic:
+    """One to ``max_pages`` pages; labels and instance names repeat across
+    pages."""
+    dialect = draw(st.sampled_from([VIEWDRAW_LIKE, COMPOSER_LIKE]))
+    ports = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=2))
+    cell = Schematic("gen", dialect.name, ports=[Port(name) for name in ports])
+    for _ in range(draw(st.integers(1, max_pages))):
+        _fill_page(draw, cell.add_page(Rect(0, 0, 160, 160)), min_instances)
+    return cell
+
+
+@st.composite
+def replacements(draw):
+    """A page, a component on it, and a replacement rule that may move,
+    rotate and rename its pins."""
+    cell = draw(schematics(min_instances=1, max_pages=1))
+    page = cell.pages[0]
+    victim = page.instances[0]
+    source = victim.symbol
+    pin_map = {pin: pin.lower() for pin in source.pin_names()}
+    target = Symbol(
+        library="tgt", name=source.name, kind="component", body=source.body,
+        pins=[SymbolPin(pin_map[pin], _lattice(draw, 0, 2)) for pin in source.pin_names()],
+    )
+    mapping = SymbolMapping(
+        source=SymbolKey.of(source),
+        target=SymbolKey.of(target),
+        origin_offset=_lattice(draw, -2, 2),
+        rotation=draw(st.sampled_from(list(Orientation))),
+        pin_map=pin_map,
+    )
+    strategy = draw(st.sampled_from(["minimal", "naive"]))
+    return page, victim.name, mapping, target, strategy
+
+
+def assert_same_netlist(indexed: Netlist, oracle: Netlist) -> None:
+    assert indexed.cell_name == oracle.cell_name
+    # Net equality covers every field; list order covers naming order.
+    assert list(indexed.nets.items()) == list(oracle.nets.items())
+    assert list(indexed.log) == list(oracle.log)
+
+
+def run_replacement(replace, page, name, mapping, target, strategy):
+    """Everything a replacement leaves behind, on a private copy of ``page``."""
+    page = copy.deepcopy(page)
+    log = IssueLog()
+    try:
+        outcome = replace(page, name, mapping, target, log=log, strategy=strategy)
+    except RipupError as exc:
+        outcome = f"RipupError: {exc}"
+    instances = [(i.name, i.symbol.full_name, i.transform) for i in page.instances]
+    return outcome, [wire.points for wire in page.wires], instances, list(log)
+
+
+# -- tests ---------------------------------------------------------------------
+
+GENERATED = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestWireIndex:
+    def test_t_junction_crossing_and_overlap(self):
+        wires = [
+            Wire([Point(0, 0), Point(64, 0)]),
+            Wire([Point(32, 0), Point(32, 32)]),  # T onto wire 0
+            Wire([Point(16, -16), Point(16, 16)]),  # crosses wire 0 mid-span
+            Wire([Point(48, 0), Point(96, 0)]),  # collinear overlap with wire 0
+            Wire([Point(16, 16), Point(16, 16)]),  # no segment
+        ]
+        index = WireIndex(wires)
+        assert index.wires_at(32, 0) == {0, 1}
+        assert index.wires_at(16, 0) == {0, 2}
+        assert index.wires_at(64, 0) == {0, 3}
+        assert index.wires_at(16, 16) == {2}
+        assert index.wires_at(100, 0) == set()
+        assert index.bare == [4]
+        assert sorted(end for end in index.segment_ends() if end[0] == 1) == [
+            (1, 32, 0), (1, 32, 32)
+        ]
+
+    def test_repeated_points_make_no_segment(self):
+        index = WireIndex([Wire([Point(0, 0), Point(0, 0), Point(0, 32), Point(0, 32)])])
+        assert sorted(index.segment_ends()) == [(0, 0, 0), (0, 0, 32)]
+        assert index.bare == []
+
+    def test_diagonal_points_rejected_like_segments(self):
+        wire = Wire([Point(0, 0), Point(0, 16)])
+        wire.points = [Point(0, 0), Point(16, 16)]
+        with pytest.raises(ValueError, match="not Manhattan"):
+            WireIndex([wire])
+
+
+class TestGeneratedSchematics:
+    """One generated drawing, every indexed query against its oracle."""
+
+    @given(cell=schematics())
+    @GENERATED
+    def test_index_extract_and_floating_ends_match_oracles(self, cell):
+        lattice = [Point(x * GRID, y * GRID) for x in range(SPAN + 1) for y in range(SPAN + 1)]
+        for page in cell.pages:
+            index = WireIndex(page.wires)
+            probes = set(lattice).union(*(wire.points for wire in page.wires))
+            for point in probes:
+                expected = {n for n, wire in enumerate(page.wires) if _touches_point(wire, point)}
+                assert index.wires_at(point.x, point.y) == expected, point
+            assert find_floating_ends(page) == scan_floating_ends(page)
+        for dialect in (VIEWDRAW_LIKE, COMPOSER_LIKE):
+            assert_same_netlist(extract(cell, dialect), pairwise_extract(cell, dialect))
+
+
+class TestChainCorpus:
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3, 4), (1, 6, 9), (3, 4, 6)])
+    def test_chain_cell_and_its_migration_match_oracle(self, shape):
+        libraries = build_vl_libraries()
+        pages, chains, stages = shape
+        cell = generate_chain_schematic(
+            libraries, pages=pages, chains_per_page=chains, stages=stages
+        )
+        assert_same_netlist(extract(cell), pairwise_extract(cell))
+        # The migrated drawing has rerouted jogs, off-page and hierarchy
+        # connectors and the other dialect's discipline.
+        target = Migrator(build_sample_plan(source_libraries=libraries)).migrate(cell).schematic
+        assert_same_netlist(extract(target), pairwise_extract(target))
+
+
+class TestReplaceComponentMatchesScan:
+    @given(case=replacements())
+    @GENERATED
+    def test_generated_replacements(self, case):
+        page, name, mapping, target, strategy = case
+        assert run_replacement(
+            replace_component, page, name, mapping, target, strategy
+        ) == run_replacement(scan_replace_component, page, name, mapping, target, strategy)
