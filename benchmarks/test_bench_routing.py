@@ -1,0 +1,111 @@
+"""E20 — place and route of the 3-slice ALU vs the pre-index oracles.
+
+``GridRouter`` probes clearance only as far as the widest margin in play,
+caches one usability verdict per node for each net, and expands A* moves
+from a per-layer table; ``RowPlacer`` re-measures a swap over an
+instance-to-nets index with pin offsets taken once.  The code they
+replaced survives as the oracles in ``tests/pnr/test_router_equivalence.py``
+and is timed here on the ``rtl-to-layout`` benchmark's 3-slice ALU flow
+(synthesized, lowered onto the sample library, one spaced cell row,
+placement seed 1).  Rows: best-of-REPEATS CPU time of the oracle and the
+current code for placement and for routing, and the speedup of each.
+Expected shape: identical placements and routing results (occupancy order
+included), and routing at least MIN_SPEEDUP x faster.
+
+Run from the repository root (the oracles are imported from ``tests``,
+the flow from ``perfbench``)::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_routing.py -s --benchmark-disable
+"""
+
+import copy
+import time
+
+from cadinterop import rtl2gds
+from cadinterop.hdl import parser, synth
+from cadinterop.pnr.placement import RowPlacer
+from cadinterop.pnr.routing import GridRouter
+from perfbench.workloads.rtl_to_layout import Flow, alu_source, floorplan
+from tests.pnr.test_router_equivalence import (
+    OraclePlacer,
+    OracleRouter,
+    placement_signature,
+    routing_signature,
+)
+
+#: Well under the measured routing ratio (see EXPERIMENTS.md E20).
+MIN_SPEEDUP = 1.5
+REPEATS = 3
+SLICES = 3
+PLACEMENT_SEED = 1
+
+
+def alu_flow(library):
+    """The 3-slice ALU lowered to cells, with its floorplan and pads."""
+    source, inputs, outputs = alu_source(SLICES)
+    rtl = parser.parse_module(source)
+    hardware = rtl2gds.strip_testbench(synth.synthesize(rtl).netlist)
+    conversion = rtl2gds.gate_netlist_to_pnr(hardware, library)
+    flow = Flow(SLICES, source, inputs, outputs, PLACEMENT_SEED, [])
+    plan, pads = floorplan(rtl.name, conversion.cells_emitted, flow)
+    return conversion.design, plan, pads
+
+
+def _best_cpu_seconds(function, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.process_time()
+        result = function()
+        best = min(best, time.process_time() - start)
+    return best, result
+
+
+class TestRoutingSpeed:
+    def test_alu_place_and_route_matches_oracle_and_is_faster(
+        self, pnr_tech, pnr_library, bench_scale
+    ):
+        repeats = REPEATS * bench_scale
+        design, plan, pads = alu_flow(pnr_library)
+
+        def place(placer_cls):
+            def run():
+                placed_design = copy.deepcopy(design)
+                result = placer_cls(pnr_tech, plan, seed=PLACEMENT_SEED).place(
+                    placed_design, pads
+                )
+                return placed_design, placement_signature(placed_design, result)
+            return run
+
+        oracle_place_s, (_design, oracle_placed) = _best_cpu_seconds(
+            place(OraclePlacer), repeats
+        )
+        place_s, (placed_design, placed) = _best_cpu_seconds(place(RowPlacer), repeats)
+        assert placed == oracle_placed
+
+        def route(router_cls):
+            def run():
+                router = router_cls(pnr_tech, plan, pads)
+                return routing_signature(router, router.route_design(placed_design))
+            return run
+
+        oracle_route_s, oracle_routed = _best_cpu_seconds(route(OracleRouter), repeats)
+        route_s, routed = _best_cpu_seconds(route(GridRouter), repeats)
+        assert routed == oracle_routed
+        assert routed[1] == [], "the ALU flow routes every net"
+
+        rows = [
+            ("place", oracle_place_s, place_s, oracle_place_s / place_s),
+            ("route", oracle_route_s, route_s, oracle_route_s / route_s),
+        ]
+        print(
+            f"\nE20 rows ({len(design.instances)} cells, {len(design.nets)} nets): "
+            + str([
+                (stage, f"{oracle * 1000:.1f}ms", f"{current * 1000:.1f}ms", f"{speedup:.2f}x")
+                for stage, oracle, current, speedup in rows
+            ])
+        )
+        speedup = rows[1][3]
+        assert speedup >= MIN_SPEEDUP, (
+            f"routing only {speedup:.2f}x over the oracle "
+            f"(oracle {oracle_route_s * 1000:.1f}ms, current {route_s * 1000:.1f}ms)"
+        )

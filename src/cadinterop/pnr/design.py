@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.common.geometry import ORIGIN, Orientation, Point, Rect, Transform
 from cadinterop.pnr.cells import CellAbstract
 
 
@@ -32,9 +32,19 @@ class PnRInstance:
         """Center of the pin's bounding box in die coordinates."""
         if self.location is None:
             raise ValueError(f"instance {self.name!r} is not placed")
-        box = self.cell.pin(pin_name).bounding_box()
-        transform = Transform(self.location, self.orientation)
-        return transform.apply_rect(box).center
+        offset = pin_offset(self.cell, pin_name, self.orientation)
+        return offset.translated(self.location.x, self.location.y)
+
+
+def pin_offset(cell: CellAbstract, pin_name: str, orientation: Orientation) -> Point:
+    """Center of a pin's box under ``orientation``, relative to the origin.
+
+    Adding an instance's location gives its pin position exactly:
+    ``Rect.center`` floors, and flooring commutes with an integer
+    translation.
+    """
+    box = cell.pin(pin_name).bounding_box()
+    return Transform(ORIGIN, orientation).apply_rect(box).center
 
 
 #: A net terminal: ("inst", instance name, pin name) or ("pad", pad name, "").

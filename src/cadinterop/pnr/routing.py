@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from cadinterop.common.geometry import Point, Rect
+from cadinterop.obs import get_tracer
 from cadinterop.pnr.design import PnRDesign, Terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, NetRule
 from cadinterop.pnr.tech import Layer, Technology
@@ -78,6 +79,16 @@ class GridRouter:
         #: clearance (in tracks) each routed net demands around its wires
         self._net_margin: Dict[str, int] = {}
         self._blocked: Set[Node] = set()
+        #: per layer, the moves out of a node on it, in search order: one
+        #: track either way along the layer's direction (cost 1), then a
+        #: via to each other layer at the same (x, y) (cost 2); entries
+        #: are (layer, dx, dy, cost)
+        self._moves: Dict[str, Tuple[Tuple[str, int, int, int], ...]] = {}
+        for name, layer in self.layers.items():
+            dx, dy = (1, 0) if layer.direction == "horizontal" else (0, 1)
+            self._moves[name] = ((name, -dx, -dy, 1), (name, dx, dy, 1)) + tuple(
+                (other, 0, 0, 2) for other in self.layers if other != name
+            )
         for keepout in floorplan.keepouts:
             for layer_name in keepout.layers:
                 if layer_name in self.layers:
@@ -101,27 +112,7 @@ class GridRouter:
         iy = min(self.rows - 1, max(0, (point.y - die.y1) // self.tech.pitch))
         return (ix, iy)
 
-    def _neighbors(self, node: Node) -> List[Tuple[Node, int]]:
-        layer_name, ix, iy = node
-        layer = self.layers[layer_name]
-        result: List[Tuple[Node, int]] = []
-        if layer.direction == "horizontal":
-            steps = ((ix - 1, iy), (ix + 1, iy))
-        else:
-            steps = ((ix, iy - 1), (ix, iy + 1))
-        for nx, ny in steps:
-            if 0 <= nx < self.cols and 0 <= ny < self.rows:
-                result.append(((layer_name, nx, ny), 1))
-        # Via to the other layers at the same (x, y); cost 2.
-        for other in self.layers.values():
-            if other.name != layer_name:
-                result.append(((other.name, ix, iy), 2))
-        return result
-
-    #: farthest clearance any rule can demand (bounds the probe loop)
-    MAX_MARGIN = 4
-
-    def _usable(self, node: Node, net: str, margin: int) -> bool:
+    def _usable(self, node: Node, net: str, margin: int, reach: int) -> bool:
         if node in self._blocked:
             return False
         owner = self.occupancy.get(node)
@@ -131,7 +122,7 @@ class GridRouter:
         layer = self.layers[layer_name]
         # Clearance is symmetric: respect both this net's margin and the
         # margin any already-routed neighbor demanded for itself.
-        for d in range(1, self.MAX_MARGIN + 1):
+        for d in range(1, reach + 1):
             if layer.direction == "horizontal":
                 around = ((layer_name, ix, iy - d), (layer_name, ix, iy + d))
             else:
@@ -172,13 +163,22 @@ class GridRouter:
             routed = RoutedNet(net, rule=rule)
             return routed
 
+        # A foreign wire d tracks across can only make a node unusable when
+        # d is within this net's margin or the margin its owner demanded,
+        # so clearance probes stop at the widest of those.
+        reach = max(margin, max(self._net_margin.values(), default=0))
+        # Occupancy and margins change only when this call commits, so one
+        # usability verdict per node serves every terminal's search.
+        verdicts: Dict[Node, bool] = {}
         routed_nodes: Set[Node] = set()
         vias = 0
         # Connect each terminal to the growing tree.
         tree: Set[Node] = set(self._terminal_nodes(design, terminals[0]))
         for terminal in terminals[1:]:
+            # A terminal's nodes are one grid point's layer stack.
             targets = set(self._terminal_nodes(design, terminal))
-            path = self._astar(tree | routed_nodes, targets, net, margin)
+            _l, tx, ty = next(iter(targets))
+            path = self._astar(tree | routed_nodes, (tx, ty), net, margin, reach, verdicts)
             if path is None:
                 return None
             for index, node in enumerate(path):
@@ -196,16 +196,22 @@ class GridRouter:
     def _astar(
         self,
         sources: Set[Node],
-        targets: Set[Node],
+        target: Tuple[int, int],
         net: str,
         margin: int,
+        reach: int,
+        verdicts: Dict[Node, bool],
     ) -> Optional[List[Node]]:
-        target_xy = {(x, y) for _l, x, y in targets}
+        """Cheapest path from ``sources`` to any layer at grid point ``target``.
 
-        def heuristic(node: Node) -> int:
-            _l, x, y = node
-            return min(abs(x - tx) + abs(y - ty) for tx, ty in target_xy)
-
+        ``verdicts`` caches :meth:`_usable` answers for this net; the
+        caller keeps it only while occupancy and margins stand still.
+        """
+        tx, ty = target
+        cols, rows = self.cols, self.rows
+        occupancy = self.occupancy
+        moves = self._moves
+        heappush, heappop = heapq.heappush, heapq.heappop
         open_heap: List[Tuple[int, int, Node]] = []
         best: Dict[Node, int] = {}
         parent: Dict[Node, Optional[Node]] = {}
@@ -216,36 +222,47 @@ class GridRouter:
             # (typically via the other layer).
             if source in self._blocked:
                 continue
-            if self.occupancy.get(source, net) != net:
+            if occupancy.get(source, net) != net:
                 continue
             best[source] = 0
             parent[source] = None
-            heapq.heappush(open_heap, (heuristic(source), counter, source))
+            heappush(open_heap, (abs(source[1] - tx) + abs(source[2] - ty), counter, source))
             counter += 1
 
         while open_heap:
-            _f, _c, node = heapq.heappop(open_heap)
+            _f, _c, node = heappop(open_heap)
             cost = best[node]
-            if node in targets:
+            if node[1] == tx and node[2] == ty:
                 path: List[Node] = []
                 current: Optional[Node] = node
                 while current is not None:
                     path.append(current)
                     current = parent[current]
                 return list(reversed(path))
-            for neighbor, step in self._neighbors(node):
+            layer_name, x, y = node
+            for move_layer, dx, dy, step in moves[layer_name]:
+                nx, ny = x + dx, y + dy
+                if not (0 <= nx < cols and 0 <= ny < rows):
+                    continue
+                neighbor = (move_layer, nx, ny)
                 # Terminals are always enterable by their own net; margin
                 # applies to the routing fabric in between.
-                if neighbor not in targets and not self._usable(neighbor, net, margin):
-                    continue
-                if neighbor in targets and self.occupancy.get(neighbor, net) != net:
-                    continue
+                if nx == tx and ny == ty:
+                    if occupancy.get(neighbor, net) != net:
+                        continue
+                else:
+                    usable = verdicts.get(neighbor)
+                    if usable is None:
+                        usable = verdicts[neighbor] = self._usable(neighbor, net, margin, reach)
+                    if not usable:
+                        continue
                 new_cost = cost + step
                 if new_cost < best.get(neighbor, 1 << 30):
                     best[neighbor] = new_cost
                     parent[neighbor] = node
-                    heapq.heappush(
-                        open_heap, (new_cost + heuristic(neighbor), counter, neighbor)
+                    heappush(
+                        open_heap,
+                        (new_cost + abs(nx - tx) + abs(ny - ty), counter, neighbor),
                     )
                     counter += 1
         return None
@@ -340,40 +357,42 @@ class GridRouter:
         fields apply — e.g. a dialect that supports width but not spacing
         passes ``{"width"}``.  This is the backplane's degradation hook.
         """
-        result = RoutingResult()
-        features = honored_features if honored_features is not None else {
-            "width", "spacing", "shield",
-        }
-        # Reserve every net's primary terminal node (the pin's own layer)
-        # up front so no other net can route across a pin it does not own.
-        # Upper-layer nodes above a pin stay free — crossing over a foreign
-        # pin on another layer is legal.
-        for net, terminals in design.nets.items():
-            for terminal in terminals:
-                node = self._terminal_nodes(design, terminal)[0]
-                if self.occupancy.get(node, net) == net:
-                    self.occupancy[node] = net
-        # Route rule-carrying nets first (they need the room).
-        ordered = sorted(
-            design.nets,
-            key=lambda n: (self.floorplan.net_rules.get(n) is None, n),
-        )
-        for net in ordered:
-            rule = self.floorplan.net_rules.get(net) or NetRule(net)
-            if not honor_rules:
-                effective = NetRule(net)
-            else:
-                effective = NetRule(
-                    net,
-                    width_tracks=rule.width_tracks if "width" in features else 1,
-                    spacing_tracks=rule.spacing_tracks if "spacing" in features else 1,
-                    shield=rule.shield and "shield" in features,
-                )
-            routed = self.route_net(design, net, effective)
-            if routed is None:
-                result.failed.append(net)
-                continue
-            result.routed[net] = routed
-            if effective.shield:
-                result.shield_nodes += self.add_shields(routed)
-        return result
+        with get_tracer().span("pnr:route", design=design.name) as span:
+            result = RoutingResult()
+            features = honored_features if honored_features is not None else {
+                "width", "spacing", "shield",
+            }
+            # Reserve every net's primary terminal node (the pin's own layer)
+            # up front so no other net can route across a pin it does not own.
+            # Upper-layer nodes above a pin stay free — crossing over a foreign
+            # pin on another layer is legal.
+            for net, terminals in design.nets.items():
+                for terminal in terminals:
+                    node = self._terminal_nodes(design, terminal)[0]
+                    if self.occupancy.get(node, net) == net:
+                        self.occupancy[node] = net
+            # Route rule-carrying nets first (they need the room).
+            ordered = sorted(
+                design.nets,
+                key=lambda n: (self.floorplan.net_rules.get(n) is None, n),
+            )
+            for net in ordered:
+                rule = self.floorplan.net_rules.get(net) or NetRule(net)
+                if not honor_rules:
+                    effective = NetRule(net)
+                else:
+                    effective = NetRule(
+                        net,
+                        width_tracks=rule.width_tracks if "width" in features else 1,
+                        spacing_tracks=rule.spacing_tracks if "spacing" in features else 1,
+                        shield=rule.shield and "shield" in features,
+                    )
+                routed = self.route_net(design, net, effective)
+                if routed is None:
+                    result.failed.append(net)
+                    continue
+                result.routed[net] = routed
+                if effective.shield:
+                    result.shield_nodes += self.add_shields(routed)
+            span.set(nets=len(design.nets), routed=len(result.routed), failed=len(result.failed))
+            return result

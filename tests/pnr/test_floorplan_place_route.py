@@ -147,7 +147,7 @@ class TestRouting:
             frontier = [start]
             while frontier:
                 node = frontier.pop()
-                for neighbor, _cost in router._neighbors(node):
+                for neighbor in grid_adjacent(router, node):
                     if neighbor in nodes and neighbor not in seen:
                         seen.add(neighbor)
                         frontier.append(neighbor)
@@ -177,14 +177,20 @@ class TestRouting:
         assert result.shield_nodes > 0
         assert SHIELD in set(router.occupancy.values())
 
-    def test_spacing_rule_enforced_symmetrically(self, tech):
+    @pytest.mark.parametrize("width,spacing", [(2, 2), (3, 4)])
+    def test_spacing_rule_enforced_symmetrically(self, tech, width, spacing):
         """No foreign wire within the rule's spacing of the victim.
 
-        Terminal (pad/pin) nodes are exempt: a pin fixed by the floorplan
-        inside the clearance zone is the floorplan's decision, and the
-        router may only enter it to escape.
+        Clearance runs across each layer's direction: along y on the
+        horizontal layer, along x on the vertical one.  Terminal (pad/pin)
+        nodes are exempt: a pin fixed by the floorplan inside the clearance
+        zone is the floorplan's decision, and the router may only enter it
+        to escape.  Width 3 + spacing 4 is a margin of 5 tracks.
         """
         fp, design, pads = build_bus_scenario()
+        fp.net_rules["crit"] = NetRule(
+            "crit", width_tracks=width, spacing_tracks=spacing, shield=True
+        )
         router = GridRouter(tech, fp, pads)
         result = router.route_design(design)
         terminal_nodes = set()
@@ -192,16 +198,57 @@ class TestRouting:
             for terminal in terminals:
                 terminal_nodes.update(router._terminal_nodes(design, terminal))
         crit_nodes = result.routed["crit"].nodes
-        margin = 2  # width 2 + spacing 2 -> (2-1)+(2-1)
-        for layer, ix, iy in crit_nodes:
+        margin = (width - 1) + (spacing - 1)
+        for node in crit_nodes:
             for d in range(1, margin + 1):
-                for probe in ((layer, ix, iy + d), (layer, ix, iy - d)):
+                for probe in across(router, node, d):
                     if probe in terminal_nodes:
                         continue
                     owner = router.occupancy.get(probe)
                     assert owner in (None, "crit", SHIELD), (
                         f"{owner} within {d} tracks of crit"
                     )
+
+    def test_clearance_beyond_four_tracks_forces_a_detour(self, tech):
+        """A 6-track margin keeps a later net 7 tracks away, not 5 or 6."""
+        fp = Floorplan("wide", Rect(0, 0, 200, 200))
+        fp.add_net_rule(NetRule("wide", width_tracks=4, spacing_tracks=4))
+        design = PnRDesign("wide")
+        design.add_net("wide", [pad_terminal("ww"), pad_terminal("we")])
+        design.add_net("near", [pad_terminal("nw"), pad_terminal("ne")])
+        pads = {
+            "ww": Point(0, 100), "we": Point(195, 100),  # row 20
+            "nw": Point(50, 130), "ne": Point(150, 130),  # row 26: 6 tracks up
+        }
+        router = GridRouter(tech, fp, pads)
+        wide = router.route_net(design, "wide")
+        assert {(layer, iy) for layer, _x, iy in wide.nodes} == {("M1", 20)}
+        near = router.route_net(design, "near")
+        assert near is not None
+        pins = {("M1", 10, 26), ("M1", 30, 26)}
+        near_rows = {iy for layer, _x, iy in near.nodes - pins if layer == "M1"}
+        assert near_rows == {27}
+
+
+def grid_adjacent(router, node):
+    """Nodes one grid move from ``node``: a track along its layer's
+    direction, or a via to another layer at the same (x, y)."""
+    layer, ix, iy = node
+    if router.layers[layer].direction == "horizontal":
+        yield from ((layer, ix - 1, iy), (layer, ix + 1, iy))
+    else:
+        yield from ((layer, ix, iy - 1), (layer, ix, iy + 1))
+    for other in router.layers:
+        if other != layer:
+            yield (other, ix, iy)
+
+
+def across(router, node, d):
+    """The two same-layer nodes ``d`` tracks across ``node``'s direction."""
+    layer, ix, iy = node
+    if router.layers[layer].direction == "horizontal":
+        return ((layer, ix, iy - d), (layer, ix, iy + d))
+    return ((layer, ix - d, iy), (layer, ix + d, iy))
 
 
 class TestParasitics:

@@ -1,0 +1,497 @@
+"""The grid router and row placer against their straightforward oracles.
+
+``GridRouter`` bounds its clearance probes by the widest margin in play,
+caches one usability verdict per node for each ``route_net`` call, and
+expands A* moves from a per-layer table; ``RowPlacer`` re-measures a swap
+over an instance-to-nets index with pin offsets taken once per (cell, pin,
+orientation).  This module keeps the code they replaced, as it was, as
+test-local oracles: the router that always probes out to ``MAX_MARGIN``
+tracks and asks every question afresh, the ``_local_hpwl`` that scans every
+net of the design per swap, and the ``pin_position`` that transforms the
+pin box on every call.  On hypothesis-generated floorplans with routing
+keepouts, global-net strategies, fixed and movable instances in every
+orientation, random pads, 2-5-terminal nets and width/spacing/shield
+rules, both sides must produce the same placement and the same routing
+result, down to the order of the occupancy map.
+
+Generated rules stay within the oracle's 4-track margin cap; clearance
+beyond it is covered in ``test_floorplan_place_route.py``.
+"""
+
+from __future__ import annotations
+
+import copy
+import heapq
+import random
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.pnr.cells import CellAbstract, CellPin, PinShape
+from cadinterop.pnr.design import PnRDesign, PnRInstance, inst_terminal, pad_terminal
+from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, Keepout, NetRule
+from cadinterop.pnr.placement import PlacementResult, RowPlacer
+from cadinterop.pnr.routing import GridRouter, Node, RoutedNet
+from cadinterop.pnr.samples import (
+    build_bus_scenario,
+    build_cell_library,
+    build_floorplan,
+    generate_design,
+)
+from cadinterop.pnr.tech import generic_two_layer_tech
+
+
+# -- oracles: the router and placer steps as they were ------------------------
+
+
+class OracleRouter(GridRouter):
+    """The router with its pre-index search: fixed probe depth, no caches."""
+
+    #: farthest clearance any rule can demand (bounds the probe loop)
+    MAX_MARGIN = 4
+
+    def _neighbors(self, node: Node) -> List[Tuple[Node, int]]:
+        layer_name, ix, iy = node
+        layer = self.layers[layer_name]
+        result: List[Tuple[Node, int]] = []
+        if layer.direction == "horizontal":
+            steps = ((ix - 1, iy), (ix + 1, iy))
+        else:
+            steps = ((ix, iy - 1), (ix, iy + 1))
+        for nx, ny in steps:
+            if 0 <= nx < self.cols and 0 <= ny < self.rows:
+                result.append(((layer_name, nx, ny), 1))
+        # Via to the other layers at the same (x, y); cost 2.
+        for other in self.layers.values():
+            if other.name != layer_name:
+                result.append(((other.name, ix, iy), 2))
+        return result
+
+    def _usable(self, node: Node, net: str, margin: int) -> bool:
+        if node in self._blocked:
+            return False
+        owner = self.occupancy.get(node)
+        if owner is not None and owner != net:
+            return False
+        layer_name, ix, iy = node
+        layer = self.layers[layer_name]
+        # Clearance is symmetric: respect both this net's margin and the
+        # margin any already-routed neighbor demanded for itself.
+        for d in range(1, self.MAX_MARGIN + 1):
+            if layer.direction == "horizontal":
+                around = ((layer_name, ix, iy - d), (layer_name, ix, iy + d))
+            else:
+                around = ((layer_name, ix - d, iy), (layer_name, ix + d, iy))
+            for neighbor in around:
+                neighbor_owner = self.occupancy.get(neighbor)
+                if neighbor_owner is None or neighbor_owner == net:
+                    continue
+                required = max(margin, self._net_margin.get(neighbor_owner, 0))
+                if d <= required:
+                    return False
+        return True
+
+    def route_net(
+        self,
+        design: PnRDesign,
+        net: str,
+        rule: Optional[NetRule] = None,
+    ) -> Optional[RoutedNet]:
+        """Route one net; returns None on failure (occupancy untouched)."""
+        rule = rule or self.floorplan.net_rules.get(net) or NetRule(net)
+        margin = (rule.width_tracks - 1) + (rule.spacing_tracks - 1)
+        terminals = design.nets[net]
+        if len(terminals) < 2:
+            routed = RoutedNet(net, rule=rule)
+            return routed
+
+        routed_nodes: Set[Node] = set()
+        vias = 0
+        # Connect each terminal to the growing tree.
+        tree: Set[Node] = set(self._terminal_nodes(design, terminals[0]))
+        for terminal in terminals[1:]:
+            targets = set(self._terminal_nodes(design, terminal))
+            path = self._astar(tree | routed_nodes, targets, net, margin)
+            if path is None:
+                return None
+            for index, node in enumerate(path):
+                routed_nodes.add(node)
+                if index > 0 and path[index - 1][0] != node[0]:
+                    vias += 1
+            tree |= targets
+
+        result = RoutedNet(net, nodes=routed_nodes, vias=vias, rule=rule)
+        for node in routed_nodes:
+            self.occupancy[node] = net
+        self._net_margin[net] = margin
+        return result
+
+    def _astar(
+        self,
+        sources: Set[Node],
+        targets: Set[Node],
+        net: str,
+        margin: int,
+    ) -> Optional[List[Node]]:
+        target_xy = {(x, y) for _l, x, y in targets}
+
+        def heuristic(node: Node) -> int:
+            _l, x, y = node
+            return min(abs(x - tx) + abs(y - ty) for tx, ty in target_xy)
+
+        open_heap: List[Tuple[int, int, Node]] = []
+        best: Dict[Node, int] = {}
+        parent: Dict[Node, Optional[Node]] = {}
+        counter = 0
+        for source in sources:
+            # Sources are admitted on hard occupancy only: a pin that sits
+            # inside another net's clearance zone must still be escapable
+            # (typically via the other layer).
+            if source in self._blocked:
+                continue
+            if self.occupancy.get(source, net) != net:
+                continue
+            best[source] = 0
+            parent[source] = None
+            heapq.heappush(open_heap, (heuristic(source), counter, source))
+            counter += 1
+
+        while open_heap:
+            _f, _c, node = heapq.heappop(open_heap)
+            cost = best[node]
+            if node in targets:
+                path: List[Node] = []
+                current: Optional[Node] = node
+                while current is not None:
+                    path.append(current)
+                    current = parent[current]
+                return list(reversed(path))
+            for neighbor, step in self._neighbors(node):
+                # Terminals are always enterable by their own net; margin
+                # applies to the routing fabric in between.
+                if neighbor not in targets and not self._usable(neighbor, net, margin):
+                    continue
+                if neighbor in targets and self.occupancy.get(neighbor, net) != net:
+                    continue
+                new_cost = cost + step
+                if new_cost < best.get(neighbor, 1 << 30):
+                    best[neighbor] = new_cost
+                    parent[neighbor] = node
+                    heapq.heappush(
+                        open_heap, (new_cost + heuristic(neighbor), counter, neighbor)
+                    )
+                    counter += 1
+        return None
+
+
+def oracle_pin_position(instance: PnRInstance, pin_name: str) -> Point:
+    """Center of the pin's bounding box in die coordinates."""
+    if instance.location is None:
+        raise ValueError(f"instance {instance.name!r} is not placed")
+    box = instance.cell.pin(pin_name).bounding_box()
+    transform = Transform(instance.location, instance.orientation)
+    return transform.apply_rect(box).center
+
+
+def oracle_hpwl(design: PnRDesign, pad_positions: Optional[Dict[str, Point]] = None) -> int:
+    """Total half-perimeter wirelength over all nets."""
+    total = 0
+    pads = pad_positions or {}
+    for terminals in design.nets.values():
+        points: List[Point] = []
+        for kind, name, pin in terminals:
+            if kind == "inst":
+                instance = design.instance(name)
+                if instance.placed:
+                    points.append(oracle_pin_position(instance, pin))
+            elif name in pads:
+                points.append(pads[name])
+        if len(points) >= 2:
+            box = Rect.bounding(points)
+            total += box.width + box.height
+    return total
+
+
+class OraclePlacer(RowPlacer):
+    """The placer whose swap pass re-scans every net of the design."""
+
+    def place(
+        self,
+        design: PnRDesign,
+        pad_positions: Optional[Dict[str, Point]] = None,
+        swap_passes: int = 2,
+    ) -> PlacementResult:
+        movable = [
+            instance
+            for instance in design.instances.values()
+            if not instance.placed and instance.cell.kind == "stdcell"
+        ]
+        rows = self._build_slots([i.cell.width for i in movable])
+        slots = [point for row in rows for point in row]
+        if len(slots) < len(movable):
+            raise ValueError(
+                f"floorplan has {len(slots)} slots for {len(movable)} cells"
+            )
+
+        # Initial placement: deterministic shuffle then assignment.
+        order = list(movable)
+        self.rng.shuffle(order)
+        for instance, slot in zip(order, slots):
+            instance.location = slot
+
+        # Greedy improvement: swap pairs if HPWL improves.
+        improvements = 0
+        for _ in range(swap_passes):
+            improved = False
+            for i in range(len(order)):
+                for j in range(i + 1, min(i + 8, len(order))):
+                    a, b = order[i], order[j]
+                    before = self._local_hpwl(design, [a, b], pad_positions)
+                    a.location, b.location = b.location, a.location
+                    after = self._local_hpwl(design, [a, b], pad_positions)
+                    if after < before:
+                        improvements += 1
+                        improved = True
+                    else:
+                        a.location, b.location = b.location, a.location
+            if not improved:
+                break
+
+        rows_used = len({instance.location.y for instance in movable}) if movable else 0
+        return PlacementResult(
+            placed=len(movable),
+            hpwl=oracle_hpwl(design, pad_positions),
+            rows_used=rows_used,
+            swap_improvements=improvements,
+        )
+
+    def _local_hpwl(
+        self,
+        design: PnRDesign,
+        instances: Sequence[PnRInstance],
+        pad_positions: Optional[Dict[str, Point]],
+    ) -> int:
+        """HPWL over only the nets touching ``instances`` (cheap delta)."""
+        names = {instance.name for instance in instances}
+        pads = pad_positions or {}
+        total = 0
+        seen: Set[str] = set()
+        for net, terminals in design.nets.items():
+            if net in seen:
+                continue
+            if not any(k == "inst" and i in names for k, i, _p in terminals):
+                continue
+            seen.add(net)
+            points: List[Point] = []
+            for kind, name, pin in terminals:
+                if kind == "inst":
+                    instance = design.instance(name)
+                    if instance.placed:
+                        points.append(oracle_pin_position(instance, pin))
+                elif name in pads:
+                    points.append(pads[name])
+            if len(points) >= 2:
+                box = Rect.bounding(points)
+                total += box.width + box.height
+        return total
+
+
+# -- comparison helpers -------------------------------------------------------
+
+
+TECH = generic_two_layer_tech()
+
+
+def routing_signature(router: GridRouter, result) -> tuple:
+    """Everything a routing run produces, orders included."""
+    return (
+        [
+            (name, net.nodes, net.vias, net.rule)
+            for name, net in result.routed.items()
+        ],
+        result.failed,
+        result.shield_nodes,
+        list(router.occupancy.items()),
+    )
+
+
+def placement_signature(design: PnRDesign, result: PlacementResult) -> tuple:
+    return (
+        result,
+        [(i.name, i.location, i.orientation) for i in design.instances.values()],
+    )
+
+
+def flow_signature(placer_cls, router_cls, case, **route_kwargs):
+    """Place a copy of the case's design, realize its strategies, route."""
+    floorplan, design, pads, strategies, seed = case
+    design = copy.deepcopy(design)
+    placed = placer_cls(TECH, floorplan, seed=seed).place(design, pads)
+    router = router_cls(TECH, floorplan, pads)
+    realized = [router.realize_strategy(strategy) for strategy in strategies]
+    result = router.route_design(design, **route_kwargs)
+    return (
+        placement_signature(design, placed),
+        [(r.name, r.nodes) for r in realized],
+        routing_signature(router, result),
+    )
+
+
+def assert_equivalent(case, **route_kwargs):
+    got = flow_signature(RowPlacer, GridRouter, case, **route_kwargs)
+    want = flow_signature(OraclePlacer, OracleRouter, case, **route_kwargs)
+    assert got[0] == want[0], "placement differs"
+    assert got[1] == want[1], "strategy geometry differs"
+    assert got[2][0] == want[2][0], "routed nets differ"
+    assert got[2][1] == want[2][1], "failed nets differ"
+    assert got[2][2] == want[2][2], "shield counts differ"
+    assert got[2][3] == want[2][3], "occupancy differs"
+
+
+# -- generated cases ----------------------------------------------------------
+
+
+@st.composite
+def cells(draw, index: int) -> CellAbstract:
+    """A cell 1-3 sites wide with 1-3 single- or two-shape pins."""
+    width = 10 * draw(st.integers(1, 3))
+    pins = []
+    for p in range(draw(st.integers(1, 3))):
+        shapes = []
+        for _ in range(draw(st.integers(1, 2))):
+            x1 = draw(st.integers(0, width - 1))
+            y1 = draw(st.integers(0, 39))
+            x2 = draw(st.integers(x1, min(width, x1 + 7)))
+            y2 = draw(st.integers(y1, min(40, y1 + 9)))
+            shapes.append(PinShape("M1", Rect(x1, y1, x2, y2)))
+        pins.append(CellPin(f"P{p}", shapes))
+    return CellAbstract(
+        f"c{index}", width=width, height=40, pins=pins,
+        legal_orientations=tuple(Orientation),
+    )
+
+
+@st.composite
+def cases(draw):
+    """(floorplan, design, pads, strategies, placement seed)."""
+    cols = draw(st.integers(16, 36))
+    rows = draw(st.integers(8, 24))
+    die = Rect(0, 0, cols * TECH.pitch, rows * TECH.pitch)
+    floorplan = Floorplan("gen", die)
+    for _ in range(draw(st.integers(0, 2))):
+        x1 = draw(st.integers(0, die.x2 - 10))
+        y1 = draw(st.integers(0, die.y2 - 10))
+        rect = Rect(x1, y1, x1 + draw(st.integers(0, 30)), y1 + draw(st.integers(0, 30)))
+        layers = draw(st.sampled_from([("M1",), ("M2",), ("M1", "M2")]))
+        floorplan.add_keepout(Keepout(rect, layers=layers))
+
+    library = [draw(cells(k)) for k in range(draw(st.integers(1, 3)))]
+    slot = max(cell.width for cell in library)
+    capacity = (die.width // slot) * (die.height // 40)
+    design = PnRDesign("gen")
+    for k in range(draw(st.integers(1, min(8, capacity)))):
+        cell = draw(st.sampled_from(library))
+        orientation = draw(st.sampled_from(cell.legal_orientations))
+        design.add_instance(PnRInstance(f"u{k}", cell, orientation=orientation))
+    if draw(st.booleans()):
+        # A pre-placed macro: a fixed point on its nets for the placer.
+        cell = draw(st.sampled_from(library))
+        location = Point(
+            draw(st.integers(0, die.x2 - cell.width)), draw(st.integers(0, die.y2 - 40))
+        )
+        design.add_instance(
+            PnRInstance(
+                "fixed", cell, location=location,
+                orientation=draw(st.sampled_from(cell.legal_orientations)),
+            )
+        )
+
+    pads = {
+        f"pad{k}": Point(draw(st.integers(0, die.x2)), draw(st.integers(0, die.y2)))
+        for k in range(draw(st.integers(0, 4)))
+    }
+    terminals = [
+        inst_terminal(instance.name, pin.name)
+        for instance in design.instances.values()
+        for pin in instance.cell.pins
+    ] + [pad_terminal(name) for name in pads]
+    for n in range(draw(st.integers(1, 6))):
+        count = min(len(terminals), draw(st.integers(2, 5)))
+        chosen = draw(st.lists(st.sampled_from(terminals), min_size=count, max_size=count))
+        design.add_net(f"n{n}", chosen)
+        if draw(st.integers(0, 2)) == 0:
+            width = draw(st.integers(1, 3))
+            spacing = draw(st.integers(1, 6 - width))  # margin <= 4
+            floorplan.add_net_rule(
+                NetRule(f"n{n}", width_tracks=width, spacing_tracks=spacing,
+                        shield=draw(st.booleans()))
+            )
+
+    strategies = []
+    if draw(st.booleans()):
+        strategies.append(
+            GlobalNetStrategy(
+                "PWR", "power",
+                draw(st.sampled_from(GlobalNetStrategy.STYLES)),
+                layer=draw(st.sampled_from(["M1", "M2"])),
+                width=draw(st.integers(1, 2)),
+                shielded=draw(st.booleans()),
+            )
+        )
+    return floorplan, design, pads, strategies, draw(st.integers(0, 1000))
+
+
+GENERATED = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestGeneratedEquivalence:
+    @GENERATED
+    @given(case=cases(), features=st.sampled_from(
+        [None, set(), {"width"}, {"spacing"}, {"width", "spacing"}]
+    ))
+    def test_place_and_route_match_oracles(self, case, features):
+        assert_equivalent(case, honored_features=features)
+
+    @GENERATED
+    @given(case=cases())
+    def test_rules_ignored_match_oracles(self, case):
+        assert_equivalent(case, honor_rules=False)
+
+
+# -- fixed cases --------------------------------------------------------------
+
+
+def sample_case(cells_count: int, seed: int):
+    floorplan = build_floorplan()
+    design, pads = generate_design(build_cell_library(), cells=cells_count)
+    return floorplan, design, pads, list(floorplan.strategies.values()), seed
+
+
+class TestFixedEquivalence:
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_sample_floorplan(self, seed):
+        assert_equivalent(sample_case(12, seed))
+
+    @pytest.mark.parametrize("width,spacing", [(1, 1), (2, 2), (3, 3), (2, 4)])
+    def test_bus_scenario(self, width, spacing):
+        floorplan, design, pads = build_bus_scenario()
+        floorplan.net_rules["crit"] = NetRule(
+            "crit", width_tracks=width, spacing_tracks=spacing, shield=True
+        )
+        assert_equivalent((floorplan, design, pads, [], 1))
+
+    def test_pin_positions_in_every_orientation(self):
+        rng = random.Random(5)
+        for cell in build_cell_library().cells():
+            for orientation in Orientation:
+                for _ in range(4):
+                    location = Point(rng.randrange(-50, 500), rng.randrange(-50, 500))
+                    instance = PnRInstance("u", cell, location, orientation)
+                    for pin in cell.pins:
+                        assert instance.pin_position(pin.name) == oracle_pin_position(
+                            instance, pin.name
+                        ), (cell.name, pin.name, orientation)
