@@ -8,10 +8,13 @@ variants, so the model is split from the run:
 
 * one Python closure per continuous assign, gate, always body, and
   initial step (expressions become nested closures over the precomputed
-  :mod:`cadinterop.hdl.logic` lookup tables, so an activation is closure
-  calls and dict hits, no AST in sight);
-* a sensitivity *trigger index* (signal -> processes that care, with the
-  edge kind), so a signal change consults only the processes it can wake;
+  :mod:`cadinterop.hdl.logic` lookup tables, and one reading at most
+  :data:`TABLE_READS` signals becomes a single truth-table lookup, so an
+  activation is closure calls and dict hits, no AST in sight);
+* a sensitivity *trigger index* holding one wake table per signal, keyed
+  by the new level (``"1"`` -> level and posedge listeners, ``"0"`` ->
+  level and negedge, ``"x"``/``"z"`` -> level), so a signal change is one
+  lookup and one walk over exactly the processes it wakes;
 * a driver map for multi-driver net resolution.
 
 A ``CompiledModel`` holds no simulation state and is safely shared: every
@@ -98,11 +101,21 @@ _BINARY_TABLES: Dict[str, Dict[str, Dict[str, str]]] = {
 # ---------------------------------------------------------------------------
 
 
-def compile_expr(expr: Expr) -> ExprFn:
+#: Expressions reading at most this many distinct signals become one
+#: truth-table lookup (4**3 = 64 entries at the most).
+TABLE_READS = 3
+
+
+def compile_expr(expr: Expr, tables: bool = True) -> ExprFn:
     """Lower an expression tree to a closure over the value map.
 
     Semantics match :func:`evaluate` exactly (the interpreter remains
-    the oracle; see tests/hdl/test_compile.py).
+    the oracle; see tests/hdl/test_compile.py).  With ``tables``, an
+    expression reading 1 to :data:`TABLE_READS` signals that is not already
+    a single lookup is evaluated by its plain closure tree
+    (``tables=False``) over every level combination here, at compile time,
+    and becomes one nested-dict lookup; wider expressions keep the closure
+    tree, whose small operands are tabled in turn.
     """
     if isinstance(expr, Const):
         value = expr.value
@@ -112,6 +125,10 @@ def compile_expr(expr: Expr) -> ExprFn:
         name = expr.name
 
         return lambda values: values[name]
+    if tables and not _single_lookup(expr):
+        names = sorted(expr_reads(expr))
+        if 0 < len(names) <= TABLE_READS:
+            return _tabulate(compile_expr(expr, tables=False), names)
     if isinstance(expr, Unary):
         # Both ``~`` and ``!`` reduce to scalar inversion on 4-value levels.
         table = NOT_TABLE
@@ -120,7 +137,7 @@ def compile_expr(expr: Expr) -> ExprFn:
             # instead of paying a child-lambda frame per activation.
             name = expr.operand.name
             return lambda values: table[values[name]]
-        operand = compile_expr(expr.operand)
+        operand = compile_expr(expr.operand, tables)
 
         return lambda values: table[operand(values)]
     if isinstance(expr, Binary):
@@ -136,20 +153,20 @@ def compile_expr(expr: Expr) -> ExprFn:
             return lambda values: table[values[ln]][values[rn]]
         if left_var:
             ln = expr.left.name
-            right = compile_expr(expr.right)
+            right = compile_expr(expr.right, tables)
             return lambda values: table[values[ln]][right(values)]
         if right_var:
             rn = expr.right.name
-            left = compile_expr(expr.left)
+            left = compile_expr(expr.left, tables)
             return lambda values: table[left(values)][values[rn]]
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
+        left = compile_expr(expr.left, tables)
+        right = compile_expr(expr.right, tables)
 
         return lambda values: table[left(values)][right(values)]
     if isinstance(expr, Cond):
-        condition = compile_expr(expr.condition)
-        if_true = compile_expr(expr.if_true)
-        if_false = compile_expr(expr.if_false)
+        condition = compile_expr(expr.condition, tables)
+        if_true = compile_expr(expr.if_true, tables)
+        if_false = compile_expr(expr.if_false, tables)
 
         def cond_fn(values: Dict[str, str]) -> str:
             selector = condition(values)
@@ -164,6 +181,39 @@ def compile_expr(expr: Expr) -> ExprFn:
 
         return cond_fn
     raise HDLError(f"cannot compile {expr!r}")
+
+
+def _single_lookup(expr: Expr) -> bool:
+    """``op Var`` and ``Var op Var`` are one lookup already."""
+    if isinstance(expr, Unary):
+        return isinstance(expr.operand, Var)
+    return (
+        isinstance(expr, Binary)
+        and isinstance(expr.left, Var)
+        and isinstance(expr.right, Var)
+    )
+
+
+def _tabulate(fn: ExprFn, names: Sequence[str]) -> ExprFn:
+    """Collapse ``fn`` over ``names`` to ``table[values[a]][values[b]]...``."""
+
+    def level(depth: int, values: Dict[str, str]):
+        if depth == len(names):
+            return fn(values)
+        return {
+            value: level(depth + 1, {**values, names[depth]: value})
+            for value in Logic4.VALUES
+        }
+
+    table = level(0, {})
+    if len(names) == 1:
+        (a,) = names
+        return lambda values: table[values[a]]
+    if len(names) == 2:
+        a, b = names
+        return lambda values: table[values[a]][values[b]]
+    a, b, c = names
+    return lambda values: table[values[a]][values[b]][values[c]]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +266,9 @@ def compile_always_body(
         if isinstance(stmt, Delay):
             raise HDLError("delays inside always blocks are not supported")
     steps = tuple(lower_stmt(stmt) for stmt in body)
+    if len(steps) == 1:
+        # The common flop body: no loop frame around its one statement.
+        return steps[0]
 
     def run(sim) -> None:
         for fn in steps:
@@ -416,10 +469,12 @@ class CompiledProcess:
         self.run = run
 
 
-#: signal -> ((process, trigger kinds), ...) in process-definition order.
-#: Kinds are "level" / "posedge" / "negedge"; a process appears once per
-#: signal with every kind it registered for.
-TriggerIndex = Dict[str, Tuple[Tuple[CompiledProcess, Tuple[str, ...]], ...]]
+#: signal -> new level -> processes to wake, in process-definition order.
+#: A signal only wakes anything when its level changes, so a posedge is
+#: exactly "the new level is 1" and a negedge "the new level is 0": the
+#: "1" tuple holds the level and posedge listeners, "0" the level and
+#: negedge ones, "x" and "z" the level ones.  Every net has an entry.
+TriggerIndex = Dict[str, Dict[str, Tuple[CompiledProcess, ...]]]
 
 
 class CompiledModel:
@@ -505,6 +560,12 @@ def reference_model(module: Module) -> CompiledModel:
     return _compile(module, _REFERENCE)
 
 
+#: The edge kind a change *to* each level completes (x and z complete none).
+_WAKING_EDGE = {"0": "negedge", "1": "posedge", "x": None, "z": None}
+#: The wake table of a signal nothing is sensitive to (shared, never mutated).
+_WAKE_NONE: Dict[str, Tuple[CompiledProcess, ...]] = dict.fromkeys(_WAKING_EDGE, ())
+
+
 def _compile(module: Module, lower: _Lowering) -> CompiledModel:
     module.validate()
     if module.instances:
@@ -582,13 +643,17 @@ def _compile(module: Module, lower: _Lowering) -> CompiledModel:
 
         processes.append(CompiledProcess(index, "initial", run_initial))
 
-    triggers: TriggerIndex = {
-        signal: tuple(
-            (processes[index], tuple(kinds))
-            for index, kinds in sorted(per_signal.items())
-        )
-        for signal, per_signal in sensitivity.items()
-    }
+    triggers: TriggerIndex = dict.fromkeys(module.nets, _WAKE_NONE)
+    for signal, per_signal in sensitivity.items():
+        listeners = sorted(per_signal.items())
+        triggers[signal] = {
+            level: tuple(
+                processes[index]
+                for index, kinds in listeners
+                if "level" in kinds or edge in kinds
+            )
+            for level, edge in _WAKING_EDGE.items()
+        }
     startup = tuple(p for p in processes if p.kind != "always")
     return CompiledModel(
         module=module,

@@ -95,17 +95,6 @@ LIFO = OrderingPolicy("lifo", lambda ready: len(ready) - 1)
 _MASK64 = (1 << 64) - 1
 
 
-def _mix(seed: int, ordinal: int) -> int:
-    """splitmix64-style integer mix: uniform-ish, cheap, stateless."""
-    x = (seed * 0x9E3779B97F4A7C15 + ordinal + 1) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def seeded_shuffle_policy(seed: int) -> OrderingPolicy:
     """A pseudo-random but *stateless* ordering policy.
 
@@ -115,9 +104,18 @@ def seeded_shuffle_policy(seed: int) -> OrderingPolicy:
     implementation closed over a shared ``random.Random``, so reuse gave
     different selections per run.)
     """
+    offset = (seed * 0x9E3779B97F4A7C15 + 1) & _MASK64
 
     def select(ready: Sequence[int], ordinal: int = 0) -> int:
-        return _mix(seed, ordinal) % len(ready)
+        # splitmix64-style integer mix of the ordinal, inlined: this runs
+        # once per multi-ready activation.
+        x = (offset + ordinal) & _MASK64
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & _MASK64
+        x ^= x >> 31
+        return x % len(ready)
 
     return OrderingPolicy(f"shuffle{seed}", select)
 
@@ -228,30 +226,27 @@ class Simulator:
         self.set_signal(signal, Logic4.resolve_many(contributions))
 
     def set_signal(self, signal: str, value: str) -> None:
-        """Update a signal value, waking the processes its trigger index names."""
-        old = self.values[signal]
-        if old == value:
+        """Update a signal value, waking the processes its wake table names."""
+        values = self.values
+        if values[signal] == value:
             return
-        self.values[signal] = value
-        if signal in self.waveforms:
-            self.waveforms[signal].append((self.now, value))
-        entries = self._triggers.get(signal)
-        if not entries:
-            return
+        try:
+            woken = self._triggers[signal][value]
+        except KeyError:
+            raise HDLError(
+                f"cannot set {signal!r} to {value!r}: not a 0/1/x/z level"
+            ) from None
+        values[signal] = value
+        waveform = self.waveforms.get(signal)
+        if waveform is not None:
+            waveform.append((self.now, value))
         ready_set = self._ready_set
         ready = self._ready
-        for process, kinds in entries:
-            for kind in kinds:
-                if (
-                    kind == "level"
-                    or (kind == "posedge" and value == "1" and old != "1")
-                    or (kind == "negedge" and value == "0" and old != "0")
-                ):
-                    index = process.index
-                    if index not in ready_set:
-                        ready.append(process)
-                        ready_set.add(index)
-                    break
+        for process in woken:
+            index = process.index
+            if index not in ready_set:
+                ready.append(process)
+                ready_set.add(index)
 
     # -- procedural execution ------------------------------------------------------
 

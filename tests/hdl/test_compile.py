@@ -53,11 +53,12 @@ def gate_module(gate, inputs):
 
 
 def assert_expr_equivalent(expr, names):
-    """Compiled closure == interpreter over every 4-value assignment."""
-    fn = compile_expr(expr)
-    for combo in itertools.product(V4, repeat=len(names)):
-        values = dict(zip(names, combo))
-        assert fn(values) == evaluate(expr, values), (expr, values)
+    """Compiled closure == interpreter over every 4-value assignment, with
+    truth tables and as the plain closure tree that fills them."""
+    for fn in (compile_expr(expr), compile_expr(expr, tables=False)):
+        for combo in itertools.product(V4, repeat=len(names)):
+            values = dict(zip(names, combo))
+            assert fn(values) == evaluate(expr, values), (expr, values)
 
 
 class TestExprEquivalence:
@@ -74,7 +75,7 @@ class TestExprEquivalence:
     @pytest.mark.parametrize("op", BINARY_OPERATORS)
     def test_binary_all_operand_shapes(self, op):
         # Var/Var, Var/nested, nested/Var, nested/nested — each shape is a
-        # distinct specialization in compile_expr.
+        # distinct specialization of the plain closure tree.
         assert_expr_equivalent(Binary(op, Var("a"), Var("b")), ["a", "b"])
         assert_expr_equivalent(
             Binary(op, Var("a"), Unary("~", Var("b"))), ["a", "b"]

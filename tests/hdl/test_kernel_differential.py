@@ -119,6 +119,34 @@ CORPUS = {
           initial begin a = 1'bz; b = 0; #3 a = 1; #3 b = 1'bz; #3 b = 0; end
         endmodule
     """,
+    # The order a change wakes its listeners in is observable in these
+    # two: edge-triggered blocks defined before level-sensitive ones on the
+    # same signal, blocks on both edges of a clock, and blocking reads of a
+    # signal another woken block writes.
+    "edge_before_level": """
+        module edge_before_level;
+          reg clk; reg lvl; reg q; reg both; reg n;
+          always @(posedge clk) q = lvl;
+          always @(clk) lvl = clk;
+          always @(posedge clk or negedge clk) both = lvl;
+          always @(negedge clk) n = lvl;
+          initial begin clk = 0; #5 clk = 1; #5 clk = 0; #5 clk = 1'bx;
+            #5 clk = 1; #5 clk = 1'bz; #5 clk = 0; end
+        endmodule
+    """,
+    "level_between_edges": """
+        module level_between_edges;
+          reg clk; reg d; reg lvl; reg p; reg n;
+          wire w;
+          assign w = clk ^ d;
+          always @(negedge clk) n = w;
+          always @(*) lvl = clk & d;
+          always @(posedge clk) p = lvl;
+          always @(posedge clk or negedge clk) d = ~d;
+          initial begin d = 1; clk = 0; #5 clk = 1; #5 clk = 0; #5 clk = 1;
+            #5 clk = 1'bx; #5 clk = 0; end
+        endmodule
+    """,
 }
 
 POLICIES = [
@@ -352,6 +380,28 @@ class TestTriggerIndex:
         assert_trigger_index_matches_scan(module)
 
 
+class TestWakeOrder:
+    """Wake tables keyed by the new level keep process-definition order."""
+
+    @pytest.mark.parametrize("name", ["edge_before_level", "level_between_edges"])
+    def test_wake_order_is_observable(self, name):
+        # The policies disagree on these models, so waking in any order
+        # but definition order would change their schedules.
+        model = compile_model(parse_module(CORPUS[name]))
+        fifo, _ = run_model(model, FIFO)
+        lifo, _ = run_model(model, LIFO)
+        assert fifo.waveforms != lifo.waveforms
+
+    def test_rising_clock_wakes_edge_block_before_level_block(self):
+        sim = Simulator(compile_model(parse_module(CORPUS["edge_before_level"])))
+        sim._ready.clear()
+        sim._ready_set.clear()
+        sim.values["clk"] = "0"
+        sim.set_signal("clk", "1")
+        # posedge q-block, level lvl-block, both-edges block; not negedge n.
+        assert [process.index for process in sim._ready] == [0, 1, 2]
+
+
 class TestEnsembleEquivalence:
     def test_ensemble_compiles_exactly_once(self):
         module = parse_module(CORPUS["racy_blocking"])
@@ -380,9 +430,32 @@ class TestPolicyDeterminism:
         choices_b = [b.choose(ready, ordinal) for ordinal in range(32)]
         assert choices_a != choices_b
 
+    def test_shuffle_stream_is_pinned(self):
+        # The first 64 choices per ready length, recorded from the
+        # splitmix64 stream: reruns and cached race results rely on it.
+        for (seed, length), digits in SHUFFLE_GOLDEN.items():
+            policy = seeded_shuffle_policy(seed)
+            ready = list(range(length))
+            choices = "".join(str(policy.choose(ready, o)) for o in range(64))
+            assert choices == digits, (seed, length)
+
     def test_shuffle_choice_depends_only_on_seed_and_ordinal(self):
         ready = list(range(7))
         first = seeded_shuffle_policy(42)
         second = seeded_shuffle_policy(42)
         for ordinal in (0, 1, 5, 100, 10_000):
             assert first.choose(ready, ordinal) == second.choose(ready, ordinal)
+
+
+#: (seed, ready length) -> seeded_shuffle_policy(seed) choices for
+#: activation ordinals 0..63, one digit each.
+SHUFFLE_GOLDEN = {
+    (11, 2): "1100111100001000001011001001000000111111010010110110011110010011",
+    (11, 3): "0202021011122212001012110100002120022010120210012122022110111202",
+    (11, 4): "1102313300001220003033221223002202111111030230110310211332030231",
+    (11, 5): "2404123022424132022434410133302310201113322240243134410414211403",
+    (97, 2): "1001000011011001000001101010011111010110010001100100000000101011",
+    (97, 3): "1120220102011220120111101120020000002221212001121210212122112012",
+    (97, 4): "1023220013211001002223301030233131032330030223300300022202101031",
+    (97, 5): "0120423212103213240342331241302044242434031023212410431322441313",
+}

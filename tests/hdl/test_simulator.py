@@ -271,6 +271,21 @@ class TestKernelGuards:
         sim.run(200)
         assert sim.value("a") == "1"
 
+    # ``a`` wakes the assign; nothing listens to ``y``.
+    @pytest.mark.parametrize("signal", ["a", "y"])
+    @pytest.mark.parametrize("value", ["2", "X", 1, ""])
+    def test_bad_level_names_signal_and_value(self, signal, value):
+        sim = Simulator(parse_module(
+            "module m (); reg a; wire y; assign y = ~a; endmodule"
+        ))
+        sim.run(10)
+        before = dict(sim.values)
+        with pytest.raises(HDLError) as excinfo:
+            sim.set_signal(signal, value)
+        assert repr(signal) in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+        assert sim.values == before  # rejected before any update
+
     def test_waveform_trace_filter(self):
         sim = simulate(
             parse_module("module m (); reg a, b; initial begin a = 1'b0; b = 1'b1; end endmodule"),
