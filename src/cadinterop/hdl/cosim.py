@@ -22,11 +22,11 @@ Both failure sources are reproducible switches on :class:`CoSimulation`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from cadinterop.hdl.ast_nodes import HDLError, Module
 from cadinterop.hdl.compile import CompiledModel
-from cadinterop.hdl.logic import naive_to4, to4, to9
+from cadinterop.hdl.logic import Logic4, naive_to4, to4, to9
 from cadinterop.hdl.simulator import FIFO, OrderingPolicy, Simulator
 from cadinterop.obs import get_lineage, get_metrics, get_tracer
 
@@ -48,8 +48,25 @@ def _naive_convert(value: str) -> str:
     return naive_to4(to9(value))
 
 
+#: value mode -> the boundary conversion of every 4-value level.  Kernel
+#: values are always 0/1/x/z, so four entries cover every copy; in
+#: ``correct`` mode the table is the identity.
+_CONVERSIONS: Dict[str, Dict[str, str]] = {
+    mode: {value: convert(value) for value in Logic4.VALUES}
+    for mode, convert in (("correct", _correct_convert), ("naive", _naive_convert))
+}
+
+#: One pre-resolved bridge copy: (source values, source name, target
+#: kernel, target values, target name, conversion table).
+_Wire = Tuple[Dict[str, str], str, Simulator, Dict[str, str], str, Dict[str, str]]
+
+
 class CoSimulation:
-    """Lock-step co-simulation of two modules over a signal bridge."""
+    """Lock-step co-simulation of two modules over a signal bridge.
+
+    :meth:`run` may be called repeatedly with growing ``until``: the
+    session keeps its joint time, so ``run(t1); run(t2)`` is ``run(t2)``.
+    """
 
     def __init__(
         self,
@@ -62,7 +79,7 @@ class CoSimulation:
         right_policy: OrderingPolicy = FIFO,
         max_exchange_iterations: int = 16,
     ) -> None:
-        if value_mode not in ("correct", "naive"):
+        if value_mode not in _CONVERSIONS:
             raise ValueError(f"unknown value mode {value_mode!r}")
         # Either side may be a pre-built CompiledModel: repeated co-sim
         # sessions over the same sides then elaborate once, not per session.
@@ -76,43 +93,52 @@ class CoSimulation:
         self.aligned = aligned
         self.exchanges = 0
         self.max_exchange_iterations = max_exchange_iterations
-        self._convert = _correct_convert if value_mode == "correct" else _naive_convert
+        self._started = False
+        table = _CONVERSIONS[value_mode]
+        sides = {"left": (self.left, self.right), "right": (self.right, self.left)}
+        self._wires: List[_Wire] = []
         for signal in self.bridge:
-            if signal.source_side not in ("left", "right"):
+            if signal.source_side not in sides:
                 raise ValueError(f"bad bridge side {signal.source_side!r}")
+            source_sim, target_sim = sides[signal.source_side]
+            for sim, name in ((source_sim, signal.source), (target_sim, signal.target)):
+                if name not in sim.values:
+                    side = "left" if sim is self.left else "right"
+                    raise ValueError(
+                        f"bridge signal {name!r} is not a net of the {side} "
+                        f"module {sim.module.name!r}"
+                    )
+            self._wires.append((
+                source_sim.values, signal.source,
+                target_sim, target_sim.values, signal.target, table,
+            ))
 
-    def _side(self, name: str) -> Simulator:
-        return self.left if name == "left" else self.right
-
-    def _other(self, name: str) -> Simulator:
-        return self.right if name == "left" else self.left
-
-    def _exchange(self) -> bool:
-        """Copy boundary values across; True if anything changed."""
+    def _exchange(self) -> List[Simulator]:
+        """Copy boundary values across; returns the kernels written to."""
         self.exchanges += 1
-        changed = False
+        written: List[Simulator] = []
         lineage = get_lineage()
-        for signal in self.bridge:
-            source_sim = self._side(signal.source_side)
-            target_sim = self._other(signal.source_side)
-            raw = source_sim.values[signal.source]
-            value = self._convert(raw)
-            if value != raw and lineage.enabled:
+        record = lineage.record if lineage.enabled else None
+        for source_values, source, target_sim, target_values, target, table in self._wires:
+            raw = source_values[source]
+            value = table[raw]
+            if value != raw and record is not None:
                 # A boundary coercion happened: lossless projection between
                 # the value sets is a transform, the naive shortcut diverging
                 # from the correct projection weakens semantics.
                 verb = (
-                    "transformed" if value == _correct_convert(raw)
+                    "transformed" if value == _CONVERSIONS["correct"][raw]
                     else "approximated"
                 )
-                lineage.record(
-                    "signal", f"{signal.source}->{signal.target}",
+                record(
+                    "signal", f"{source}->{target}",
                     "cosim:exchange", verb, detail=f"{raw} -> {value}",
                 )
-            if target_sim.values[signal.target] != value:
-                target_sim.set_signal(signal.target, value)
-                changed = True
-        return changed
+            if target_values[target] != value:
+                target_sim.set_signal(target, value)
+                if target_sim not in written:
+                    written.append(target_sim)
+        return written
 
     def _next_time(self) -> Optional[int]:
         times = [
@@ -122,7 +148,11 @@ class CoSimulation:
         return min(times) if times else None
 
     def run(self, until: int) -> int:
-        """Co-simulate to ``until``; returns the final time reached."""
+        """Co-simulate to joint time ``until``; returns ``until``.
+
+        The first call also settles time zero and makes the initial
+        exchange; later calls resume from the last joint time reached.
+        """
         exchanges_before = self.exchanges
         with get_tracer().span(
             "hdl:cosim",
@@ -133,9 +163,10 @@ class CoSimulation:
         ) as span, get_lineage().context(
             design=f"{self.left.module.name}+{self.right.module.name}"
         ):
-            # Time zero settle + initial exchange.
-            self._advance(0)
-            self._exchange_phase()
+            if not self._started:
+                self._started = True
+                self._advance(0)
+                self._exchange_phase()
 
             while True:
                 next_time = self._next_time()
@@ -167,11 +198,16 @@ class CoSimulation:
             self._exchange()
             return
         for _ in range(self.max_exchange_iterations):
-            if not self._exchange():
+            written = self._exchange()
+            if not written:
                 return
-            # Let both kernels settle the consequences within this time.
-            self.left.run(self.left.now)
-            self.right.run(self.right.now)
+            # Let the kernels that received values settle the consequences
+            # within this time.  A kernel nothing was written to has already
+            # settled this time (nothing ready, no NBA, no event due), so
+            # running it again would change nothing.
+            for sim in (self.left, self.right):
+                if sim in written:
+                    sim.run(sim.now)
         raise HDLError(
             "co-simulation exchange did not converge "
             f"within {self.max_exchange_iterations} iterations "
@@ -181,7 +217,7 @@ class CoSimulation:
     # -- results -------------------------------------------------------------
 
     def value(self, side: str, signal: str) -> str:
-        return self._side(side).values[signal]
+        return (self.left if side == "left" else self.right).values[signal]
 
 
 @dataclass

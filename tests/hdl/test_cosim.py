@@ -1,6 +1,9 @@
 """Tests for two-kernel co-simulation and its failure modes."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from test_cosim_equivalence import UNTIL, bound_kernels, cosim_cases, observed, run_steps
 
 from cadinterop.hdl.cosim import (
     BridgeSignal,
@@ -122,6 +125,21 @@ class TestValueSetFailure:
             CoSimulation(producer_src(), consumer_src(), bridge(), value_mode="wrong")
 
 
+class TestBridgeNames:
+    def test_unknown_source_named_at_construction(self):
+        with pytest.raises(ValueError, match=r"'nope'.*left module 'producer'"):
+            CoSimulation(producer_src(), consumer_src(), [BridgeSignal("left", "nope", "din")])
+
+    def test_unknown_target_named_at_construction(self):
+        with pytest.raises(ValueError, match=r"'nope'.*right module 'consumer'"):
+            CoSimulation(producer_src(), consumer_src(), [BridgeSignal("left", "data", "nope")])
+
+    def test_reverse_direction_checks_the_other_sides(self):
+        # A right-to-left copy reads the right module and writes the left.
+        with pytest.raises(ValueError, match=r"'data'.*right module 'consumer'"):
+            CoSimulation(producer_src(), consumer_src(), [BridgeSignal("right", "data", "din")])
+
+
 class TestCycleAlignment:
     def round_trip_modules(self):
         left = parse_module(
@@ -167,6 +185,38 @@ class TestCycleAlignment:
         assert aligned.value("left", "back") == "0"
         assert cosim.value("left", "back") != "0"
 
+    def test_stepped_misaligned_run_keeps_bridge_timestamps(self):
+        """Stepping a misaligned session must not rewind the kernels' clocks.
+
+        Each ``run()`` call used to repeat the time-zero phase and reset
+        both kernels to ``now == 0``, so every echo was stamped at t=0.
+        """
+        left = parse_module(
+            """
+            module l ();
+              reg stim; wire back, out;
+              assign out = stim;
+              initial begin stim = 1'b0; #10 stim = 1'b1; #10 stim = 1'b0; #10 stim = 1'b1; end
+            endmodule
+            """
+        )
+        right = parse_module("module r (); wire fwd, echo; assign echo = ~fwd; endmodule")
+        mapping = [
+            BridgeSignal("left", "out", "fwd"),
+            BridgeSignal("right", "echo", "back"),
+        ]
+        cosim = CoSimulation(left, right, mapping, aligned=False)
+        for until in (0, 10, 20, 30, 40):
+            cosim.run(until)
+        assert cosim.left.waveform("back") == [(10, "1"), (20, "0"), (30, "1")]
+        assert cosim.left.now == cosim.right.now == 30
+        assert cosim.exchanges == 4
+
+    def test_run_returns_until(self):
+        cosim = CoSimulation(producer_src(), consumer_src(), bridge())
+        assert cosim.run(15) == 15
+        assert cosim.run(100) == 100
+
     def test_receiving_kernel_clock_follows_joint_time(self):
         """A kernel with no events of its own still reaches each joint
         time: bridged values are stamped at it and delays run from it."""
@@ -203,3 +253,33 @@ class TestCycleAlignment:
         cosim = CoSimulation(left, right, mapping, aligned=True)
         with pytest.raises(HDLError):
             cosim.run(10)
+
+
+class TestSteppedRuns:
+    """``run(t1); ...; run(tn)`` is ``run(tn)``, in both alignments."""
+
+    @given(
+        case=cosim_cases(),
+        cuts=st.lists(st.integers(0, UNTIL), min_size=1, max_size=6),
+        value_mode=st.sampled_from(("correct", "naive")),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_stepped_run_matches_single_run(self, case, cuts, value_mode):
+        left, right, mapping, iterations = case
+        steps = sorted(cuts) + [UNTIL]
+        for aligned in (True, False):
+            sessions = [
+                bound_kernels(CoSimulation(
+                    left, right, mapping, value_mode=value_mode, aligned=aligned,
+                    max_exchange_iterations=iterations,
+                ))
+                for _ in range(2)
+            ]
+            stepped, single = sessions
+            stepped_state = observed(stepped, run_steps(stepped, steps))
+            assert stepped_state == observed(single, run_steps(single, [UNTIL]))
+            for waveforms in stepped_state["waveforms"]:
+                for waveform in waveforms.values():
+                    times = [time for time, _ in waveform]
+                    assert times == sorted(times)
