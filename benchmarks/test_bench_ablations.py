@@ -25,12 +25,8 @@ class TestA1RuleNetOrdering:
         tech = generic_two_layer_tech()
         floorplan, design, pads = build_bus_scenario()
         router = GridRouter(tech, floorplan, pads)
-        # Reserve terminals as route_design would.
-        for net, terminals in design.nets.items():
-            for terminal in terminals:
-                node = router._terminal_nodes(design, terminal)[0]
-                if router.occupancy.get(node, net) == net:
-                    router.occupancy[node] = net
+        # Reserve terminals as route_design does.
+        router.reserve_terminals(design)
         results = {}
         for net in order:
             results[net] = router.route_net(design, net)

@@ -1,11 +1,12 @@
 """E20 — place and route of the 3-slice ALU vs the pre-index oracles.
 
-``GridRouter`` probes clearance only as far as the widest margin in play,
-caches one usability verdict per node for each net, and expands A* moves
-from a per-layer table; ``RowPlacer`` re-measures a swap over an
-instance-to-nets index with pin offsets taken once.  The code they
-replaced survives as the oracles in ``tests/pnr/test_router_equivalence.py``
-and is timed here on the ``rtl-to-layout`` benchmark's 3-slice ALU flow
+``GridRouter`` searches integer node ids on a wall-padded grid with
+packed-int heap keys, probes clearance only as far as the widest margin in
+play, and caches one clearance verdict per node for each net; ``RowPlacer``
+re-measures a swap over an instance-to-nets index with pin offsets taken
+once.  The code they replaced survives as the oracles in
+``tests/pnr/test_router_equivalence.py`` and is timed here on the
+``rtl-to-layout`` benchmark's 3-slice ALU flow
 (synthesized, lowered onto the sample library, one spaced cell row,
 placement seed 1).  Rows: best-of-REPEATS CPU time of the oracle and the
 current code for placement and for routing, and the speedup of each.

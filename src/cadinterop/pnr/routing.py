@@ -6,6 +6,10 @@ constraint vocabulary (per-net width, spacing, shields) so the backplane
 experiments can compare a tool that honors those constraints against
 dialects that drop them — the measurable consequence is coupling
 capacitance (:mod:`cadinterop.pnr.parasitics`).
+
+The search runs on integer node ids over flat per-id arrays (see
+:class:`GridRouter`); :data:`Node` tuples are the output form, in
+``occupancy`` and :class:`RoutedNet`.
 """
 
 from __future__ import annotations
@@ -20,11 +24,15 @@ from cadinterop.pnr.design import PnRDesign, Terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, NetRule
 from cadinterop.pnr.tech import Layer, Technology
 
-#: A routing-grid node: (layer name, column index, row index).
+#: A routing-grid node as the router reports it: (layer name, column index,
+#: row index).  The search itself works on integer ids (``GridRouter._id``).
 Node = Tuple[str, int, int]
 
 #: Occupancy marker for shield wires.
 SHIELD = "$shield"
+
+#: A* cost of a node no search has reached.
+UNREACHED = 1 << 30
 
 
 @dataclass
@@ -38,7 +46,7 @@ class RoutedNet:
 
     @property
     def wirelength_tracks(self) -> int:
-        return max(0, len({(l, x, y) for l, x, y in self.nodes}) - 1)
+        return max(0, len(self.nodes) - 1)
 
 
 @dataclass
@@ -60,7 +68,15 @@ class RoutingResult:
 
 
 class GridRouter:
-    """Routes a placed design over a floorplan with per-net rules."""
+    """Routes a placed design over a floorplan with per-net rules.
+
+    The search runs on integer node ids.  Each layer is a plane of
+    ``(cols + 2) x (rows + 2)`` ids: the grid plus a one-track ring of wall
+    nodes around it, so a one-track move is a constant id delta (``±1``
+    along x, ``±stride`` along y, ``±k * plane`` for a via) that needs no
+    bounds test and cannot wrap into another row or layer.  ``Node`` tuples
+    are the output form, made from ids only when a path is built.
+    """
 
     def __init__(
         self,
@@ -75,20 +91,50 @@ class GridRouter:
         self.cols = max(1, die.width // tech.pitch)
         self.rows = max(1, die.height // tech.pitch)
         self.layers = {layer.name: layer for layer in tech.routing_layers()}
+        #: the routed result: which net (or ``SHIELD``) holds each node.
+        #: Read-only output; the router writes it through :meth:`_claim`.
         self.occupancy: Dict[Node, str] = {}
         #: clearance (in tracks) each routed net demands around its wires
         self._net_margin: Dict[str, int] = {}
-        self._blocked: Set[Node] = set()
-        #: per layer, the moves out of a node on it, in search order: one
-        #: track either way along the layer's direction (cost 1), then a
-        #: via to each other layer at the same (x, y) (cost 2); entries
-        #: are (layer, dx, dy, cost)
-        self._moves: Dict[str, Tuple[Tuple[str, int, int, int], ...]] = {}
-        for name, layer in self.layers.items():
-            dx, dy = (1, 0) if layer.direction == "horizontal" else (0, 1)
-            self._moves[name] = ((name, -dx, -dy, 1), (name, dx, dy, 1)) + tuple(
-                (other, 0, 0, 2) for other in self.layers if other != name
-            )
+        self._layer_names = list(self.layers)
+        self._layer_index = {name: k for k, name in enumerate(self._layer_names)}
+        self._stride = stride = self.cols + 2
+        self._plane = plane = stride * (self.rows + 2)
+        size = plane * len(self._layer_names)
+        #: per id, the net or ``SHIELD`` holding it (``occupancy`` by id)
+        self._owner: List[Optional[str]] = [None] * size
+        #: per id, 1 for the ring around each layer and routing keepouts
+        self._wall = bytearray(size)
+        #: per id, A* cost so far; ``UNREACHED`` everywhere between searches
+        self._best = [UNREACHED] * size
+        ring_row, ring_column = b"\x01" * stride, b"\x01" * self.rows
+        for base in range(0, size, plane):
+            self._wall[base:base + stride] = ring_row
+            self._wall[base + plane - stride:base + plane] = ring_row
+            self._wall[base + stride:base + plane - stride:stride] = ring_column
+            self._wall[base + 2 * stride - 1:base + plane - stride:stride] = ring_column
+        #: per layer index, the moves out of a node on it, in search order:
+        #: one track either way along the layer's direction (cost 1), then
+        #: a via to each other layer at the same (x, y) (cost 2); entries
+        #: are (id delta, dx, dy, cost)
+        self._moves: List[Tuple[Tuple[int, int, int, int], ...]] = []
+        for k, name in enumerate(self._layer_names):
+            if self.layers[name].direction == "horizontal":
+                along = ((-1, -1, 0, 1), (1, 1, 0, 1))
+            else:
+                along = ((-stride, 0, -1, 1), (stride, 0, 1, 1))
+            self._moves.append(along + tuple(
+                ((j - k) * plane, 0, 0, 2) for j in range(len(self._layer_names)) if j != k
+            ))
+        # A heap entry packs (f, counter, id) into one int that orders like
+        # that tuple.  The heuristic is consistent, so only a node's first
+        # pop can lower a neighbor's cost: a search pushes once per source
+        # plus at most once per move of each node, and its counter stays
+        # below size * (1 + moves per node).
+        self._id_bits = size.bit_length()
+        self._f_shift = self._id_bits + (
+            size * (1 + max(len(m) for m in self._moves))
+        ).bit_length()
         for keepout in floorplan.keepouts:
             for layer_name in keepout.layers:
                 if layer_name in self.layers:
@@ -96,15 +142,30 @@ class GridRouter:
 
     # -- grid helpers -------------------------------------------------------
 
+    def _id(self, node: Node) -> int:
+        layer_name, ix, iy = node
+        return self._layer_index[layer_name] * self._plane + (iy + 1) * self._stride + ix + 1
+
+    def _node(self, node_id: int) -> Node:
+        layer, xy = divmod(node_id, self._plane)
+        y, x = divmod(xy, self._stride)
+        return (self._layer_names[layer], x - 1, y - 1)
+
+    def _claim(self, node: Node, owner: str) -> None:
+        """Give ``node`` to ``owner`` (a net or ``SHIELD``)."""
+        self.occupancy[node] = owner
+        self._owner[self._id(node)] = owner
+
     def _block_rect(self, layer_name: str, rect: Rect) -> None:
         die = self.floorplan.die
         x1 = max(0, (rect.x1 - die.x1) // self.tech.pitch)
         x2 = min(self.cols - 1, (rect.x2 - die.x1) // self.tech.pitch)
         y1 = max(0, (rect.y1 - die.y1) // self.tech.pitch)
         y2 = min(self.rows - 1, (rect.y2 - die.y1) // self.tech.pitch)
-        for ix in range(x1, x2 + 1):
-            for iy in range(y1, y2 + 1):
-                self._blocked.add((layer_name, ix, iy))
+        row = b"\x01" * (x2 - x1 + 1)  # empty when the rect misses the die
+        for iy in range(y1, y2 + 1):
+            start = self._id((layer_name, x1, iy))
+            self._wall[start:start + len(row)] = row
 
     def snap(self, point: Point) -> Tuple[int, int]:
         die = self.floorplan.die
@@ -112,27 +173,29 @@ class GridRouter:
         iy = min(self.rows - 1, max(0, (point.y - die.y1) // self.tech.pitch))
         return (ix, iy)
 
-    def _usable(self, node: Node, net: str, margin: int, reach: int) -> bool:
-        if node in self._blocked:
-            return False
-        owner = self.occupancy.get(node)
-        if owner is not None and owner != net:
-            return False
-        layer_name, ix, iy = node
-        layer = self.layers[layer_name]
-        # Clearance is symmetric: respect both this net's margin and the
-        # margin any already-routed neighbor demanded for itself.
+    def _clear(self, node_id: int, net: str, margin: int, reach: int) -> bool:
+        """No foreign wire within clearance across ``node_id``'s layer.
+
+        Clearance is symmetric: respect both this net's margin and the
+        margin any already-routed neighbor demanded for itself.
+        """
+        layer, xy = divmod(node_id, self._plane)
+        y, x = divmod(xy, self._stride)
+        if self.layers[self._layer_names[layer]].direction == "horizontal":
+            pos, limit, step = y, self.rows, self._stride
+        else:
+            pos, limit, step = x, self.cols, 1
+        owners = self._owner
+        # Probes past the ring would wrap into another row or layer, so
+        # each side stops at the grid's edge.
         for d in range(1, reach + 1):
-            if layer.direction == "horizontal":
-                around = ((layer_name, ix, iy - d), (layer_name, ix, iy + d))
-            else:
-                around = ((layer_name, ix - d, iy), (layer_name, ix + d, iy))
-            for neighbor in around:
-                neighbor_owner = self.occupancy.get(neighbor)
-                if neighbor_owner is None or neighbor_owner == net:
+            for side in (-d, d):
+                if not 1 <= pos + side <= limit:
                     continue
-                required = max(margin, self._net_margin.get(neighbor_owner, 0))
-                if d <= required:
+                owner = owners[node_id + side * step]
+                if owner is None or owner == net:
+                    continue
+                if d <= max(margin, self._net_margin.get(owner, 0)):
                     return False
         return True
 
@@ -148,6 +211,19 @@ class GridRouter:
             position = self.pads[name]
         ix, iy = self.snap(position)
         return [(layer.name, ix, iy) for layer in self.layers.values()]
+
+    def reserve_terminals(self, design: PnRDesign) -> None:
+        """Reserve every net's primary terminal node (the pin's own layer).
+
+        Done before routing so no other net can route across a pin it does
+        not own.  Upper-layer nodes above a pin stay free — crossing over a
+        foreign pin on another layer is legal.
+        """
+        for net, terminals in design.nets.items():
+            for terminal in terminals:
+                node = self._terminal_nodes(design, terminal)[0]
+                if self.occupancy.get(node, net) == net:
+                    self._claim(node, net)
 
     def route_net(
         self,
@@ -167,9 +243,10 @@ class GridRouter:
         # d is within this net's margin or the margin its owner demanded,
         # so clearance probes stop at the widest of those.
         reach = max(margin, max(self._net_margin.values(), default=0))
-        # Occupancy and margins change only when this call commits, so one
-        # usability verdict per node serves every terminal's search.
-        verdicts: Dict[Node, bool] = {}
+        # Owners and margins change only when this call commits, so one
+        # clearance verdict per id (0 unknown, 1 clear, 2 not) serves every
+        # terminal's search.
+        verdicts = bytearray(len(self._wall))
         routed_nodes: Set[Node] = set()
         vias = 0
         # Connect each terminal to the growing tree.
@@ -189,7 +266,7 @@ class GridRouter:
 
         result = RoutedNet(net, nodes=routed_nodes, vias=vias, rule=rule)
         for node in routed_nodes:
-            self.occupancy[node] = net
+            self._claim(node, net)
         self._net_margin[net] = margin
         return result
 
@@ -200,89 +277,97 @@ class GridRouter:
         net: str,
         margin: int,
         reach: int,
-        verdicts: Dict[Node, bool],
+        verdicts: bytearray,
     ) -> Optional[List[Node]]:
         """Cheapest path from ``sources`` to any layer at grid point ``target``.
 
-        ``verdicts`` caches :meth:`_usable` answers for this net; the
-        caller keeps it only while occupancy and margins stand still.
+        ``verdicts`` caches :meth:`_clear` answers by id for this net; the
+        caller keeps it only while owners and margins stand still.
         """
-        tx, ty = target
-        cols, rows = self.cols, self.rows
-        occupancy = self.occupancy
-        moves = self._moves
+        plane, stride = self._plane, self._stride
+        # Padded coordinates of the target, and its offset within a plane.
+        tx, ty = target[0] + 1, target[1] + 1
+        target_xy = ty * stride + tx
+        wall, owners, moves = self._wall, self._owner, self._moves
+        id_bits, f_shift = self._id_bits, self._f_shift
+        id_mask = (1 << id_bits) - 1
         heappush, heappop = heapq.heappush, heapq.heappop
-        open_heap: List[Tuple[int, int, Node]] = []
-        best: Dict[Node, int] = {}
-        parent: Dict[Node, Optional[Node]] = {}
-        counter = 0
-        for source in sources:
-            # Sources are admitted on hard occupancy only: a pin that sits
-            # inside another net's clearance zone must still be escapable
-            # (typically via the other layer).
-            if source in self._blocked:
-                continue
-            if occupancy.get(source, net) != net:
-                continue
-            best[source] = 0
-            parent[source] = None
-            heappush(open_heap, (abs(source[1] - tx) + abs(source[2] - ty), counter, source))
-            counter += 1
-
-        while open_heap:
-            _f, _c, node = heappop(open_heap)
-            cost = best[node]
-            if node[1] == tx and node[2] == ty:
-                path: List[Node] = []
-                current: Optional[Node] = node
-                while current is not None:
-                    path.append(current)
-                    current = parent[current]
-                return list(reversed(path))
-            layer_name, x, y = node
-            for move_layer, dx, dy, step in moves[layer_name]:
-                nx, ny = x + dx, y + dy
-                if not (0 <= nx < cols and 0 <= ny < rows):
+        # The heuristic's two terms, by padded coordinate.
+        x_gap = [abs(x - tx) for x in range(stride)]
+        y_gap = [abs(y - ty) for y in range(self.rows + 2)]
+        open_heap: List[int] = []
+        best = self._best
+        parent: Dict[int, int] = {}
+        seq, unit = 0, 1 << id_bits
+        try:
+            for source in sources:
+                # Sources are admitted on hard occupancy only: a pin that
+                # sits inside another net's clearance zone must still be
+                # escapable (typically via the other layer).
+                source_id = self._id(source)
+                owner = owners[source_id]
+                if wall[source_id] or (owner is not None and owner != net):
                     continue
-                neighbor = (move_layer, nx, ny)
-                # Terminals are always enterable by their own net; margin
-                # applies to the routing fabric in between.
-                if nx == tx and ny == ty:
-                    if occupancy.get(neighbor, net) != net:
+                best[source_id] = 0
+                parent[source_id] = -1
+                f = abs(source[1] + 1 - tx) + abs(source[2] + 1 - ty)
+                heappush(open_heap, (f << f_shift) | seq | source_id)
+                seq += unit
+
+            while open_heap:
+                node = heappop(open_heap) & id_mask
+                cost = best[node]
+                layer, xy = divmod(node, plane)
+                if xy == target_xy:
+                    path: List[Node] = []
+                    while node >= 0:
+                        path.append(self._node(node))
+                        node = parent[node]
+                    return list(reversed(path))
+                y, x = divmod(xy, stride)
+                for delta, dx, dy, step in moves[layer]:
+                    neighbor = node + delta
+                    owner = owners[neighbor]
+                    if owner is not None and owner != net:
                         continue
-                else:
-                    usable = verdicts.get(neighbor)
-                    if usable is None:
-                        usable = verdicts[neighbor] = self._usable(neighbor, net, margin, reach)
-                    if not usable:
-                        continue
-                new_cost = cost + step
-                if new_cost < best.get(neighbor, 1 << 30):
-                    best[neighbor] = new_cost
-                    parent[neighbor] = node
-                    heappush(
-                        open_heap,
-                        (new_cost + abs(nx - tx) + abs(ny - ty), counter, neighbor),
-                    )
-                    counter += 1
-        return None
+                    # Terminals are always enterable by their own net; walls
+                    # and margin apply to the routing fabric in between.
+                    if wall[neighbor]:
+                        if neighbor % plane != target_xy:
+                            continue
+                    elif reach:
+                        verdict = verdicts[neighbor]
+                        if not verdict:
+                            verdict = verdicts[neighbor] = (
+                                1 if self._clear(neighbor, net, margin, reach) else 2
+                            )
+                        if verdict == 2 and neighbor % plane != target_xy:
+                            continue
+                    new_cost = cost + step
+                    if new_cost < best[neighbor]:
+                        best[neighbor] = new_cost
+                        parent[neighbor] = node
+                        f = new_cost + x_gap[x + dx] + y_gap[y + dy]
+                        heappush(open_heap, (f << f_shift) | seq | neighbor)
+                        seq += unit
+            return None
+        finally:
+            # Hand the next search an all-unreached ``best``.
+            for touched in parent:
+                best[touched] = UNREACHED
 
     def add_shields(self, routed: RoutedNet) -> int:
         """Lay grounded shield tracks alongside a shielded net's wires."""
         added = 0
-        for layer_name, ix, iy in routed.nodes:
-            layer = self.layers[layer_name]
+        for node in routed.nodes:
+            node_id = self._id(node)
+            step = self._stride if self.layers[node[0]].direction == "horizontal" else 1
             for offset in (-1, 1):
-                if layer.direction == "horizontal":
-                    node = (layer_name, ix, iy + offset)
-                else:
-                    node = (layer_name, ix + offset, iy)
-                _l, nx, ny = node
-                if not (0 <= nx < self.cols and 0 <= ny < self.rows):
+                # One track off the grid is the wall ring.
+                shield_id = node_id + offset * step
+                if self._wall[shield_id] or self._owner[shield_id] is not None:
                     continue
-                if node in self._blocked or node in self.occupancy:
-                    continue
-                self.occupancy[node] = SHIELD
+                self._claim(self._node(shield_id), SHIELD)
                 added += 1
         return added
 
@@ -312,7 +397,8 @@ class GridRouter:
         def claim(node: Node) -> None:
             _l, ix, iy = node
             if 0 <= ix < self.cols and 0 <= iy < self.rows:
-                if node not in self._blocked and self.occupancy.get(node, strategy.net) == strategy.net:
+                node_id = self._id(node)
+                if not self._wall[node_id] and self._owner[node_id] in (None, strategy.net):
                     nodes.add(node)
 
         if strategy.style == "ring":
@@ -339,7 +425,7 @@ class GridRouter:
 
         routed = RoutedNet(strategy.net, nodes=nodes, rule=NetRule(strategy.net))
         for node in nodes:
-            self.occupancy[node] = strategy.net
+            self._claim(node, strategy.net)
         self._net_margin[strategy.net] = 0
         if strategy.shielded:
             self.add_shields(routed)
@@ -362,15 +448,7 @@ class GridRouter:
             features = honored_features if honored_features is not None else {
                 "width", "spacing", "shield",
             }
-            # Reserve every net's primary terminal node (the pin's own layer)
-            # up front so no other net can route across a pin it does not own.
-            # Upper-layer nodes above a pin stay free — crossing over a foreign
-            # pin on another layer is legal.
-            for net, terminals in design.nets.items():
-                for terminal in terminals:
-                    node = self._terminal_nodes(design, terminal)[0]
-                    if self.occupancy.get(node, net) == net:
-                        self.occupancy[node] = net
+            self.reserve_terminals(design)
             # Route rule-carrying nets first (they need the room).
             ordered = sorted(
                 design.nets,

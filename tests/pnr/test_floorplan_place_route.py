@@ -166,7 +166,15 @@ class TestRouting:
         RowPlacer(tech, fp, seed=3).place(design, pads)
         router = GridRouter(tech, fp, pads)
         result = router.route_design(design)
-        blocked = router._blocked
+        die, pitch = fp.die, tech.pitch
+        blocked = set()
+        for keepout in fp.keepouts:
+            box = keepout.rect
+            for layer in keepout.layers:
+                for ix in range((box.x1 - die.x1) // pitch, (box.x2 - die.x1) // pitch + 1):
+                    for iy in range((box.y1 - die.y1) // pitch, (box.y2 - die.y1) // pitch + 1):
+                        blocked.add((layer, ix, iy))
+        assert blocked, "the sample floorplan has a routing keepout"
         for routed in result.routed.values():
             assert not (routed.nodes & blocked)
 

@@ -1,16 +1,19 @@
 """The grid router and row placer against their straightforward oracles.
 
-``GridRouter`` bounds its clearance probes by the widest margin in play,
-caches one usability verdict per node for each ``route_net`` call, and
-expands A* moves from a per-layer table; ``RowPlacer`` re-measures a swap
-over an instance-to-nets index with pin offsets taken once per (cell, pin,
+``GridRouter`` searches integer node ids on a grid padded with a ring of
+wall nodes, bounds its clearance probes by the widest margin in play,
+caches one clearance verdict per node for each ``route_net`` call, and
+orders its heap by packed int keys; ``RowPlacer`` re-measures a swap over
+an instance-to-nets index with pin offsets taken once per (cell, pin,
 orientation).  This module keeps the code they replaced, as it was, as
-test-local oracles: the router that always probes out to ``MAX_MARGIN``
-tracks and asks every question afresh, the ``_local_hpwl`` that scans every
-net of the design per swap, and the ``pin_position`` that transforms the
-pin box on every call.  On hypothesis-generated floorplans with routing
-keepouts, global-net strategies, fixed and movable instances in every
-orientation, random pads, 2-5-terminal nets and width/spacing/shield
+test-local oracles: the router on tuple nodes with its own tuple-keyed
+grid state, which always probes out to ``MAX_MARGIN`` tracks and asks every
+question afresh, the ``_local_hpwl`` that scans every net of the design per
+swap, and the ``pin_position`` that transforms the pin box on every call.
+On hypothesis-generated floorplans with routing keepouts, global-net
+strategies (rings on the edge tracks included), fixed and movable
+instances in every orientation, pads inside the die and on its sides,
+2-5-terminal nets, nets along the die's edges and width/spacing/shield
 rules, both sides must produce the same placement and the same routing
 result, down to the order of the occupancy map.
 
@@ -33,24 +36,129 @@ from cadinterop.pnr.cells import CellAbstract, CellPin, PinShape
 from cadinterop.pnr.design import PnRDesign, PnRInstance, inst_terminal, pad_terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, Keepout, NetRule
 from cadinterop.pnr.placement import PlacementResult, RowPlacer
-from cadinterop.pnr.routing import GridRouter, Node, RoutedNet
+from cadinterop.pnr.routing import SHIELD, GridRouter, Node, RoutedNet
 from cadinterop.pnr.samples import (
     build_bus_scenario,
     build_cell_library,
     build_floorplan,
     generate_design,
 )
-from cadinterop.pnr.tech import generic_two_layer_tech
+from cadinterop.pnr.tech import Technology, generic_two_layer_tech
 
 
 # -- oracles: the router and placer steps as they were ------------------------
 
 
 class OracleRouter(GridRouter):
-    """The router with its pre-index search: fixed probe depth, no caches."""
+    """The router with its pre-index search: fixed probe depth, no caches.
+
+    It keeps its own tuple-keyed grid state (``_blocked``, ``occupancy``)
+    and every method that writes it, so only ``snap``, ``_terminal_nodes``
+    and the net ordering of ``route_design`` are shared with ``GridRouter``.
+    """
 
     #: farthest clearance any rule can demand (bounds the probe loop)
     MAX_MARGIN = 4
+
+    def __init__(
+        self,
+        tech: Technology,
+        floorplan: Floorplan,
+        pad_positions: Optional[Dict[str, Point]] = None,
+    ) -> None:
+        self.tech = tech
+        self.floorplan = floorplan
+        self.pads = pad_positions or {}
+        die = floorplan.die
+        self.cols = max(1, die.width // tech.pitch)
+        self.rows = max(1, die.height // tech.pitch)
+        self.layers = {layer.name: layer for layer in tech.routing_layers()}
+        self.occupancy: Dict[Node, str] = {}
+        #: clearance (in tracks) each routed net demands around its wires
+        self._net_margin: Dict[str, int] = {}
+        self._blocked: Set[Node] = set()
+        for keepout in floorplan.keepouts:
+            for layer_name in keepout.layers:
+                if layer_name in self.layers:
+                    self._block_rect(layer_name, keepout.rect)
+
+    def _block_rect(self, layer_name: str, rect: Rect) -> None:
+        die = self.floorplan.die
+        x1 = max(0, (rect.x1 - die.x1) // self.tech.pitch)
+        x2 = min(self.cols - 1, (rect.x2 - die.x1) // self.tech.pitch)
+        y1 = max(0, (rect.y1 - die.y1) // self.tech.pitch)
+        y2 = min(self.rows - 1, (rect.y2 - die.y1) // self.tech.pitch)
+        for ix in range(x1, x2 + 1):
+            for iy in range(y1, y2 + 1):
+                self._blocked.add((layer_name, ix, iy))
+
+    def reserve_terminals(self, design: PnRDesign) -> None:
+        for net, terminals in design.nets.items():
+            for terminal in terminals:
+                node = self._terminal_nodes(design, terminal)[0]
+                if self.occupancy.get(node, net) == net:
+                    self.occupancy[node] = net
+
+    def add_shields(self, routed: RoutedNet) -> int:
+        added = 0
+        for layer_name, ix, iy in routed.nodes:
+            layer = self.layers[layer_name]
+            for offset in (-1, 1):
+                if layer.direction == "horizontal":
+                    node = (layer_name, ix, iy + offset)
+                else:
+                    node = (layer_name, ix + offset, iy)
+                _l, nx, ny = node
+                if not (0 <= nx < self.cols and 0 <= ny < self.rows):
+                    continue
+                if node in self._blocked or node in self.occupancy:
+                    continue
+                self.occupancy[node] = SHIELD
+                added += 1
+        return added
+
+    def realize_strategy(self, strategy: GlobalNetStrategy, inset_tracks: int = 1) -> RoutedNet:
+        nodes: Set[Node] = set()
+        width = max(1, strategy.width)
+        layer = self.layers.get(strategy.layer)
+        if layer is None:
+            raise KeyError(f"strategy layer {strategy.layer!r} not in technology")
+
+        def claim(node: Node) -> None:
+            _l, ix, iy = node
+            if 0 <= ix < self.cols and 0 <= iy < self.rows:
+                if node not in self._blocked and self.occupancy.get(node, strategy.net) == strategy.net:
+                    nodes.add(node)
+
+        if strategy.style == "ring":
+            for offset in range(width):
+                low = inset_tracks + offset
+                high_col = self.cols - 1 - inset_tracks - offset
+                high_row = self.rows - 1 - inset_tracks - offset
+                for ix in range(low, high_col + 1):
+                    claim((strategy.layer, ix, low))
+                    claim((strategy.layer, ix, high_row))
+                for iy in range(low, high_row + 1):
+                    claim((strategy.layer, low, iy))
+                    claim((strategy.layer, high_col, iy))
+        elif strategy.style == "trunk":
+            middle = self.rows // 2
+            for offset in range(width):
+                for ix in range(self.cols):
+                    claim((strategy.layer, ix, middle + offset))
+        else:  # spine
+            middle = self.cols // 2
+            for offset in range(width):
+                for iy in range(self.rows):
+                    claim((strategy.layer, middle + offset, iy))
+
+        routed = RoutedNet(strategy.net, nodes=nodes, rule=NetRule(strategy.net))
+        for node in nodes:
+            self.occupancy[node] = strategy.net
+        self._net_margin[strategy.net] = 0
+        if strategy.shielded:
+            self.add_shields(routed)
+        return routed
 
     def _neighbors(self, node: Node) -> List[Tuple[Node, int]]:
         layer_name, ix, iy = node
@@ -330,7 +438,7 @@ def flow_signature(placer_cls, router_cls, case, **route_kwargs):
     design = copy.deepcopy(design)
     placed = placer_cls(TECH, floorplan, seed=seed).place(design, pads)
     router = router_cls(TECH, floorplan, pads)
-    realized = [router.realize_strategy(strategy) for strategy in strategies]
+    realized = [router.realize_strategy(strategy, inset) for strategy, inset in strategies]
     result = router.route_design(design, **route_kwargs)
     return (
         placement_signature(design, placed),
@@ -373,9 +481,43 @@ def cells(draw, index: int) -> CellAbstract:
     )
 
 
+def edge_biased(low: int, high: int):
+    """A coordinate in [low, high], one draw in two on an end (a grid edge)."""
+    return st.one_of(st.sampled_from([low, high]), st.integers(low, high))
+
+
+SIDES = ("right", "top", "left", "bottom")
+
+
+@st.composite
+def pad_points(draw, die: Rect, sides: Sequence[str] = ("inside",) + SIDES) -> Point:
+    """A pad position inside the die or on one of its sides."""
+    x, y = draw(st.integers(die.x1, die.x2)), draw(st.integers(die.y1, die.y2))
+    side = draw(st.sampled_from(sides))
+    if side == "left":
+        x = die.x1
+    elif side == "right":
+        x = die.x2
+    elif side == "bottom":
+        y = die.y1
+    elif side == "top":
+        y = die.y2
+    return Point(x, y)
+
+
+@st.composite
+def net_rules(draw, net: str) -> NetRule:
+    """A rule demanding 1-4 tracks of clearance: (width - 1) + (spacing - 1)."""
+    margin = draw(st.integers(1, 4))
+    width = draw(st.integers(1, min(3, margin + 1)))
+    return NetRule(
+        net, width_tracks=width, spacing_tracks=margin + 2 - width, shield=draw(st.booleans())
+    )
+
+
 @st.composite
 def cases(draw):
-    """(floorplan, design, pads, strategies, placement seed)."""
+    """(floorplan, design, pads, (strategy, inset) pairs, placement seed)."""
     cols = draw(st.integers(16, 36))
     rows = draw(st.integers(8, 24))
     die = Rect(0, 0, cols * TECH.pitch, rows * TECH.pitch)
@@ -396,10 +538,12 @@ def cases(draw):
         orientation = draw(st.sampled_from(cell.legal_orientations))
         design.add_instance(PnRInstance(f"u{k}", cell, orientation=orientation))
     if draw(st.booleans()):
-        # A pre-placed macro: a fixed point on its nets for the placer.
+        # A pre-placed macro: a fixed point on its nets for the placer,
+        # often against the die's edges so its pins sit on the first and
+        # last rows and columns.
         cell = draw(st.sampled_from(library))
         location = Point(
-            draw(st.integers(0, die.x2 - cell.width)), draw(st.integers(0, die.y2 - 40))
+            draw(edge_biased(0, die.x2 - cell.width)), draw(edge_biased(0, die.y2 - 40))
         )
         design.add_instance(
             PnRInstance(
@@ -409,7 +553,7 @@ def cases(draw):
         )
 
     pads = {
-        f"pad{k}": Point(draw(st.integers(0, die.x2)), draw(st.integers(0, die.y2)))
+        f"pad{k}": draw(pad_points(die))
         for k in range(draw(st.integers(0, 4)))
     }
     terminals = [
@@ -422,24 +566,34 @@ def cases(draw):
         chosen = draw(st.lists(st.sampled_from(terminals), min_size=count, max_size=count))
         design.add_net(f"n{n}", chosen)
         if draw(st.integers(0, 2)) == 0:
-            width = draw(st.integers(1, 3))
-            spacing = draw(st.integers(1, 6 - width))  # margin <= 4
-            floorplan.add_net_rule(
-                NetRule(f"n{n}", width_tracks=width, spacing_tracks=spacing,
-                        shield=draw(st.booleans()))
-            )
+            floorplan.add_net_rule(draw(net_rules(f"n{n}")))
+    # A net between two pads on one side of the die runs on its first or
+    # last row or column, where clearance probes meet the grid's edge (and,
+    # past it, would wrap to the opposite side).  Each side gets one in
+    # three cases in four; nets route in side order, so a wire on the far
+    # side is often down before its mirror image.
+    for e, side in enumerate(SIDES):
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        ends = [f"edge{e}a", f"edge{e}b"]
+        for name in ends:
+            pads[name] = draw(pad_points(die, (side,)))
+        design.add_net(f"e{e}", [pad_terminal(name) for name in ends])
+        floorplan.add_net_rule(draw(net_rules(f"e{e}")))
 
     strategies = []
     if draw(st.booleans()):
-        strategies.append(
+        # A ring at inset 0 runs on the die's edge tracks.
+        strategies.append((
             GlobalNetStrategy(
                 "PWR", "power",
                 draw(st.sampled_from(GlobalNetStrategy.STYLES)),
                 layer=draw(st.sampled_from(["M1", "M2"])),
                 width=draw(st.integers(1, 2)),
                 shielded=draw(st.booleans()),
-            )
-        )
+            ),
+            draw(st.integers(0, 2)),
+        ))
     return floorplan, design, pads, strategies, draw(st.integers(0, 1000))
 
 
@@ -468,7 +622,7 @@ class TestGeneratedEquivalence:
 def sample_case(cells_count: int, seed: int):
     floorplan = build_floorplan()
     design, pads = generate_design(build_cell_library(), cells=cells_count)
-    return floorplan, design, pads, list(floorplan.strategies.values()), seed
+    return floorplan, design, pads, [(s, 1) for s in floorplan.strategies.values()], seed
 
 
 class TestFixedEquivalence:
