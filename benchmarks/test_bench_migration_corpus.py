@@ -117,9 +117,10 @@ class TestFarmRows:
         assert cold.migrated == len(corpus) and cold.cached == 0
         assert cold.cache_misses == len(corpus) and cold.cache_hits == 0
         assert cold.all_clean
-        # The per-stage profile really measured the pipeline.
-        assert cold.profile.stages
-        assert all(cold.profile.stages[s].calls == len(corpus)
+        # The stage metrics, shipped back from the process workers, really
+        # measured the pipeline.
+        assert cold.stage_table()
+        assert all(cold.metrics[f"stage.seconds[{s}]"]["count"] == len(corpus)
                    for s in ("scaling", "verification"))
 
         # Row 3: touch exactly one design, re-run warm — one migration, the

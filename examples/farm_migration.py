@@ -60,8 +60,11 @@ def main() -> None:
     farm = MigrationFarm(plan, jobs=JOBS, cache=ResultCache(cache_dir))
     cold = farm.run(corpus)
     print(f"\ncold run : {cold.summary()}")
+    # The stage table comes from the run's stage.* metrics, which the
+    # process workers ship back with each design.
     print("\nstage profile (cold):")
-    print(cold.profile.table())
+    print(cold.stage_table())
+    assert cold.metrics["stage.seconds[verification]"]["count"] == len(corpus)
 
     # --- 3. warm run: nothing changed, all cache hits ---------------------
     warm = MigrationFarm(plan, jobs=JOBS, cache=ResultCache(cache_dir)).run(corpus)

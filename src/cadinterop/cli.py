@@ -20,9 +20,10 @@ Subcommands
     Batch-migrate a corpus of Viewdraw-like schematics (``.vl`` files,
     directories of them, and/or a generated synthetic corpus) onto the
     Composer-like libraries through the migration farm: parallel workers,
-    content-hash result caching, per-stage profiling.  ``--lineage-out``
-    records per-object provenance, prints the loss report, and writes a
-    format-2 JSONL trace carrying the lineage records.
+    content-hash result caching, and a per-stage table (``--profile``)
+    built from the run's metrics, the same for every ``--jobs`` value.
+    ``--lineage-out`` records per-object provenance, prints the loss
+    report, and writes a format-2 JSONL trace carrying the lineage records.
 ``cadinterop trace [--trace-out FILE] [--metrics-out FILE] CMD [ARG ...]``
     Run any other subcommand with the observability layer (tracing,
     metrics, lineage) enabled; print the span tree and flat stats
@@ -154,65 +155,47 @@ def _cmd_migrate_batch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from cadinterop.obs import (
-        disable_lineage,
-        disable_metrics,
-        disable_tracing,
-        enable_lineage,
-        enable_metrics,
-        enable_tracing,
-        get_lineage,
-        get_metrics,
-        get_tracer,
+        LineageRecorder,
+        MetricsRegistry,
+        ObsContext,
+        Tracer,
+        current_context,
+        installed,
         write_trace,
     )
 
     # --trace-out / --metrics-out / --lineage-out imply observability even
-    # without the `trace` wrapper; only own (and later tear down) what we
-    # enabled here.  Lineage without tracing would leave records unlinked,
-    # so --lineage-out turns the tracer on too.
-    own_tracer = False
-    own_metrics = False
-    own_lineage = False
-    if args.lineage_out and not get_lineage().enabled:
-        enable_lineage()
-        own_lineage = True
-    if (args.trace_out or args.lineage_out) and not get_tracer().enabled:
-        enable_tracing()
-        own_tracer = True
-    if (
-        args.trace_out or args.metrics_out or args.lineage_out
-    ) and not get_metrics().enabled:
-        enable_metrics()
-        own_metrics = True
-    try:
+    # without the `trace` wrapper: facilities already on are kept, the rest
+    # are on for this command only.  Lineage without tracing would leave
+    # records unlinked, so --lineage-out turns the tracer on too.
+    outer = current_context()
+    tracing = bool(args.trace_out or args.lineage_out)
+    counting = tracing or bool(args.metrics_out)
+    context = ObsContext(
+        outer.tracer if outer.tracer.enabled or not tracing else Tracer(),
+        outer.metrics if outer.metrics.enabled or not counting else MetricsRegistry(),
+        outer.lineage
+        if outer.lineage.enabled or not args.lineage_out
+        else LineageRecorder(),
+    )
+    with installed(context):
         code = _run_migrate_batch(args)
-        tracer = get_tracer()
-        lineage = get_lineage().records()
-        if args.trace_out and tracer.enabled:
-            write_trace(
-                args.trace_out, tracer.spans(), get_metrics().snapshot(),
-                trace_id=tracer.trace_id, lineage=lineage,
-            )
-            print(f"trace written to {args.trace_out}")
-        if args.lineage_out and args.lineage_out != args.trace_out:
-            write_trace(
-                args.lineage_out, tracer.spans(), get_metrics().snapshot(),
-                trace_id=tracer.trace_id, lineage=lineage,
-            )
-            print(f"lineage trace written to {args.lineage_out}")
-        if args.metrics_out and get_metrics().enabled:
-            Path(args.metrics_out).write_text(
-                json.dumps(get_metrics().snapshot(), indent=2, sort_keys=True) + "\n"
-            )
-            print(f"metrics written to {args.metrics_out}")
-        return code
-    finally:
-        if own_tracer:
-            disable_tracing()
-        if own_metrics:
-            disable_metrics()
-        if own_lineage:
-            disable_lineage()
+    spans = context.tracer.spans()
+    snapshot = context.metrics.snapshot()
+    lineage = context.lineage.records()
+    trace_id = context.tracer.trace_id
+    if args.trace_out:
+        write_trace(args.trace_out, spans, snapshot, trace_id=trace_id, lineage=lineage)
+        print(f"trace written to {args.trace_out}")
+    if args.lineage_out and args.lineage_out != args.trace_out:
+        write_trace(args.lineage_out, spans, snapshot, trace_id=trace_id, lineage=lineage)
+        print(f"lineage trace written to {args.lineage_out}")
+    if args.metrics_out:
+        Path(args.metrics_out).write_text(
+            json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"metrics written to {args.metrics_out}")
+    return code
 
 
 def _run_migrate_batch(args: argparse.Namespace) -> int:
@@ -295,12 +278,8 @@ def _run_migrate_batch(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from cadinterop.obs import (
-        disable_lineage,
-        disable_metrics,
-        disable_tracing,
-        enable_lineage,
-        enable_metrics,
-        enable_tracing,
+        ObsContext,
+        installed,
         render_stats,
         render_tree,
         write_trace,
@@ -317,41 +296,35 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"trace: cannot wrap the {rest[0]!r} command", file=sys.stderr)
         return 2
 
-    tracer = enable_tracing()
-    metrics = enable_metrics()
-    recorder = enable_lineage()
-    try:
-        with tracer.span("cli:" + rest[0], argv=" ".join(rest)) as span:
+    context = ObsContext.enabled()
+    with installed(context):
+        with context.tracer.span("cli:" + rest[0], argv=" ".join(rest)) as span:
             code = main(rest)
             span.set(exit_code=code)
-        spans = tracer.spans()
-        snapshot = metrics.snapshot()
-        lineage = recorder.records()
+    spans = context.tracer.spans()
+    snapshot = context.metrics.snapshot()
+    lineage = context.lineage.records()
+    print()
+    print(render_tree(spans))
+    print()
+    print(render_stats(spans, snapshot))
+    if lineage:
         print()
-        print(render_tree(spans))
-        print()
-        print(render_stats(spans, snapshot))
-        if lineage:
-            print()
-            print(f"lineage: {len(lineage)} records "
-                  "(write --trace-out and run `cadinterop audit` for the "
-                  "loss matrix)")
-        if args.trace_out:
-            write_trace(args.trace_out, spans, snapshot,
-                        trace_id=tracer.trace_id, lineage=lineage)
-            print(f"trace written to {args.trace_out}")
-        if args.metrics_out:
-            import json
+        print(f"lineage: {len(lineage)} records "
+              "(write --trace-out and run `cadinterop audit` for the "
+              "loss matrix)")
+    if args.trace_out:
+        write_trace(args.trace_out, spans, snapshot,
+                    trace_id=context.tracer.trace_id, lineage=lineage)
+        print(f"trace written to {args.trace_out}")
+    if args.metrics_out:
+        import json
 
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(snapshot, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"metrics written to {args.metrics_out}")
-        return code
-    finally:
-        disable_tracing()
-        disable_metrics()
-        disable_lineage()
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"metrics written to {args.metrics_out}")
+    return code
 
 
 def _expand_trace_paths(patterns: Sequence[str]) -> List[str]:
@@ -468,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist migration results here; unchanged designs "
                             "are served from cache on re-runs")
     batch.add_argument("--profile", action="store_true",
-                       help="print per-design outcomes and the stage profile")
+                       help="print per-design outcomes and the stage table")
     batch.add_argument("--out", default=None, metavar="DIR",
                        help="write translated .cd files to DIR")
     batch.add_argument("--trace-out", default=None, metavar="FILE",

@@ -8,12 +8,15 @@ vendor dialects; this package turns the single-design pipeline of
   over a ``concurrent.futures`` worker pool;
 * :class:`ResultCache` — content-addressed, on-disk result reuse keyed on
   ``(design digest, plan digest, pipeline version)``;
-* :class:`StageProfiler` / :class:`FarmReport` — per-stage wall time, items
-  touched, and cache hit/miss accounting for every run.
+* :class:`FarmReport` — outcomes, cache hit/miss accounting, and a stage
+  table (wall time, items, calls) rendered from the run's ``stage.*``
+  metrics.  Every run reports into a fork of the current observability
+  context (:mod:`cadinterop.obs.context`); process workers ship their
+  spans, metrics and lineage back as one payload per design, so a run
+  records the same thing under every executor.
 """
 
 from cadinterop.farm.cache import CACHE_FORMAT, ResultCache, cache_key
-from cadinterop.farm.profiler import StageProfiler, StageStats
 from cadinterop.farm.report import FarmItem, FarmReport
 from cadinterop.farm.scheduler import MigrationFarm, migrate_corpus
 from cadinterop.schematic.migrate import (
@@ -31,8 +34,6 @@ __all__ = [
     "PIPELINE_STAGES",
     "PIPELINE_VERSION",
     "ResultCache",
-    "StageProfiler",
-    "StageStats",
     "cache_key",
     "migrate_corpus",
     "plan_digest",

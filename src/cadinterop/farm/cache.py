@@ -34,8 +34,9 @@ from cadinterop.schematic.migrate import (
 )
 
 #: Bump to invalidate every on-disk entry regardless of pipeline version
-#: (e.g. when the pickle payload layout changes).
-CACHE_FORMAT = 1
+#: (e.g. when the pickle payload layout changes).  Format 2: results no
+#: longer carry per-stage timings (stage time lives in metrics).
+CACHE_FORMAT = 2
 
 
 def cache_key(design_digest: str, plan_dig: str, pipeline_version: str = PIPELINE_VERSION) -> str:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from cadinterop.farm.profiler import StageProfiler
 from cadinterop.obs.lineage import LossReport
 from cadinterop.schematic.migrate import MigrationResult
 
@@ -42,9 +41,9 @@ class FarmReport:
     cache_misses: int = 0
     cache_corrupt: int = 0
     items: List[FarmItem] = field(default_factory=list)
-    profile: StageProfiler = field(default_factory=StageProfiler)
-    #: Snapshot of the run's metrics registry (farm counters, cache traffic,
-    #: per-stage latency histograms) — plain dicts, JSON-safe.
+    #: Snapshot of the run's metrics (farm counters, cache traffic, the
+    #: ``stage.seconds[<stage>]`` histograms and ``stage.items[<stage>]``
+    #: counters behind :meth:`stage_table`) — plain dicts, JSON-safe.
     metrics: Dict[str, dict] = field(default_factory=dict)
     #: Trace id of the run when tracing was enabled, else None.
     trace_id: Optional[str] = None
@@ -66,6 +65,27 @@ class FarmReport:
                 return item.result
         return None
 
+    def stage_table(self) -> str:
+        """Per-stage wall time, items and calls, slowest first ("" when the
+        run timed no stage)."""
+        prefix = "stage.seconds["
+        rows = [
+            (name[len(prefix):-1], data["sum"], data["count"])
+            for name, data in self.metrics.items()
+            if name.startswith(prefix)
+        ]
+        if not rows:
+            return ""
+        total = sum(row[1] for row in rows) or 1.0
+        lines = [f"{'stage':17} {'wall ms':>9} {'items':>8} {'calls':>6}  share"]
+        for stage, seconds, calls in sorted(rows, key=lambda row: -row[1]):
+            items = self.metrics.get(f"stage.items[{stage}]", {}).get("value", 0)
+            lines.append(
+                f"{stage:17} {seconds * 1e3:9.2f} {items:8d} "
+                f"{calls:6d}  {seconds / total:5.1%}"
+            )
+        return "\n".join(lines)
+
     def summary(self) -> str:
         return (
             f"farm: {self.total} designs in {self.wall_seconds * 1e3:.0f} ms "
@@ -82,9 +102,10 @@ class FarmReport:
             lines.append(f"trace: {self.trace_id}")
         if per_design:
             lines.extend("  " + item.summary() for item in self.items)
-        if self.profile.stages:
+        table = self.stage_table()
+        if table:
             lines.append("")
-            lines.append(self.profile.table())
+            lines.append(table)
         counters = sorted(
             (name, data["value"])
             for name, data in self.metrics.items()

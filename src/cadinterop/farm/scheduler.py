@@ -12,9 +12,11 @@ and:
 * fans cache misses out across a ``concurrent.futures`` process pool
   (``jobs > 1``); each worker keeps one long-lived ``Migrator`` so symbol
   scaling amortizes across the designs it handles;
-* aggregates the pipeline's per-stage timings plus its own bookkeeping
-  stages (``farm:digest``, ``farm:cache-lookup``, ``farm:cache-store``)
-  into a :class:`~cadinterop.farm.report.FarmReport`.
+* times the pipeline's stages plus its own bookkeeping stages
+  (``farm:digest``, ``farm:cache-lookup``, ``farm:cache-store``) as
+  ``stage.*`` metrics of a run-scoped observability context, which every
+  worker reports into (process workers ship one payload per design), and
+  renders them in a :class:`~cadinterop.farm.report.FarmReport`.
 
 A design that fails to migrate is reported (``status="failed"`` with the
 error text) without aborting the rest of the corpus.
@@ -28,11 +30,17 @@ import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from cadinterop.farm.cache import ResultCache, cache_key
-from cadinterop.farm.profiler import StageProfiler
 from cadinterop.farm.report import FarmItem, FarmReport
-from cadinterop.obs.lineage import LossReport, enable_lineage, get_lineage
-from cadinterop.obs.metrics import MetricsRegistry, get_metrics
-from cadinterop.obs.trace import enable_tracing, get_tracer
+from cadinterop.obs.context import (
+    ObsContext,
+    StageSpan,
+    current_context,
+    install,
+    installed,
+)
+from cadinterop.obs.lineage import LossReport
+from cadinterop.obs.metrics import MetricsRegistry
+from cadinterop.obs.trace import current_span_id
 from cadinterop.schematic.migrate import (
     MigrationPlan,
     MigrationResult,
@@ -45,11 +53,10 @@ from cadinterop.schematic.model import Schematic
 #: A unit of work shipped to a worker: (corpus index, schematic).
 _Task = Tuple[int, Schematic]
 #: What a worker sends back: (corpus index, result or None, error or None,
-#: seconds spent migrating measured inside the worker, the spans the
-#: worker's tracer recorded for this task, and the lineage records the
-#: worker's recorder buffered — both empty when the facility is off or the
-#: worker shares the submitting side's collector (inline/thread executors).
-_Outcome = Tuple[int, Optional[MigrationResult], Optional[str], float, list, list]
+#: seconds spent migrating measured inside the worker, and the worker
+#: context's drained payload — None when the worker reports straight into
+#: the run's context (inline and thread executors).
+_Outcome = Tuple[int, Optional[MigrationResult], Optional[str], float, Optional[dict]]
 
 # Per-process worker state for the process-pool executor.  Each worker
 # builds one Migrator at pool start (plan arrives once via the initializer,
@@ -57,40 +64,29 @@ _Outcome = Tuple[int, Optional[MigrationResult], Optional[str], float, list, lis
 _WORKER_MIGRATOR: Optional[Migrator] = None
 
 
-def _process_worker_init(
-    plan: MigrationPlan,
-    trace_id: Optional[str] = None,
-    lineage: bool = False,
-) -> None:
+def _process_worker_init(plan: MigrationPlan, context: ObsContext) -> None:
     global _WORKER_MIGRATOR
     _WORKER_MIGRATOR = Migrator(plan)
-    if trace_id is not None:
-        # Join the parent's trace: this worker's spans carry the same trace
-        # id and are shipped back (and re-parented) with each outcome.
-        enable_tracing(trace_id)
-    if lineage:
-        # Same pattern for provenance: the worker buffers lineage records
-        # locally and ships them back (adopted) with each outcome.
-        enable_lineage()
+    # A fork of the run's context: same facilities, same trace id.  Each
+    # task drains it into the outcome, and the run adopts the payload.
+    install(context)
+
+
+def _migrate_one(migrator: Migrator, design: Schematic):
+    """(result, error, seconds) — a bad design must not kill the corpus."""
+    start = time.perf_counter()
+    try:
+        result, error = migrator.migrate(design), None
+    except Exception as exc:
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - start
 
 
 def _process_worker_migrate(task: _Task) -> _Outcome:
     index, schematic = task
     assert _WORKER_MIGRATOR is not None, "worker used before initialization"
-    tracer = get_tracer()
-    recorder = get_lineage()
-    start = time.perf_counter()
-    try:
-        result = _WORKER_MIGRATOR.migrate(schematic)
-        return (
-            index, result, None, time.perf_counter() - start,
-            tracer.drain(), recorder.drain(),
-        )
-    except Exception as exc:  # a bad design must not kill the corpus
-        return (
-            index, None, f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - start, tracer.drain(), recorder.drain(),
-        )
+    result, error, seconds = _migrate_one(_WORKER_MIGRATOR, schematic)
+    return index, result, error, seconds, current_context().drain()
 
 
 class MigrationFarm:
@@ -126,34 +122,41 @@ class MigrationFarm:
         """Migrate every design, preferring cached results; never raises for
         a single bad design — inspect ``report.items`` for failures.
 
-        When tracing is enabled (:func:`cadinterop.obs.enable_tracing`) the
-        run emits one ``farm:run`` span with every per-design ``migrate``
-        span beneath it — including spans recorded inside thread and process
-        workers, which are merged back and re-parented here.
+        The run reports into a fork of the current observability context
+        whose metrics are always on, so ``report.metrics`` always holds the
+        stage table; ``report.loss`` is set when lineage is on.  Afterwards
+        the fork is adopted into the current context, so under tracing one
+        ``farm:run`` span holds every per-design ``migrate`` span, whichever
+        executor ran it.
         """
-        tracer = get_tracer()
-        with tracer.span(
-            "farm:run", jobs=self.jobs, executor=self.executor, designs=len(designs)
-        ) as run_span:
-            return self._run(designs, keep_results, tracer, run_span)
+        outer = current_context()
+        context = outer.fork()
+        if not context.metrics.enabled:
+            context.metrics = MetricsRegistry()
+        try:
+            with installed(context), context.tracer.span(
+                "farm:run", jobs=self.jobs, executor=self.executor,
+                designs=len(designs),
+            ) as run_span:
+                report = self._run(designs, keep_results, context, run_span)
+        finally:
+            payload = context.drain()
+            outer.adopt(payload, current_span_id())
+        report.metrics = payload["metrics"]
+        if context.lineage.enabled:
+            report.loss = LossReport.from_records(payload["lineage"])
+        return report
 
-    def _run(self, designs, keep_results, tracer, run_span) -> FarmReport:
+    def _run(self, designs, keep_results, context, run_span) -> FarmReport:
         started = time.perf_counter()
-        recorder = get_lineage()
-        # Records emitted before this run (same recorder, earlier work)
-        # must not leak into this run's loss report.
-        lineage_mark = len(recorder)
+        metrics = context.metrics
         dialect_pair = (
             f"{self.plan.source_dialect.name}->{self.plan.target_dialect.name}"
         )
-        registry = MetricsRegistry()
-        profiler = StageProfiler(registry=registry)
         # A reused cache keeps lifetime totals; the report counts this run.
         cache_before = self._cache_counters()
-        report = FarmReport(
-            jobs=self.jobs, executor=self.executor, total=len(designs), profile=profiler
-        )
-        report.trace_id = tracer.trace_id if tracer.enabled else None
+        report = FarmReport(jobs=self.jobs, executor=self.executor, total=len(designs))
+        report.trace_id = context.tracer.trace_id if context.tracer.enabled else None
         report.items = [
             FarmItem(design=d.name, digest="", status="failed") for d in designs
         ]
@@ -167,27 +170,26 @@ class MigrationFarm:
 
         pending: List[_Task] = []
         keys: dict = {}
-        with tracer.span("farm:scan", designs=len(designs)):
+        with context.tracer.span("farm:scan", designs=len(designs)):
             for index, design in enumerate(designs):
                 item = report.items[index]
-                t0 = time.perf_counter()
-                item.digest = schematic_digest(design)
-                profiler.record("farm:digest", time.perf_counter() - t0, 1)
+                with StageSpan("farm:digest", "farm:digest") as stage:
+                    item.digest = schematic_digest(design)
+                    stage.items = 1
                 if self.cache is not None:
                     keys[index] = cache_key(
                         item.digest, plan_d, self.cache.pipeline_version
                     )
-                    t0 = time.perf_counter()
-                    hit = self.cache.get(keys[index])
-                    elapsed = time.perf_counter() - t0
-                    profiler.record("farm:cache-lookup", elapsed, 1)
+                    with StageSpan("farm:cache-lookup", "farm:cache-lookup") as stage:
+                        hit = self.cache.get(keys[index])
+                        stage.items = 1
                     if hit is not None:
                         item.status = "cached"
                         item.clean = hit.clean
-                        item.seconds = elapsed
+                        item.seconds = stage.seconds
                         item.result = hit if keep_results else None
                         report.cached += 1
-                        recorder.record(
+                        context.lineage.record(
                             "design", design.name, "farm:cache", "preserved",
                             detail="served unchanged from result cache",
                             design=design.name, dialect=dialect_pair,
@@ -195,17 +197,13 @@ class MigrationFarm:
                         continue
                 pending.append((index, design))
 
-        for index, result, error, seconds, spans, lineage in self._execute(
-            pending, run_span
+        for index, result, error, seconds, payload in self._execute(
+            pending, context, run_span
         ):
-            if spans:
-                # Worker-side spans (process executor): re-root them under
-                # this run so the merged trace stays one tree.
-                tracer.adopt(spans, parent_id=run_span.span_id)
-            if lineage:
-                # Worker-side lineage records merge the same way; their
-                # span links stay valid because the spans were adopted too.
-                recorder.adopt(lineage)
+            if payload is not None:
+                # A process worker's spans, metrics and lineage: re-root its
+                # spans under this run so the merged trace stays one tree.
+                context.adopt(payload, run_span.span_id)
             item = report.items[index]
             item.seconds = seconds
             if result is None:
@@ -217,11 +215,10 @@ class MigrationFarm:
             item.clean = result.clean
             item.result = result if keep_results else None
             report.migrated += 1
-            profiler.record_samples(result.stages)
             if self.cache is not None:
-                t0 = time.perf_counter()
-                self.cache.put(keys[index], result)
-                profiler.record("farm:cache-store", time.perf_counter() - t0, 1)
+                with StageSpan("farm:cache-store", "farm:cache-store") as stage:
+                    self.cache.put(keys[index], result)
+                    stage.items = 1
 
         for outcome, count in (
             ("migrated", report.migrated),
@@ -229,7 +226,7 @@ class MigrationFarm:
             ("failed", report.failed),
         ):
             if count:
-                registry.counter(f"farm.designs.{outcome}").inc(count)
+                metrics.counter(f"farm.designs.{outcome}").inc(count)
         if self.cache is not None:
             report.cache_hits, report.cache_misses, report.cache_corrupt = (
                 after - before
@@ -241,16 +238,8 @@ class MigrationFarm:
                 ("farm.cache.corrupt", report.cache_corrupt),
             ):
                 if value:
-                    registry.counter(name).inc(value)
-        if recorder.enabled:
-            report.loss = LossReport.from_records(
-                recorder.records()[lineage_mark:]
-            )
+                    metrics.counter(name).inc(value)
         report.wall_seconds = time.perf_counter() - started
-        report.metrics = registry.snapshot()
-        # Roll this run up into the globally installed registry (no-op
-        # unless metrics were enabled, e.g. under `cadinterop trace`).
-        get_metrics().merge(report.metrics)
         return report
 
     def _cache_counters(self) -> Tuple[int, int, int]:
@@ -260,47 +249,34 @@ class MigrationFarm:
 
     # -- executors -------------------------------------------------------
 
-    def _execute(self, tasks: List[_Task], run_span) -> List[_Outcome]:
+    def _execute(self, tasks: List[_Task], context, run_span) -> List[_Outcome]:
         if not tasks:
             return []
         if self.executor == "process" and self.jobs > 1:
-            return self._execute_processes(tasks)
+            return self._execute_processes(tasks, context)
         if self.executor == "thread" and self.jobs > 1:
-            return self._execute_threads(tasks, run_span)
-        return self._execute_inline(tasks)
-
-    def _execute_inline(self, tasks: List[_Task]):
+            return self._execute_threads(tasks, context, run_span)
         migrator = Migrator(self.plan)
-        outcomes = []
-        for index, design in tasks:
-            t0 = time.perf_counter()
-            try:
-                result, error = migrator.migrate(design), None
-            except Exception as exc:
-                result, error = None, f"{type(exc).__name__}: {exc}"
-            outcomes.append((index, result, error, time.perf_counter() - t0, [], []))
-        return outcomes
+        return [
+            (index, *_migrate_one(migrator, design), None)
+            for index, design in tasks
+        ]
 
-    def _execute_processes(self, tasks: List[_Task]) -> List[_Outcome]:
+    def _execute_processes(self, tasks: List[_Task], context) -> List[_Outcome]:
         workers = min(self.jobs, len(tasks))
-        tracer = get_tracer()
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_process_worker_init,
-            initargs=(
-                self.plan,
-                tracer.trace_id if tracer.enabled else None,
-                get_lineage().enabled,
-            ),
+            initargs=(self.plan, context.fork()),
         ) as pool:
             chunksize = max(1, len(tasks) // (workers * 4))
             return list(
                 pool.map(_process_worker_migrate, tasks, chunksize=chunksize)
             )
 
-    def _execute_threads(self, tasks: List[_Task], run_span):
+    def _execute_threads(self, tasks: List[_Task], context, run_span):
         local = threading.local()
-        tracer = get_tracer()
+        tracer = context.tracer
 
         def migrate_one(task: _Task):
             index, design = task
@@ -309,15 +285,11 @@ class MigrationFarm:
             # Worker threads start with an empty span context; attach the
             # run span so each migrate span parents to it.
             token = tracer.attach(run_span.span_id) if tracer.enabled else None
-            t0 = time.perf_counter()
             try:
-                result, error = local.migrator.migrate(design), None
-            except Exception as exc:
-                result, error = None, f"{type(exc).__name__}: {exc}"
+                return (index, *_migrate_one(local.migrator, design), None)
             finally:
                 if token is not None:
                     tracer.detach(token)
-            return index, result, error, time.perf_counter() - t0, [], []
 
         with concurrent.futures.ThreadPoolExecutor(
             max_workers=min(self.jobs, len(tasks))

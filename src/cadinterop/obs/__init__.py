@@ -4,6 +4,11 @@ The paper's Section 6 methodology analyzes *a CAD system in operation* —
 task graphs and data/control-flow traces of real tool runs.  This package
 gives every pipeline in the reproduction one way to report what it did:
 
+* :mod:`~cadinterop.obs.context` — the one current :class:`ObsContext`
+  (tracer + metrics + lineage) every call site reports into; a fork of it
+  runs a farm or a process worker, and its drained payload merges back in
+  one call; :class:`StageSpan` times pipeline stages into spans and
+  ``stage.*`` metrics;
 * :mod:`~cadinterop.obs.trace` — hierarchical spans (context manager /
   decorator), contextvar nesting, thread-safe buffering, process-worker
   merge; off by default via a no-op singleton tracer;
@@ -21,12 +26,29 @@ gives every pipeline in the reproduction one way to report what it did:
   (``python -m cadinterop.obs.validate``).
 
 The instrumented pipelines are ``schematic.migrate`` (per-stage spans),
-``farm`` (scheduler spans merged across workers, cache/stage metrics),
+``farm`` (scheduler spans, metrics and lineage merged across workers),
 ``workflow.engine`` (run/step spans, step counters), and ``hdl``
 (elaboration/simulation/co-simulation spans, event counters).  Drive them
 from the shell via ``cadinterop trace <cmd> ...`` and ``cadinterop stats``.
 """
 
+from cadinterop.obs.context import (
+    ObsContext,
+    StageSpan,
+    current_context,
+    disable_lineage,
+    disable_metrics,
+    disable_tracing,
+    enable_lineage,
+    enable_metrics,
+    enable_tracing,
+    get_lineage,
+    get_metrics,
+    get_tracer,
+    install,
+    installed,
+    traced,
+)
 from cadinterop.obs.export import (
     READABLE_FORMATS,
     TRACE_FORMAT,
@@ -44,10 +66,6 @@ from cadinterop.obs.lineage import (
     LineageRecorder,
     LossReport,
     NullLineage,
-    disable_lineage,
-    enable_lineage,
-    get_lineage,
-    set_lineage,
 )
 from cadinterop.obs.logger import SpanContextFilter, get_logger
 from cadinterop.obs.metrics import (
@@ -58,11 +76,7 @@ from cadinterop.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
-    disable_metrics,
-    enable_metrics,
-    get_metrics,
     render_metrics,
-    set_metrics,
 )
 from cadinterop.obs.trace import (
     NULL_SPAN,
@@ -71,11 +85,6 @@ from cadinterop.obs.trace import (
     Span,
     Tracer,
     current_span_id,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    set_tracer,
-    traced,
 )
 
 def __getattr__(name):
@@ -104,12 +113,15 @@ __all__ = [
     "NullLineage",
     "NullMetrics",
     "NullTracer",
+    "ObsContext",
     "READABLE_FORMATS",
     "Span",
     "SpanContextFilter",
+    "StageSpan",
     "TRACE_FORMAT",
     "Tracer",
     "VERBS",
+    "current_context",
     "current_span_id",
     "disable_lineage",
     "disable_metrics",
@@ -121,13 +133,12 @@ __all__ = [
     "get_logger",
     "get_metrics",
     "get_tracer",
+    "install",
+    "installed",
     "read_trace",
-    "set_lineage",
     "render_metrics",
     "render_stats",
     "render_tree",
-    "set_metrics",
-    "set_tracer",
     "span_stats",
     "trace_records",
     "traced",

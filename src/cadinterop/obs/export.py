@@ -173,12 +173,36 @@ def render_tree(spans: List[Dict[str, Any]], max_spans: int = 500) -> str:
     return "\n".join(lines)
 
 
-def span_stats(spans: Iterable[Dict[str, Any]]) -> Dict[str, Tuple[int, float]]:
-    """Aggregate spans by name -> (calls, total seconds)."""
-    stats: Dict[str, Tuple[int, float]] = {}
+def span_stats(
+    spans: Iterable[Dict[str, Any]],
+) -> Dict[str, Tuple[int, float, float]]:
+    """Aggregate spans by name -> (calls, total seconds, self seconds).
+
+    A span's self time is its duration minus the union of the intervals
+    its direct children cover: children are clipped to the parent's
+    interval, and overlapping children (parallel workers) count once.
+    """
+    spans = list(spans)
+    children: Dict[str, List[Tuple[float, float]]] = {}
     for span in spans:
-        calls, seconds = stats.get(span["name"], (0, 0.0))
-        stats[span["name"]] = (calls + 1, seconds + span.get("seconds", 0.0))
+        if span.get("parent_id") is not None:
+            start = span.get("start", 0.0)
+            children.setdefault(span["parent_id"], []).append(
+                (start, start + span.get("seconds", 0.0))
+            )
+    stats: Dict[str, Tuple[int, float, float]] = {}
+    for span in spans:
+        seconds = span.get("seconds", 0.0)
+        reach = span.get("start", 0.0)
+        end = reach + seconds
+        covered = 0.0
+        for child_start, child_end in sorted(children.get(span["span_id"], ())):
+            child_start, child_end = max(child_start, reach), min(child_end, end)
+            if child_end > child_start:
+                covered += child_end - child_start
+                reach = child_end
+        calls, total, own = stats.get(span["name"], (0, 0.0, 0.0))
+        stats[span["name"]] = (calls + 1, total + seconds, own + seconds - covered)
     return stats
 
 
@@ -186,14 +210,21 @@ def render_stats(
     spans: List[Dict[str, Any]],
     metrics: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> str:
-    """Flat stats: per-span-name aggregates plus the metrics table."""
-    lines = [f"{'span':26} {'calls':>6} {'total ms':>10} {'mean ms':>9}  share"]
+    """Flat stats: per-span-name aggregates plus the metrics table.
+
+    Rows are ordered by self time, and "share" is the share of the summed
+    self time, so nested spans are not counted twice.
+    """
+    lines = [
+        f"{'span':26} {'calls':>6} {'total ms':>10} {'self ms':>10} "
+        f"{'mean ms':>9}  share"
+    ]
     stats = span_stats(spans)
-    grand_total = sum(seconds for _calls, seconds in stats.values()) or 1.0
-    for name, (calls, seconds) in sorted(stats.items(), key=lambda kv: -kv[1][1]):
+    grand_self = sum(own for _calls, _total, own in stats.values()) or 1.0
+    for name, (calls, total, own) in sorted(stats.items(), key=lambda kv: -kv[1][2]):
         lines.append(
-            f"{name:26} {calls:6d} {seconds * 1e3:10.2f} "
-            f"{seconds * 1e3 / calls:9.3f}  {seconds / grand_total:5.1%}"
+            f"{name:26} {calls:6d} {total * 1e3:10.2f} {own * 1e3:10.2f} "
+            f"{total * 1e3 / calls:9.3f}  {own / grand_self:5.1%}"
         )
     if metrics:
         lines.append("")

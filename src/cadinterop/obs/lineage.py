@@ -25,7 +25,8 @@ the tracer uses, so a JSONL trace file (format 2) carries both trees and
 approximated, or dropped, by which stage, and why*.  Like the tracer, the
 recorder is **off by default** (:data:`NULL_LINEAGE`), buffers thread-safely,
 and merges across process workers via :meth:`LineageRecorder.drain` /
-:meth:`LineageRecorder.adopt`.
+:meth:`LineageRecorder.adopt`.  Each record also bumps the
+``lineage.<verb>`` counter of the current context's metrics.
 
 Ambient attribution — which design and which dialect pair a record belongs
 to — travels through :meth:`LineageRecorder.context`, so deep helpers
@@ -40,7 +41,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from cadinterop.obs.metrics import get_metrics
+# ``context`` imports this module for its null recorder, so the reference
+# goes the other way by module and resolves at call time.
+from cadinterop.obs import context as _context
 from cadinterop.obs.trace import current_span_id
 
 #: The closed provenance verb set; the validator rejects anything else.
@@ -94,7 +97,7 @@ class LineageRecorder:
         }
         with self._lock:
             self._records.append(record)
-        get_metrics().counter(f"lineage.{verb}").inc()
+        _context.get_metrics().counter(f"lineage.{verb}").inc()
         return record
 
     @contextmanager
@@ -177,29 +180,6 @@ class NullLineage:
 
 
 NULL_LINEAGE = NullLineage()
-
-_LINEAGE = NULL_LINEAGE
-
-
-def get_lineage():
-    """The installed recorder — :data:`NULL_LINEAGE` unless enabled."""
-    return _LINEAGE
-
-
-def set_lineage(recorder):
-    global _LINEAGE
-    _LINEAGE = recorder
-    return recorder
-
-
-def enable_lineage() -> LineageRecorder:
-    """Install (and return) a fresh real lineage recorder."""
-    return set_lineage(LineageRecorder())
-
-
-def disable_lineage() -> None:
-    """Restore the no-op recorder."""
-    set_lineage(NULL_LINEAGE)
 
 
 # ---------------------------------------------------------------------------

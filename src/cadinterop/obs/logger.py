@@ -15,7 +15,8 @@ from __future__ import annotations
 import logging
 import os
 
-from cadinterop.obs.trace import current_span_id, get_tracer
+from cadinterop.obs.context import get_tracer
+from cadinterop.obs.trace import current_span_id
 
 #: Root of every logger this factory hands out.
 ROOT_LOGGER = "cadinterop"

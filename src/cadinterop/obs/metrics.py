@@ -13,11 +13,12 @@ Design rules:
 * **Mergeable snapshots.**  ``registry.snapshot()`` is plain dicts of
   primitives (JSON- and pickle-safe); ``registry.merge(snapshot)`` folds
   one registry's traffic into another, which is how per-run and
-  per-worker registries roll up.
-* **Zero-cost when off.**  The module-level registry defaults to
+  per-worker registries roll up (``registry.drain()`` snapshots and
+  empties, for workers that ship their traffic once per task).
+* **Zero-cost when off.**  The current context's registry defaults to
   :data:`NULL_METRICS`, whose instruments are one shared no-op object.
   Components that must always count (e.g. the farm's result cache) own a
-  private real :class:`MetricsRegistry` instead of the global one.
+  private real :class:`MetricsRegistry` instead of the current one.
 """
 
 from __future__ import annotations
@@ -174,11 +175,14 @@ class MetricsRegistry:
             instrument._lock = self._lock
 
     def _get(self, name: str, factory) -> Any:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = factory()
-                self._instruments[name] = instrument
+        # A dict read is atomic, so only creation takes the lock.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = factory()
+                    self._instruments[name] = instrument
         return instrument
 
     def counter(self, name: str) -> Counter:
@@ -210,6 +214,15 @@ class MetricsRegistry:
         return {
             name: instrument.snapshot()
             for name, instrument in sorted(self.instruments().items())
+        }
+
+    def drain(self) -> Dict[str, Dict[str, Any]]:
+        """Snapshot every instrument and start over empty."""
+        with self._lock:
+            instruments, self._instruments = self._instruments, {}
+        return {
+            name: instrument.snapshot()
+            for name, instrument in sorted(instruments.items())
         }
 
     def merge(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
@@ -291,6 +304,9 @@ class NullMetrics:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {}
 
+    def drain(self) -> Dict[str, Dict[str, Any]]:
+        return {}
+
     def merge(self, snapshot) -> None:
         pass
 
@@ -299,26 +315,3 @@ class NullMetrics:
 
 
 NULL_METRICS = NullMetrics()
-
-_METRICS = NULL_METRICS
-
-
-def get_metrics():
-    """The installed registry — :data:`NULL_METRICS` unless enabled."""
-    return _METRICS
-
-
-def set_metrics(registry):
-    global _METRICS
-    _METRICS = registry
-    return registry
-
-
-def enable_metrics() -> MetricsRegistry:
-    """Install (and return) a fresh real metrics registry."""
-    return set_metrics(MetricsRegistry())
-
-
-def disable_metrics() -> None:
-    """Restore the no-op registry."""
-    set_metrics(NULL_METRICS)

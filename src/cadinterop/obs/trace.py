@@ -14,22 +14,21 @@ what the pipelines actually did, as a tree of timed **spans**:
   buffer, so thread workers share one tracer); process workers run their
   own tracer and ship span dicts back for :meth:`Tracer.adopt`.
 
-Tracing is **off by default** and zero-cost when off: the module-level
-tracer is the :data:`NULL_TRACER` singleton whose ``span()`` hands back
-one shared no-op span — call sites pay a dict build and two method calls,
-nothing else.  :func:`enable_tracing` swaps in a real :class:`Tracer`.
+Tracing is **off by default** and zero-cost when off: the tracer of the
+current :class:`~cadinterop.obs.context.ObsContext` is the
+:data:`NULL_TRACER` singleton whose ``span()`` hands back one shared no-op
+span — call sites pay a dict build and two method calls, nothing else.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
 import time
 import uuid
 from contextvars import ContextVar
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 #: The span id the *next* span in this execution context will parent to.
 _CURRENT_ID: ContextVar[Optional[str]] = ContextVar("cadinterop_obs_span", default=None)
@@ -262,42 +261,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-_TRACER = NULL_TRACER
-
-
-def get_tracer():
-    """The installed tracer — :data:`NULL_TRACER` unless tracing is on."""
-    return _TRACER
-
-
-def set_tracer(tracer):
-    global _TRACER
-    _TRACER = tracer
-    return tracer
-
-
-def enable_tracing(trace_id: Optional[str] = None) -> Tracer:
-    """Install (and return) a fresh real tracer."""
-    return set_tracer(Tracer(trace_id))
-
-
-def disable_tracing() -> None:
-    """Restore the no-op tracer."""
-    set_tracer(NULL_TRACER)
-
-
-def traced(name: Optional[str] = None, **attrs: Any) -> Callable:
-    """Decorator: run the function under a span (named after it by default)."""
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any):
-            with get_tracer().span(label, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -28,14 +28,11 @@ performed them:
 from __future__ import annotations
 
 import hashlib
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
-from cadinterop.obs.lineage import get_lineage
-from cadinterop.obs.trace import get_tracer
+from cadinterop.obs.context import StageSpan, get_lineage, get_tracer
 from cadinterop.schematic.busnotation import declared_buses_of, translate_net_name
 from cadinterop.schematic.connectors import (
     ConnectorReport,
@@ -66,9 +63,10 @@ from cadinterop.schematic.verify import VerificationResult, verify_migration
 #: that should invalidate previously cached migration results.
 PIPELINE_VERSION = "1"
 
-#: The eight Section 2 stages, in execution order; stage profiles use these
-#: names, and :attr:`MigrationResult.stages` lists them (verification only
-#: when the plan asks for it).
+#: The eight Section 2 stages, in execution order.  Each runs under a
+#: ``migrate:<stage>`` span and feeds the ``stage.seconds[<stage>]`` and
+#: ``stage.items[<stage>]`` metrics (verification only when the plan asks
+#: for it).
 PIPELINE_STAGES = (
     "scaling",
     "replacement",
@@ -79,36 +77,6 @@ PIPELINE_STAGES = (
     "text",
     "verification",
 )
-
-
-@dataclass
-class StageSample:
-    """One timed execution of one pipeline stage on one design."""
-
-    stage: str
-    seconds: float = 0.0
-    items: int = 0
-
-
-#: Observer signature for per-stage hooks: called with the finished sample.
-StageObserver = Callable[[StageSample], None]
-
-
-@contextmanager
-def _timed_stage(
-    samples: List[StageSample], observer: Optional[StageObserver], stage: str
-) -> Iterator[StageSample]:
-    sample = StageSample(stage)
-    with get_tracer().span("migrate:" + stage) as span:
-        start = time.perf_counter()
-        try:
-            yield sample
-        finally:
-            sample.seconds = time.perf_counter() - start
-            span.set(items=sample.items)
-            samples.append(sample)
-            if observer is not None:
-                observer(sample)
 
 
 @dataclass
@@ -158,8 +126,6 @@ class MigrationResult:
     text: TextAdjustReport
     bus_renames: Dict[str, str]
     verification: Optional[VerificationResult] = None
-    #: Wall time and item counts per executed pipeline stage, in order.
-    stages: List[StageSample] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -205,19 +171,10 @@ def copy_schematic(schematic: Schematic) -> Schematic:
 
 
 class Migrator:
-    """Executes a :class:`MigrationPlan` on schematic cells.
+    """Executes a :class:`MigrationPlan` on schematic cells."""
 
-    ``stage_observer`` is called with a :class:`StageSample` as each pipeline
-    stage finishes (the farm's profiler hooks in here).
-    """
-
-    def __init__(
-        self,
-        plan: MigrationPlan,
-        stage_observer: Optional[StageObserver] = None,
-    ) -> None:
+    def __init__(self, plan: MigrationPlan) -> None:
         self.plan = plan
-        self.stage_observer = stage_observer
         self._scaled_symbols: Dict[Tuple[str, str, str], Symbol] = {}
 
     def migrate(self, source: Schematic) -> MigrationResult:
@@ -236,12 +193,11 @@ class Migrator:
         log.merge(preflight)
 
         working = copy_schematic(source)
-        samples: List[StageSample] = []
 
         # Fold global rules into the symbol map (idempotent).
         plan.global_map.extend_symbol_map(plan.symbol_map)
 
-        with _timed_stage(samples, self.stage_observer, "scaling") as sample:
+        with StageSpan("scaling", "migrate:scaling") as stage:
             # Step 1: scaling.
             scaling = rescale_schematic(working, plan.source_dialect, plan.target_dialect, log)
             factor = scaling.factor
@@ -264,9 +220,9 @@ class Migrator:
                             detail=f"{instance.symbol.full_name} scaled in place "
                             "(no replacement mapping)",
                         )
-            sample.items = scaling.points_scaled
+            stage.items = scaling.points_scaled
 
-        with _timed_stage(samples, self.stage_observer, "replacement") as sample:
+        with StageSpan("replacement", "migrate:replacement") as stage:
             # Step 2: component replacement with minimal rip-up.
             replacements = BatchReplacementReport()
             for page in working.pages:
@@ -287,9 +243,9 @@ class Migrator:
                         "instance", instance_name, "replacement", "transformed",
                         detail=f"{mapping.source} -> {mapping.target}",
                     )
-            sample.items = replacements.replacements
+            stage.items = replacements.replacements
 
-        with _timed_stage(samples, self.stage_observer, "properties") as sample:
+        with StageSpan("properties", "migrate:properties") as stage:
             # Step 3: property mapping (declarative rules + a/L callbacks).
             # Design-level callbacks run first: they can see every page.
             plan.property_rules.apply_to_design(
@@ -303,13 +259,13 @@ class Migrator:
                         log,
                         context={"page": page.number, "cell": working.name},
                     )
-                    sample.items += 1
+                    stage.items += 1
 
-        with _timed_stage(samples, self.stage_observer, "globals") as sample:
+        with StageSpan("globals", "migrate:globals") as stage:
             # Step 4: global net renaming to native conventions.
-            sample.items = rename_global_nets(working, plan.global_map, log)
+            stage.items = rename_global_nets(working, plan.global_map, log)
 
-        with _timed_stage(samples, self.stage_observer, "bus-syntax") as sample:
+        with StageSpan("bus-syntax", "migrate:bus-syntax") as stage:
             # Step 5: bus syntax translation on all wire labels.
             bus_renames: Dict[str, str] = {}
             all_labels = [
@@ -319,7 +275,7 @@ class Migrator:
             for _page, wire in working.all_wires():
                 if not wire.label:
                     continue
-                sample.items += 1
+                stage.items += 1
                 translated, _rules = translate_net_name(
                     wire.label,
                     plan.source_dialect.bus_syntax,
@@ -341,7 +297,7 @@ class Migrator:
             # Port names obey the same grammar and must stay in sync with the
             # labels of the nets they bind to.
             for port in working.ports:
-                sample.items += 1
+                stage.items += 1
                 translated, _rules = translate_net_name(
                     port.name,
                     plan.source_dialect.bus_syntax,
@@ -361,7 +317,7 @@ class Migrator:
                         "port", port.name, "bus-syntax", "preserved"
                     )
 
-        with _timed_stage(samples, self.stage_observer, "connectors") as sample:
+        with StageSpan("connectors", "migrate:connectors") as stage:
             # Step 6: connector synthesis where the target dialect demands it.
             connector_report = ConnectorReport()
             if (
@@ -375,7 +331,7 @@ class Migrator:
                 insert_hierarchy_connectors(
                     working, plan.target_dialect, plan.target_libraries, log, connector_report
                 )
-            sample.items = connector_report.offpage_added + connector_report.hierarchy_added
+            stage.items = connector_report.offpage_added + connector_report.hierarchy_added
             # Connectors exist only because the target dialect demands
             # explicit cross-page / hierarchy markers: pure synthesis.
             for index in range(connector_report.offpage_added):
@@ -389,22 +345,22 @@ class Migrator:
                     "synthesized", detail="hierarchy connector for port",
                 )
 
-        with _timed_stage(samples, self.stage_observer, "text") as sample:
+        with StageSpan("text", "migrate:text") as stage:
             # Step 7: cosmetic text adjustment.
             text_report = adjust_labels(working, plan.source_dialect, plan.target_dialect, log)
-            sample.items = text_report.labels_adjusted
+            stage.items = text_report.labels_adjusted
 
         working.dialect = plan.target_dialect.name
 
         # Step 8: independent verification.
         verification: Optional[VerificationResult] = None
         if plan.verify:
-            with _timed_stage(samples, self.stage_observer, "verification") as sample:
+            with StageSpan("verification", "migrate:verification") as stage:
                 verification = verify_migration(
                     source, working, plan.symbol_map, plan.global_map
                 )
                 log.merge(verification.log)
-                sample.items = verification.source_nets
+                stage.items = verification.source_nets
 
         return MigrationResult(
             schematic=working,
@@ -415,7 +371,6 @@ class Migrator:
             text=text_report,
             bus_renames=bus_renames,
             verification=verification,
-            stages=samples,
         )
 
     def _scaled_symbol(self, symbol: Symbol, factor) -> Symbol:

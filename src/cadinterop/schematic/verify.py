@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
+from cadinterop.obs import get_tracer
 from cadinterop.schematic.dialects import get_dialect
 from cadinterop.schematic.globals_ import GlobalMap
 from cadinterop.schematic.model import Schematic
@@ -80,12 +81,23 @@ def verify_migration(
     exactly.  Returns a result whose ``log`` lists every divergence.
     """
     result = VerificationResult(equivalent=True)
-
-    source_netlist = extract(source, get_dialect(source.dialect))
-    target_netlist = extract(target, get_dialect(target.dialect))
+    tracer = get_tracer()
+    with tracer.span("verify:extract-source"):
+        source_netlist = extract(source, get_dialect(source.dialect))
+    with tracer.span("verify:extract-target"):
+        target_netlist = extract(target, get_dialect(target.dialect))
     result.log.merge(source_netlist.log)
     result.log.merge(target_netlist.log)
+    with tracer.span("verify:compare"):
+        _compare(result, source, source_netlist, target, target_netlist, symbol_map)
+    return result
 
+
+def _compare(
+    result: VerificationResult, source: Schematic, source_netlist: Netlist,
+    target: Schematic, target_netlist: Netlist, symbol_map: Optional[SymbolMap],
+) -> None:
+    """Fill ``result`` from the two netlists' connectivity partitions."""
     # Build pin-name normalization: instance name -> pin map, from the
     # source instances' symbols and the declared replacement rules.
     pin_maps: Dict[str, Dict[str, str]] = {}
@@ -193,7 +205,6 @@ def verify_migration(
             Severity.INFO, Category.VERIFICATION, source.name,
             f"connectivity verified: {result.matched_nets} nets equivalent",
         )
-    return result
 
 
 def audit_properties(

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from cadinterop.obs.metrics import MetricsRegistry, get_metrics
+from cadinterop.obs.context import get_metrics
+from cadinterop.obs.metrics import MetricsRegistry
 from cadinterop.workflow.model import FlowInstance, StepState
 
 

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from cadinterop.common.geometry import Point
-from cadinterop.farm import MigrationFarm, ResultCache, cache_key
+from cadinterop.farm import CACHE_FORMAT, MigrationFarm, ResultCache, cache_key
 from cadinterop.schematic import io_cd
 from cadinterop.schematic.migrate import PIPELINE_VERSION
 from cadinterop.schematic.model import TextLabel, Wire
@@ -161,6 +161,18 @@ class TestCorruption:
         entry.write_bytes(pickle.dumps({"format": 1, "key": "bogus", "result": 42}))
         report = run_once(plan, [sample], ResultCache(tmp_path))
         assert report.migrated == 1 and report.cached == 0
+
+    def test_format_1_entry_is_corrupt_and_deleted(self, tmp_path, plan, sample):
+        # Format 1 results carried per-stage timings; format 2 dropped them.
+        run_once(plan, [sample], ResultCache(tmp_path))
+        (entry,) = self.entries(tmp_path)
+        payload = pickle.loads(entry.read_bytes())
+        assert payload["format"] == CACHE_FORMAT == 2
+        entry.write_bytes(pickle.dumps(dict(payload, format=1)))
+        cache = ResultCache(tmp_path)
+        assert cache.get(payload["key"]) is None
+        assert (cache.corrupt, cache.misses, cache.hits) == (1, 1, 0)
+        assert not entry.exists()
 
     def test_corrupt_entry_never_raises(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -54,14 +54,18 @@ class TestFarmRun:
     def test_stage_profile_is_populated(self, vl_libs, plan, tmp_path):
         corpus = build_corpus(vl_libs)
         report = MigrationFarm(plan, cache=ResultCache(tmp_path)).run(corpus)
-        # Acceptance: stage timings and hit/miss counters are non-empty.
-        assert report.profile.stages
+        # Acceptance: stage timings and hit/miss counters are non-empty,
+        # with obs off (the run's own context always counts).
         for stage in PIPELINE_STAGES:
-            stats = report.profile.stages[stage]
-            assert stats.calls == len(corpus)
-            assert stats.seconds > 0
+            seconds = report.metrics[f"stage.seconds[{stage}]"]
+            assert seconds["count"] == len(corpus)
+            assert seconds["sum"] > 0
         for bookkeeping in ("farm:digest", "farm:cache-lookup", "farm:cache-store"):
-            assert report.profile.stages[bookkeeping].calls == len(corpus)
+            assert report.metrics[f"stage.seconds[{bookkeeping}]"]["count"] == len(corpus)
+            assert report.metrics[f"stage.items[{bookkeeping}]"]["value"] == len(corpus)
+        table = report.stage_table()
+        assert all(stage in table for stage in PIPELINE_STAGES)
+        assert table in report.render()
         assert report.cache_misses == len(corpus)
 
     def test_executors_agree(self, vl_libs, plan):

@@ -29,7 +29,14 @@ from cadinterop.hdl.cosim import BridgeSignal, CoSimulation
 from cadinterop.hdl.logic import naive_to4, to4, to9
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.simulator import FIFO, LIFO, Simulator
-from cadinterop.obs import enable_lineage, get_lineage, get_metrics, get_tracer, set_lineage
+from cadinterop.obs import (
+    LineageRecorder,
+    ObsContext,
+    get_lineage,
+    get_metrics,
+    get_tracer,
+    installed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +239,15 @@ def observed(cosim, error):
 
 def session(cls, left, right, bridge, until=UNTIL, **options):
     """Run one session with lineage on: (observed state, exchange records)."""
-    previous = get_lineage()
-    recorder = enable_lineage()
-    try:
+    recorder = LineageRecorder()
+    with installed(ObsContext(lineage=recorder)):
         cosim = bound_kernels(cls(left, right, bridge, **options))
         error = run_steps(cosim, [until])
-        records = [
-            {key: value for key, value in record.items() if key != "span_id"}
-            for record in recorder.records()
-            if record["stage"] == "cosim:exchange"
-        ]
-    finally:
-        set_lineage(previous)
+    records = [
+        {key: value for key, value in record.items() if key != "span_id"}
+        for record in recorder.records()
+        if record["stage"] == "cosim:exchange"
+    ]
     return observed(cosim, error), records
 
 

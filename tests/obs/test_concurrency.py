@@ -1,4 +1,4 @@
-"""Worker-span merging: one coherent trace across farm executors.
+"""Worker merging: one coherent trace, and one answer, across farm executors.
 
 The acceptance bar for the observability layer: a traced
 ``MigrationFarm.run`` over the thread or process executor yields ONE
@@ -6,14 +6,27 @@ trace — every per-design ``migrate`` span parented under the single
 ``farm:run`` root, every stage span parented under its design's
 ``migrate`` span, and start times consistent with that nesting — even
 though the spans were recorded in other threads or other processes.
+Beyond the span tree, the inline, thread and process executors must
+record the same spans, metrics, lineage and loss report, apart from
+timings and ids.
 """
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from cadinterop.farm import MigrationFarm
-from cadinterop.obs import Tracer, disable_tracing, enable_tracing, get_tracer
+from cadinterop.obs import (
+    MetricsRegistry,
+    ObsContext,
+    Tracer,
+    disable_tracing,
+    enable_tracing,
+    get_tracer,
+    installed,
+)
 from cadinterop.schematic.samples import (
     build_sample_plan,
     build_vl_libraries,
@@ -112,6 +125,93 @@ class TestExecutorMerge:
         assert names["inline"] == names["thread"] == names["process"]
 
 
+def observed_farm_run(plan, corpus, executor):
+    """Run the farm at jobs=2 under a context with every facility on."""
+    context = ObsContext.enabled()
+    with installed(context):
+        report = MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
+    return report, context
+
+
+def without_timings(snapshot):
+    """Counter values and histogram counts: the metrics minus timings."""
+    return {
+        name: data["count"] if data["type"] == "histogram" else data["value"]
+        for name, data in snapshot.items()
+    }
+
+
+class TestExecutorParity:
+    """The executor changes nothing but timings and ids."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, vl_libs):
+        corpus = []
+        for index in range(5):
+            cell = generate_chain_schematic(
+                vl_libs, pages=1 + index % 2, chains_per_page=2, stages=3,
+                seed=index, offgrid_labels=index % 3,
+            )
+            cell.name = f"parity{index}"
+            corpus.append(cell)
+        corpus[3].pages[0].wires[0].label = "N<1:0"  # fails mid-pipeline
+        plan = build_sample_plan(source_libraries=vl_libs)
+        return {
+            executor: observed_farm_run(plan, corpus, executor)
+            for executor in ("inline", "thread", "process")
+        }
+
+    def each(self, runs, view):
+        return {executor: view(*run) for executor, run in runs.items()}
+
+    def assert_same(self, runs, view):
+        views = self.each(runs, view)
+        assert views["thread"] == views["inline"]
+        assert views["process"] == views["inline"]
+        return views["inline"]
+
+    def test_the_corpus_is_lossy_and_has_a_failure(self, runs):
+        report, _context = runs["inline"]
+        assert (report.migrated, report.failed) == (4, 1)
+        assert report.loss.by_verb["approximated"] > 0
+
+    def test_span_names(self, runs):
+        names = self.assert_same(
+            runs,
+            lambda _report, context: Counter(
+                span["name"] for span in context.tracer.spans()
+            ),
+        )
+        assert names["migrate"] == 5 and names["farm:run"] == 1
+        assert names["verify:compare"] == 4
+
+    def test_metrics(self, runs):
+        metrics = self.assert_same(
+            runs, lambda _report, context: without_timings(context.metrics.snapshot())
+        )
+        assert metrics["stage.seconds[verification]"] == 4
+        assert metrics["lineage.approximated"] > 0
+
+    def test_lineage_records(self, runs):
+        self.assert_same(
+            runs,
+            lambda _report, context: sorted(
+                sorted((key, value) for key, value in record.items() if key != "span_id")
+                for record in context.lineage.records()
+            ),
+        )
+
+    def test_loss_report(self, runs):
+        self.assert_same(runs, lambda report, _context: report.loss.as_dict())
+
+    def test_report_metrics(self, runs):
+        metrics = self.assert_same(
+            runs, lambda report, _context: without_timings(report.metrics)
+        )
+        assert metrics["farm.designs.failed"] == 1
+        assert metrics["stage.seconds[farm:digest]"] == 5
+
+
 class TestTracerThreadSafety:
     def test_concurrent_spans_do_not_corrupt_the_buffer(self):
         tracer = Tracer()
@@ -152,3 +252,31 @@ class TestTracerThreadSafety:
             thread.join()
         # A fresh thread starts with an empty context: no inherited parent.
         assert seen["other"] is None
+
+
+class TestMetricsThreadSafety:
+    def test_get_or_create_and_updates_lose_nothing(self):
+        # Instruments are looked up without the lock and created under it;
+        # thread workers share the run's registry, so none may be lost.
+        registry = MetricsRegistry()
+        threads_n, rounds = 8, 500
+
+        def worker(index):
+            for step in range(rounds):
+                registry.counter(f"c{step % 4}").inc()
+                registry.histogram(f"h{(index + step) % 3}").observe(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        snapshot = registry.snapshot()
+        assert sum(snapshot[f"c{i}"]["value"] for i in range(4)) == threads_n * rounds
+        assert sum(snapshot[f"h{i}"]["count"] for i in range(3)) == threads_n * rounds

@@ -34,6 +34,11 @@ def sample_trace():
     return tracer, registry
 
 
+def hand_span(name, span_id, parent_id, start, seconds):
+    return {"name": name, "span_id": span_id, "parent_id": parent_id,
+            "start": start, "seconds": seconds, "status": "ok", "attrs": {}}
+
+
 class TestRoundtrip:
     def test_write_then_read(self, tmp_path):
         tracer, registry = sample_trace()
@@ -195,6 +200,37 @@ class TestRenderers:
         assert set(stats) == {"root", "child-a", "child-b"}
         text = render_stats(tracer.spans(), registry.snapshot())
         assert "root" in text and "hits" in text and "n=1" in text
+
+    def test_self_time_excludes_children_and_shares_sum_to_one(self):
+        # root 0-10 s holds a (1-4 s, with g at 2-3 s) and b (5-8 s).
+        spans = [
+            hand_span("root", "r", None, 0.0, 10.0),
+            hand_span("a", "a", "r", 1.0, 3.0),
+            hand_span("g", "g", "a", 2.0, 1.0),
+            hand_span("b", "b", "r", 5.0, 3.0),
+        ]
+        stats = span_stats(spans)
+        assert stats["root"] == (1, 10.0, 4.0)
+        assert stats["a"] == (1, 3.0, 2.0)
+        assert stats["g"] == (1, 1.0, 1.0)
+        assert stats["b"] == (1, 3.0, 3.0)
+        rows = render_stats(spans).splitlines()[1:]
+        shares = {row.split()[0]: float(row.split()[-1].rstrip("%")) for row in rows}
+        assert shares == {"root": 40.0, "b": 30.0, "a": 20.0, "g": 10.0}
+        assert sum(shares.values()) == 100.0
+
+    def test_self_time_counts_overlapping_children_once(self):
+        # Parallel workers overlap; a child running past its parent's end
+        # (clock skew) is clipped to the parent's interval.
+        spans = [
+            hand_span("run", "r", None, 0.0, 10.0),
+            hand_span("worker", "w1", "r", 1.0, 3.0),
+            hand_span("worker", "w2", "r", 3.0, 3.0),
+            hand_span("late", "l", "r", 9.0, 3.0),
+        ]
+        calls, total, own = span_stats(spans)["run"]
+        assert (calls, total) == (1, 10.0)
+        assert own == 10.0 - 5.0 - 1.0
 
 
 class TestValidate:

@@ -8,12 +8,13 @@ from cadinterop.obs import (
     VERBS,
     LineageRecorder,
     LossReport,
+    ObsContext,
     Tracer,
     disable_lineage,
     enable_lineage,
     enable_metrics,
     get_lineage,
-    set_tracer,
+    installed,
 )
 
 
@@ -43,14 +44,12 @@ class TestRecorder:
         assert set(LOSS_VERBS) <= set(VERBS)
 
     def test_links_to_active_span(self):
-        tracer = set_tracer(Tracer())
+        tracer = Tracer()
         recorder = LineageRecorder()
-        try:
+        with installed(ObsContext(tracer, lineage=recorder)):
             with tracer.span("migrate") as span:
                 record = recorder.record("net", "n", "scaling", "preserved")
-            assert record["span_id"] == span.span_id
-        finally:
-            set_tracer(None)
+        assert record["span_id"] == span.span_id
         outside = recorder.record("net", "m", "scaling", "preserved")
         assert outside["span_id"] is None
 
@@ -74,15 +73,15 @@ class TestRecorder:
         assert record["dialect"] == "x->y"
 
     def test_drain_and_adopt_merge_like_spans(self):
-        worker = LineageRecorder()
-        worker.record("net", "a", "s", "preserved")
-        worker.record("net", "b", "s", "dropped")
+        parent = ObsContext(lineage=LineageRecorder())
+        worker = parent.fork()
+        worker.lineage.record("net", "a", "s", "preserved")
+        worker.lineage.record("net", "b", "s", "dropped")
         shipped = worker.drain()
-        assert len(worker) == 0
-        parent = LineageRecorder()
-        parent.record("net", "c", "s", "preserved")
+        assert len(worker.lineage) == 0
+        parent.lineage.record("net", "c", "s", "preserved")
         parent.adopt(shipped)
-        assert [r["object_id"] for r in parent.records()] == ["c", "a", "b"]
+        assert [r["object_id"] for r in parent.lineage.records()] == ["c", "a", "b"]
 
     def test_records_feed_metrics_counters(self):
         registry = enable_metrics()

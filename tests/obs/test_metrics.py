@@ -8,9 +8,13 @@ from cadinterop.obs import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
     MetricsRegistry,
+    ObsContext,
+    StageSpan,
+    Tracer,
     disable_metrics,
     enable_metrics,
     get_metrics,
+    installed,
     render_metrics,
 )
 
@@ -130,6 +134,14 @@ class TestSnapshotAndMerge:
         with pytest.raises(ValueError, match="unknown instrument"):
             MetricsRegistry().merge({"x": {"type": "meter", "value": 1}})
 
+    def test_drain_snapshots_then_empties(self):
+        registry = self.build()
+        snapshot = registry.snapshot()
+        assert registry.drain() == snapshot
+        assert registry.snapshot() == {} and NULL_METRICS.drain() == {}
+        registry.counter("c").inc()  # instruments start over after a drain
+        assert registry.snapshot()["c"]["value"] == 1
+
     def test_registry_survives_pickling(self):
         clone = pickle.loads(pickle.dumps(self.build()))
         clone.counter("c").inc()  # lock was recreated; instruments work
@@ -166,3 +178,32 @@ class TestGlobalSingleton:
     def test_default_buckets_are_sorted_and_subsecond_heavy(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
         assert DEFAULT_BUCKETS[0] <= 0.001 and DEFAULT_BUCKETS[-1] >= 10.0
+
+
+class TestStageSpan:
+    def test_records_a_span_and_stage_metrics(self):
+        context = ObsContext(Tracer(), MetricsRegistry())
+        with installed(context):
+            with StageSpan("scaling", "migrate:scaling") as stage:
+                stage.items = 7
+        (span,) = context.tracer.spans()
+        assert span["name"] == "migrate:scaling" and span["attrs"] == {"items": 7}
+        snapshot = context.metrics.snapshot()
+        assert snapshot["stage.seconds[scaling]"]["count"] == 1
+        assert snapshot["stage.seconds[scaling]"]["sum"] == stage.seconds
+        assert snapshot["stage.items[scaling]"]["value"] == 7
+
+    def test_a_failing_stage_is_still_timed(self):
+        context = ObsContext(Tracer(), MetricsRegistry())
+        with installed(context), pytest.raises(ValueError):
+            with StageSpan("text", "migrate:text"):
+                raise ValueError("bad label")
+        assert context.tracer.spans()[0]["status"] == "error"
+        snapshot = context.metrics.snapshot()
+        assert snapshot["stage.seconds[text]"]["count"] == 1
+        assert "stage.items[text]" not in snapshot  # no items, no counter
+
+    def test_costs_only_no_op_calls_with_obs_off(self):
+        with StageSpan("globals", "migrate:globals") as stage:
+            stage.items = 3
+        assert get_metrics() is NULL_METRICS and get_metrics().snapshot() == {}

@@ -7,12 +7,13 @@ import pytest
 from cadinterop.obs import (
     NULL_SPAN,
     NULL_TRACER,
+    ObsContext,
     Tracer,
     current_span_id,
     disable_tracing,
     enable_tracing,
     get_tracer,
-    set_tracer,
+    installed,
     traced,
 )
 
@@ -91,8 +92,7 @@ class TestSpanData:
 
     def test_decorator_uses_function_name_by_default(self):
         tracer = Tracer()
-        set_tracer(tracer)
-        try:
+        with installed(ObsContext(tracer)):
             @traced()
             def compute():
                 return 7
@@ -102,41 +102,52 @@ class TestSpanData:
                 return 8
 
             assert compute() == 7 and other() == 8
-        finally:
-            disable_tracing()
+        assert get_tracer() is NULL_TRACER
         names = {s["name"] for s in tracer.spans()}
         # Default label is the function's __qualname__.
         assert any(name.endswith(".compute") for name in names)
         assert "custom:name" in names
 
     def test_drain_empties_the_buffer(self):
-        tracer = Tracer()
-        with tracer.span("one"):
+        context = ObsContext(Tracer())
+        with context.tracer.span("one"):
             pass
-        drained = tracer.drain()
-        assert [s["name"] for s in drained] == ["one"]
-        assert len(tracer) == 0
+        drained = context.drain()
+        assert [s["name"] for s in drained["spans"]] == ["one"]
+        assert len(context.tracer) == 0
+        assert context.drain()["spans"] == []
 
     def test_adopt_reroots_orphans_only(self):
-        parent = Tracer()
-        with parent.span("root") as root:
+        parent = ObsContext(Tracer())
+        with parent.tracer.span("root") as root:
             pass
-        child = Tracer(trace_id=parent.trace_id)
-        with child.span("worker-root"):
-            with child.span("worker-leaf"):
+        child = parent.fork()  # what a process worker reports into
+        assert child.tracer.trace_id == parent.tracer.trace_id
+        with child.tracer.span("worker-root"):
+            with child.tracer.span("worker-leaf"):
                 pass
         parent.adopt(child.drain(), parent_id=root.span_id)
-        by_name = {s["name"]: s for s in parent.spans()}
+        by_name = {s["name"]: s for s in parent.tracer.spans()}
         assert by_name["worker-root"]["parent_id"] == root.span_id
         leaf = by_name["worker-leaf"]
         assert leaf["parent_id"] == by_name["worker-root"]["span_id"]
 
-    def test_span_dicts_are_picklable(self):
-        tracer = Tracer()
-        with tracer.span("w", design="x"):
+    def test_context_pickles_as_an_empty_fork(self):
+        # What a process worker's initializer receives.
+        context = ObsContext(Tracer("feedbeef"))
+        with context.tracer.span("buffered"):
             pass
-        spans = tracer.drain()
-        assert pickle.loads(pickle.dumps(spans)) == spans
+        shipped = pickle.loads(pickle.dumps(context))
+        assert shipped.tracer.trace_id == "feedbeef" and len(shipped.tracer) == 0
+        assert not shipped.metrics.enabled and not shipped.lineage.enabled
+        assert pickle.loads(pickle.dumps(ObsContext())).tracer is NULL_TRACER
+
+    def test_span_dicts_are_picklable(self):
+        context = ObsContext(Tracer())
+        with context.tracer.span("w", design="x"):
+            pass
+        payload = context.drain()
+        assert pickle.loads(pickle.dumps(payload)) == payload
 
 
 class TestGlobalSingleton:

@@ -4,7 +4,8 @@ import pytest
 
 from cadinterop.common.diagnostics import Category, Severity
 from cadinterop.schematic.dialects import COMPOSER_LIKE, VIEWDRAW_LIKE
-from cadinterop.schematic.migrate import Migrator, copy_schematic
+from cadinterop.obs import MetricsRegistry, ObsContext, Tracer, installed
+from cadinterop.schematic.migrate import PIPELINE_STAGES, Migrator, copy_schematic
 from cadinterop.schematic.model import Wire
 from cadinterop.schematic.netlist import extract
 from cadinterop.schematic.samples import (
@@ -208,27 +209,54 @@ class TestChainCorpus:
         assert result.connectors.offpage_added == 2 * 2 * 2
 
 
-class TestStageInstrumentation:
-    def test_stage_samples_cover_the_pipeline(self, result):
-        from cadinterop.schematic.migrate import PIPELINE_STAGES
+def observed_migration(plan, schematic):
+    """Migrate under a fresh tracing, counting context: (result, spans, metrics)."""
+    context = ObsContext(Tracer(), MetricsRegistry())
+    with installed(context):
+        result = Migrator(plan).migrate(schematic)
+    return result, context.tracer.spans(), context.metrics.snapshot()
 
-        assert [sample.stage for sample in result.stages] == list(PIPELINE_STAGES)
-        assert all(sample.seconds >= 0 for sample in result.stages)
-        items = {sample.stage: sample.items for sample in result.stages}
-        assert items["replacement"] > 0
-        assert items["verification"] > 0  # source nets compared
+
+def stage_spans(spans):
+    """Stage name -> span, for the migrate:<stage> spans, in start order."""
+    return {
+        span["name"][len("migrate:"):]: span
+        for span in spans
+        if span["name"].startswith("migrate:")
+    }
+
+
+class TestStageInstrumentation:
+    def test_stage_spans_cover_the_pipeline(self, vl_libs, sample):
+        plan = build_sample_plan(source_libraries=vl_libs)
+        _result, spans, _metrics = observed_migration(plan, sample)
+        stages = stage_spans(spans)
+        assert list(stages) == list(PIPELINE_STAGES)
+        assert all(span["seconds"] >= 0 for span in stages.values())
+        assert stages["replacement"]["attrs"]["items"] > 0
+        assert stages["verification"]["attrs"]["items"] > 0  # source nets compared
 
     def test_verification_stage_absent_when_disabled(self, vl_libs, sample):
-        from cadinterop.schematic.migrate import PIPELINE_STAGES
-
         plan = build_sample_plan(source_libraries=vl_libs, verify=False)
-        result = Migrator(plan).migrate(sample)
-        stages = [s.stage for s in result.stages]
-        assert stages == list(PIPELINE_STAGES[:-1])
-        assert "verification" not in stages
+        _result, spans, metrics = observed_migration(plan, sample)
+        assert list(stage_spans(spans)) == list(PIPELINE_STAGES[:-1])
+        assert "stage.seconds[verification]" not in metrics
 
-    def test_stage_observer_sees_every_sample(self, vl_libs, sample):
-        seen = []
+    def test_stage_metrics_match_the_spans(self, vl_libs, sample):
         plan = build_sample_plan(source_libraries=vl_libs)
-        result = Migrator(plan, stage_observer=seen.append).migrate(sample)
-        assert seen == result.stages
+        _result, spans, metrics = observed_migration(plan, sample)
+        stages = stage_spans(spans)
+        assert len(stages) == len(PIPELINE_STAGES)
+        for stage, span in stages.items():
+            assert metrics[f"stage.seconds[{stage}]"]["count"] == 1
+            items = metrics.get(f"stage.items[{stage}]", {"value": 0})["value"]
+            assert items == span["attrs"]["items"]
+
+    def test_verification_spans_nest_under_the_stage(self, vl_libs, sample):
+        plan = build_sample_plan(source_libraries=vl_libs)
+        _result, spans, _metrics = observed_migration(plan, sample)
+        stage = stage_spans(spans)["verification"]
+        children = [span["name"] for span in spans if span["parent_id"] == stage["span_id"]]
+        assert children == [
+            "verify:extract-source", "verify:extract-target", "verify:compare"
+        ]
