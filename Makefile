@@ -35,11 +35,11 @@ farm:
 trace:
 	$(PYTHON) -m cadinterop.cli trace migrate-batch --generate 8 --jobs 2
 
-# Provenance audit: migrate the demo corpus with lineage on, then render
-# the per-stage/per-dialect loss matrix from the emitted trace.
+# Provenance audit: trace a batch migration of the demo corpus (lineage
+# on), then render the per-stage/per-dialect loss matrix from the trace.
 audit:
-	$(PYTHON) -m cadinterop.cli migrate-batch --generate 8 --jobs 2 \
-		--lineage-out lineage.jsonl
+	$(PYTHON) -m cadinterop.cli trace --trace-out lineage.jsonl \
+		migrate-batch --generate 8 --jobs 2
 	$(PYTHON) -m cadinterop.cli audit lineage.jsonl
 
 checklist:

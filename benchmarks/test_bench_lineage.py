@@ -51,7 +51,7 @@ class TestLineageMatrix:
         enable_tracing()
         enable_lineage()
         try:
-            report = MigrationFarm(plan, jobs=2, executor="thread").run(corpus)
+            report = MigrationFarm(plan, jobs=2, executor="process").run(corpus)
         finally:
             disable_lineage()
             disable_tracing()

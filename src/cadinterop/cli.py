@@ -15,23 +15,23 @@ Subcommands
 ``cadinterop naming NAME [NAME ...]``
     Check a naming convention over a list of identifiers.
 ``cadinterop migrate-batch [PATH ...] [--generate N] [--jobs N]
-[--cache-dir DIR] [--profile] [--out DIR] [--trace-out FILE]
-[--metrics-out FILE] [--lineage-out FILE]``
+[--cache-dir DIR] [--profile] [--out DIR]``
     Batch-migrate a corpus of Viewdraw-like schematics (``.vl`` files,
     directories of them, and/or a generated synthetic corpus) onto the
     Composer-like libraries through the migration farm: parallel workers,
     content-hash result caching, and a per-stage table (``--profile``)
     built from the run's metrics, the same for every ``--jobs`` value.
-    ``--lineage-out`` records per-object provenance, prints the loss
-    report, and writes a format-2 JSONL trace carrying the lineage records.
+    Run it under ``trace`` to record spans, metrics and per-object
+    provenance; the loss report is then printed too.
 ``cadinterop trace [--trace-out FILE] [--metrics-out FILE] CMD [ARG ...]``
     Run any other subcommand with the observability layer (tracing,
     metrics, lineage) enabled; print the span tree and flat stats
-    afterwards, optionally writing the JSONL trace and a metrics snapshot
-    to files.
+    afterwards, optionally writing the format-2 JSONL trace (spans,
+    metrics and lineage records) and a metrics snapshot to files.  This
+    is the one way to write a trace.
 ``cadinterop stats FILE [FILE ...]``
-    Pretty-print JSONL trace files written by ``trace``/``migrate-batch``;
-    several files (or a shell glob) merge their metrics and span stats.
+    Pretty-print JSONL trace files written by ``trace``; several files
+    (or a shell glob) merge their metrics and span stats.
 ``cadinterop audit TRACE.jsonl [TRACE.jsonl ...] [--json] [--top N]``
     Aggregate the lineage records of one or more traces into the
     semantic-loss report: per-stage and per-dialect loss matrices plus
@@ -151,54 +151,6 @@ def _cmd_naming(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate_batch(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from cadinterop.obs import (
-        LineageRecorder,
-        MetricsRegistry,
-        ObsContext,
-        Tracer,
-        current_context,
-        installed,
-        write_trace,
-    )
-
-    # --trace-out / --metrics-out / --lineage-out imply observability even
-    # without the `trace` wrapper: facilities already on are kept, the rest
-    # are on for this command only.  Lineage without tracing would leave
-    # records unlinked, so --lineage-out turns the tracer on too.
-    outer = current_context()
-    tracing = bool(args.trace_out or args.lineage_out)
-    counting = tracing or bool(args.metrics_out)
-    context = ObsContext(
-        outer.tracer if outer.tracer.enabled or not tracing else Tracer(),
-        outer.metrics if outer.metrics.enabled or not counting else MetricsRegistry(),
-        outer.lineage
-        if outer.lineage.enabled or not args.lineage_out
-        else LineageRecorder(),
-    )
-    with installed(context):
-        code = _run_migrate_batch(args)
-    spans = context.tracer.spans()
-    snapshot = context.metrics.snapshot()
-    lineage = context.lineage.records()
-    trace_id = context.tracer.trace_id
-    if args.trace_out:
-        write_trace(args.trace_out, spans, snapshot, trace_id=trace_id, lineage=lineage)
-        print(f"trace written to {args.trace_out}")
-    if args.lineage_out and args.lineage_out != args.trace_out:
-        write_trace(args.lineage_out, spans, snapshot, trace_id=trace_id, lineage=lineage)
-        print(f"lineage trace written to {args.lineage_out}")
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"metrics written to {args.metrics_out}")
-    return code
-
-
-def _run_migrate_batch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from cadinterop.farm import MigrationFarm, ResultCache
@@ -444,17 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print per-design outcomes and the stage table")
     batch.add_argument("--out", default=None, metavar="DIR",
                        help="write translated .cd files to DIR")
-    batch.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="enable tracing and write a JSONL trace to FILE")
-    batch.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="enable metrics and write a JSON snapshot to FILE")
-    batch.add_argument("--lineage-out", default=None, metavar="FILE",
-                       help="record per-object provenance, print the loss "
-                            "report, and write a format-2 JSONL trace to FILE")
     batch.set_defaults(fn=_cmd_migrate_batch)
 
     trace = commands.add_parser(
-        "trace", help="run another subcommand with tracing + metrics enabled"
+        "trace", help="run another subcommand with tracing, metrics and lineage on"
     )
     trace.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the JSONL trace to FILE")

@@ -25,13 +25,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
-from cadinterop.obs.metrics import MetricsRegistry
-from cadinterop.schematic.migrate import (
-    MigrationResult,
-    PIPELINE_VERSION,
-    plan_digest,
-    schematic_digest,
-)
+from cadinterop.obs.context import get_metrics
+from cadinterop.schematic.migrate import MigrationResult, PIPELINE_VERSION
 
 #: Bump to invalidate every on-disk entry regardless of pipeline version
 #: (e.g. when the pickle payload layout changes).  Format 2: results no
@@ -46,58 +41,26 @@ def cache_key(design_digest: str, plan_dig: str, pipeline_version: str = PIPELIN
 
 
 class ResultCache:
-    """On-disk store of :class:`MigrationResult` objects by content key.
+    """Store of :class:`MigrationResult` objects by content key.
 
-    Traffic counts live in a :class:`~cadinterop.obs.metrics.MetricsRegistry`
-    (``cache.hits`` / ``cache.misses`` / ``cache.corrupt`` / ``cache.stores``
-    counters; pass ``metrics`` to share a registry, otherwise the cache owns
-    a private one).  The classic ``hits`` / ``misses`` / ``corrupt`` /
-    ``stores`` attributes remain as read-only views; the farm copies them
-    into its report.  ``root=None`` keeps the cache in memory only — useful
-    for tests and one-shot runs.
+    A disk-backed cache (``root`` set) reads and writes only its directory,
+    so it holds no result in memory; ``root=None`` keeps results in a dict
+    instead — useful for tests and one-shot runs.  :meth:`get` counts its
+    traffic (``farm.cache.hits`` / ``farm.cache.misses`` /
+    ``farm.cache.corrupt``) into the current context's metrics: during a
+    farm run, that is the run's own fork, so a report counts its run only.
     """
 
     def __init__(
         self,
         root: Optional[Union[str, Path]] = None,
         pipeline_version: str = PIPELINE_VERSION,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.root = Path(root) if root is not None else None
         self.pipeline_version = pipeline_version
-        self._memory: dict = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._hits = self.metrics.counter("cache.hits")
-        self._misses = self.metrics.counter("cache.misses")
-        self._corrupt = self.metrics.counter("cache.corrupt")
-        self._stores = self.metrics.counter("cache.stores")
+        self._memory: Optional[dict] = {} if self.root is None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-
-    # -- traffic counters (views over the metrics registry) ---------------
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def corrupt(self) -> int:
-        return self._corrupt.value
-
-    @property
-    def stores(self) -> int:
-        return self._stores.value
-
-    # -- keying ----------------------------------------------------------
-
-    def key_for(self, schematic, plan) -> str:
-        return cache_key(
-            schematic_digest(schematic), plan_digest(plan), self.pipeline_version
-        )
 
     def _path(self, key: str) -> Path:
         assert self.root is not None
@@ -107,12 +70,13 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[MigrationResult]:
         """Return the cached result for ``key``, or None (counting a miss)."""
-        if key in self._memory:
-            self._hits.inc()
-            return self._memory[key]
-        if self.root is None:
-            self._misses.inc()
-            return None
+        metrics = get_metrics()
+        if self._memory is not None:
+            result = self._memory.get(key)
+            metrics.counter(
+                "farm.cache.misses" if result is None else "farm.cache.hits"
+            ).inc()
+            return result
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -127,26 +91,24 @@ class ResultCache:
             if not isinstance(result, MigrationResult):
                 raise ValueError("cache payload is not a MigrationResult")
         except FileNotFoundError:
-            self._misses.inc()
+            metrics.counter("farm.cache.misses").inc()
             return None
         except Exception:
             # Corrupted / foreign / stale-format entry: drop it, treat as miss.
-            self._corrupt.inc()
-            self._misses.inc()
+            metrics.counter("farm.cache.corrupt").inc()
+            metrics.counter("farm.cache.misses").inc()
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self._hits.inc()
-        self._memory[key] = result
+        metrics.counter("farm.cache.hits").inc()
         return result
 
     def put(self, key: str, result: MigrationResult) -> None:
         """Store a result under ``key`` (atomically when disk-backed)."""
-        self._memory[key] = result
-        self._stores.inc()
-        if self.root is None:
+        if self._memory is not None:
+            self._memory[key] = result
             return
         payload = {"format": CACHE_FORMAT, "key": key, "result": result}
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
@@ -162,6 +124,6 @@ class ResultCache:
             raise
 
     def __len__(self) -> int:
-        if self.root is None:
+        if self._memory is not None:
             return len(self._memory)
         return sum(1 for _ in self.root.glob("*.migr.pkl"))

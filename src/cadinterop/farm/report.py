@@ -37,9 +37,6 @@ class FarmReport:
     cached: int = 0
     failed: int = 0
     wall_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_corrupt: int = 0
     items: List[FarmItem] = field(default_factory=list)
     #: Snapshot of the run's metrics (farm counters, cache traffic, the
     #: ``stage.seconds[<stage>]`` histograms and ``stage.items[<stage>]``
@@ -50,6 +47,21 @@ class FarmReport:
     #: Per-stage/per-design/per-dialect provenance roll-up of the run, when
     #: lineage recording was enabled (:func:`cadinterop.obs.enable_lineage`).
     loss: Optional[LossReport] = None
+
+    def _count(self, name: str) -> int:
+        return self.metrics.get(name, {}).get("value", 0)
+
+    @property
+    def cache_hits(self) -> int:
+        return self._count("farm.cache.hits")
+
+    @property
+    def cache_misses(self) -> int:
+        return self._count("farm.cache.misses")
+
+    @property
+    def cache_corrupt(self) -> int:
+        return self._count("farm.cache.corrupt")
 
     @property
     def clean(self) -> int:
@@ -79,7 +91,7 @@ class FarmReport:
         total = sum(row[1] for row in rows) or 1.0
         lines = [f"{'stage':17} {'wall ms':>9} {'items':>8} {'calls':>6}  share"]
         for stage, seconds, calls in sorted(rows, key=lambda row: -row[1]):
-            items = self.metrics.get(f"stage.items[{stage}]", {}).get("value", 0)
+            items = self._count(f"stage.items[{stage}]")
             lines.append(
                 f"{stage:17} {seconds * 1e3:9.2f} {items:8d} "
                 f"{calls:6d}  {seconds / total:5.1%}"

@@ -25,7 +25,6 @@ error text) without aborting the rest of the corpus.
 from __future__ import annotations
 
 import concurrent.futures
-import threading
 import time
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -54,8 +53,8 @@ from cadinterop.schematic.model import Schematic
 _Task = Tuple[int, Schematic]
 #: What a worker sends back: (corpus index, result or None, error or None,
 #: seconds spent migrating measured inside the worker, and the worker
-#: context's drained payload — None when the worker reports straight into
-#: the run's context (inline and thread executors).
+#: context's drained payload — None when the design ran inline, straight
+#: into the run's context.
 _Outcome = Tuple[int, Optional[MigrationResult], Optional[str], float, Optional[dict]]
 
 # Per-process worker state for the process-pool executor.  Each worker
@@ -92,10 +91,10 @@ def _process_worker_migrate(task: _Task) -> _Outcome:
 class MigrationFarm:
     """Runs one :class:`MigrationPlan` over a corpus of schematic cells.
 
-    ``jobs`` is the worker count; ``executor`` is ``"process"``, ``"thread"``,
-    or ``"inline"`` (default: processes when ``jobs > 1``, inline otherwise —
-    thread workers only help when migration cost is dominated by I/O, the
-    pipeline itself is pure Python).
+    ``jobs`` is the worker count; ``executor`` is ``"process"`` or
+    ``"inline"`` (default: processes when ``jobs > 1``, inline otherwise).
+    A process run whose pool would hold one worker — one job, or one design
+    left after the cache — runs inline instead, and its report says so.
     """
 
     def __init__(
@@ -111,7 +110,7 @@ class MigrationFarm:
             cache = ResultCache(cache)
         if executor is None:
             executor = "process" if jobs > 1 else "inline"
-        if executor not in ("process", "thread", "inline"):
+        if executor not in ("process", "inline"):
             raise ValueError(f"unknown executor {executor!r}")
         self.plan = plan
         self.jobs = jobs
@@ -127,7 +126,8 @@ class MigrationFarm:
         stage table; ``report.loss`` is set when lineage is on.  Afterwards
         the fork is adopted into the current context, so under tracing one
         ``farm:run`` span holds every per-design ``migrate`` span, whichever
-        executor ran it.
+        executor ran it; the span's ``executor`` attribute, like
+        ``report.executor``, names the path that actually ran.
         """
         outer = current_context()
         context = outer.fork()
@@ -135,8 +135,7 @@ class MigrationFarm:
             context.metrics = MetricsRegistry()
         try:
             with installed(context), context.tracer.span(
-                "farm:run", jobs=self.jobs, executor=self.executor,
-                designs=len(designs),
+                "farm:run", jobs=self.jobs, designs=len(designs),
             ) as run_span:
                 report = self._run(designs, keep_results, context, run_span)
         finally:
@@ -149,13 +148,10 @@ class MigrationFarm:
 
     def _run(self, designs, keep_results, context, run_span) -> FarmReport:
         started = time.perf_counter()
-        metrics = context.metrics
         dialect_pair = (
             f"{self.plan.source_dialect.name}->{self.plan.target_dialect.name}"
         )
-        # A reused cache keeps lifetime totals; the report counts this run.
-        cache_before = self._cache_counters()
-        report = FarmReport(jobs=self.jobs, executor=self.executor, total=len(designs))
+        report = FarmReport(jobs=self.jobs, total=len(designs))
         report.trace_id = context.tracer.trace_id if context.tracer.enabled else None
         report.items = [
             FarmItem(design=d.name, digest="", status="failed") for d in designs
@@ -163,8 +159,7 @@ class MigrationFarm:
 
         # Fold global rules into the symbol map once, up front: migrate()
         # does this idempotently per call, but doing it here keeps the plan
-        # object stable before it is digested and shipped to workers (and
-        # avoids a duplicate-add race between thread workers).
+        # object stable before it is digested and shipped to workers.
         self.plan.global_map.extend_symbol_map(self.plan.symbol_map)
         plan_d = plan_digest(self.plan)
 
@@ -197,9 +192,14 @@ class MigrationFarm:
                         continue
                 pending.append((index, design))
 
-        for index, result, error, seconds, payload in self._execute(
-            pending, context, run_span
-        ):
+        pooled = self.executor == "process" and min(self.jobs, len(pending)) > 1
+        report.executor = "process" if pooled else "inline"
+        run_span.set(executor=report.executor)
+        outcomes = (
+            self._execute_processes(pending, context) if pooled
+            else self._execute_inline(pending)
+        )
+        for index, result, error, seconds, payload in outcomes:
             if payload is not None:
                 # A process worker's spans, metrics and lineage: re-root its
                 # spans under this run so the merged trace stays one tree.
@@ -226,36 +226,15 @@ class MigrationFarm:
             ("failed", report.failed),
         ):
             if count:
-                metrics.counter(f"farm.designs.{outcome}").inc(count)
-        if self.cache is not None:
-            report.cache_hits, report.cache_misses, report.cache_corrupt = (
-                after - before
-                for after, before in zip(self._cache_counters(), cache_before)
-            )
-            for name, value in (
-                ("farm.cache.hits", report.cache_hits),
-                ("farm.cache.misses", report.cache_misses),
-                ("farm.cache.corrupt", report.cache_corrupt),
-            ):
-                if value:
-                    metrics.counter(name).inc(value)
+                context.metrics.counter(f"farm.designs.{outcome}").inc(count)
         report.wall_seconds = time.perf_counter() - started
         return report
 
-    def _cache_counters(self) -> Tuple[int, int, int]:
-        if self.cache is None:
-            return (0, 0, 0)
-        return (self.cache.hits, self.cache.misses, self.cache.corrupt)
-
     # -- executors -------------------------------------------------------
 
-    def _execute(self, tasks: List[_Task], context, run_span) -> List[_Outcome]:
+    def _execute_inline(self, tasks: List[_Task]) -> List[_Outcome]:
         if not tasks:
             return []
-        if self.executor == "process" and self.jobs > 1:
-            return self._execute_processes(tasks, context)
-        if self.executor == "thread" and self.jobs > 1:
-            return self._execute_threads(tasks, context, run_span)
         migrator = Migrator(self.plan)
         return [
             (index, *_migrate_one(migrator, design), None)
@@ -273,28 +252,6 @@ class MigrationFarm:
             return list(
                 pool.map(_process_worker_migrate, tasks, chunksize=chunksize)
             )
-
-    def _execute_threads(self, tasks: List[_Task], context, run_span):
-        local = threading.local()
-        tracer = context.tracer
-
-        def migrate_one(task: _Task):
-            index, design = task
-            if not hasattr(local, "migrator"):
-                local.migrator = Migrator(self.plan)
-            # Worker threads start with an empty span context; attach the
-            # run span so each migrate span parents to it.
-            token = tracer.attach(run_span.span_id) if tracer.enabled else None
-            try:
-                return (index, *_migrate_one(local.migrator, design), None)
-            finally:
-                if token is not None:
-                    tracer.detach(token)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(tasks))
-        ) as pool:
-            return list(pool.map(migrate_one, tasks))
 
 
 def migrate_corpus(

@@ -8,11 +8,10 @@ what the pipelines actually did, as a tree of timed **spans**:
 * a span is one timed operation (``migrate:scaling``, ``farm:run``,
   ``workflow:step``) with attributes, a status, and a parent link;
 * the *current* span is tracked through :mod:`contextvars`, so nesting
-  works across ``with`` blocks, decorated calls, and (because each worker
-  attaches or re-roots explicitly) thread and process pools;
+  works across ``with`` blocks and decorated calls;
 * finished spans buffer inside the :class:`Tracer` (a lock guards the
-  buffer, so thread workers share one tracer); process workers run their
-  own tracer and ship span dicts back for :meth:`Tracer.adopt`.
+  buffer); process workers run their own tracer and ship span dicts back
+  for :meth:`Tracer.adopt`, which re-roots them under the run's span.
 
 Tracing is **off by default** and zero-cost when off: the tracer of the
 current :class:`~cadinterop.obs.context.ObsContext` is the
@@ -184,22 +183,6 @@ class Tracer:
         with self._lock:
             self._finished.append(span.as_dict())
 
-    # -- explicit context plumbing (for worker threads) -------------------
-
-    def attach(self, span_or_id: Any):
-        """Make ``span_or_id`` the ambient parent in this context; returns
-        a token for :meth:`detach`.  Thread workers call this so spans they
-        open parent to the submitting side's span."""
-        span_id = (
-            span_or_id.span_id
-            if isinstance(span_or_id, (Span, _NullSpan))
-            else span_or_id
-        )
-        return _CURRENT_ID.set(span_id)
-
-    def detach(self, token) -> None:
-        _CURRENT_ID.reset(token)
-
     # -- collection ------------------------------------------------------
 
     def adopt(
@@ -240,12 +223,6 @@ class NullTracer:
 
     def span(self, name: str, parent: Any = _UNSET, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
-
-    def attach(self, span_or_id: Any):
-        return None
-
-    def detach(self, token) -> None:
-        pass
 
     def adopt(self, span_dicts, parent_id=None) -> None:
         pass

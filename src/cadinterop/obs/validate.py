@@ -9,8 +9,9 @@ silently.
 
 The contract (see :mod:`cadinterop.obs.export`):
 
-* line 1 is a ``meta`` record with a known integer ``format`` (1 or 2)
-  and a ``trace_id``;
+* line 1 is a ``meta`` record with an integer ``format`` that
+  :data:`~cadinterop.obs.export.READABLE_FORMATS` lists, and a
+  ``trace_id``;
 * every ``span`` record has a unique string ``span_id``, a ``name``,
   numeric ``start``/``seconds`` (``seconds >= 0``), a ``status`` of
   ``ok``/``error``, a ``parent_id`` that is null or resolves to another
@@ -33,11 +34,11 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from cadinterop.obs.export import READABLE_FORMATS
 from cadinterop.obs.lineage import VERBS
 
 VALID_STATUS = ("ok", "error")
 VALID_METRIC_TYPES = ("counter", "gauge", "histogram")
-VALID_FORMATS = (1, 2)
 
 #: JSON-primitive attribute values; anything else should have been
 #: sanitized away when the span finished.
@@ -159,10 +160,10 @@ def validate_trace(path) -> List[str]:
                 version = record.get("format")
                 if not isinstance(version, int):
                     errors.append(f"line {line}: meta record without integer format")
-                elif version not in VALID_FORMATS:
+                elif version not in READABLE_FORMATS:
                     errors.append(
                         f"line {line}: unknown trace format {version} "
-                        f"(expected one of {VALID_FORMATS})"
+                        f"(expected one of {READABLE_FORMATS})"
                     )
                 if not isinstance(record.get("trace_id"), str):
                     errors.append(f"line {line}: meta record without a trace_id")

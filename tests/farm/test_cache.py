@@ -1,12 +1,16 @@
 """Result cache correctness: hits equal cold runs, edits invalidate,
 corruption is a miss — never an error."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
 from cadinterop.common.geometry import Point
 from cadinterop.farm import CACHE_FORMAT, MigrationFarm, ResultCache, cache_key
+from cadinterop.obs import MetricsRegistry, ObsContext, installed
+from cadinterop.schematic.migrate import Migrator
 from cadinterop.schematic import io_cd
 from cadinterop.schematic.migrate import PIPELINE_VERSION
 from cadinterop.schematic.model import TextLabel, Wire
@@ -37,6 +41,14 @@ def run_once(plan, designs, cache):
     return MigrationFarm(plan, jobs=1, cache=cache).run(designs)
 
 
+def lookup_counts(cache, key):
+    """Look ``key`` up under a context with metrics on; return its counts."""
+    context = ObsContext(metrics=MetricsRegistry())
+    with installed(context):
+        assert cache.get(key) is None
+    return {name: data["value"] for name, data in context.metrics.snapshot().items()}
+
+
 class TestWarmHitEqualsColdRun:
     def test_cached_result_equals_fresh_result(self, tmp_path, plan, sample):
         cold = run_once(plan, [sample], ResultCache(tmp_path))
@@ -65,8 +77,8 @@ class TestWarmHitEqualsColdRun:
 
     def test_reused_cache_reports_this_run_only(self, tmp_path, plan, vl_libs):
         # One farm, one cache, three runs over the same four designs: the
-        # cache's lifetime totals after run 3 are 8 hits / 4 misses, but the
-        # run itself served all four from the cache.
+        # first run misses all four, and each later run reports its own
+        # four hits, never a running total.
         designs = []
         for index in range(4):
             cell = generate_chain_schematic(
@@ -75,12 +87,18 @@ class TestWarmHitEqualsColdRun:
             cell.name = f"unit{index:02d}"
             designs.append(cell)
         farm = MigrationFarm(plan, jobs=1, cache=ResultCache(tmp_path))
-        for _ in range(3):
-            report = farm.run(designs)
-        assert (report.cache_hits, report.cache_misses) == (4, 0)
+        reports = [farm.run(designs) for _ in range(3)]
+        assert [(r.cache_hits, r.cache_misses) for r in reports] == [
+            (0, 4), (4, 0), (4, 0),
+        ]
+        report = reports[-1]
         assert report.metrics["farm.cache.hits"]["value"] == 4
         assert "farm.cache.misses" not in report.metrics
-        assert (farm.cache.hits, farm.cache.misses) == (8, 4)
+        # The report's counts are views over its own metrics.
+        for report in reports:
+            for name in ("hits", "misses", "corrupt"):
+                metric = report.metrics.get(f"farm.cache.{name}", {"value": 0})
+                assert getattr(report, f"cache_{name}") == metric["value"]
 
 
 class TestInvalidation:
@@ -140,10 +158,9 @@ class TestCorruption:
         run_once(plan, [sample], ResultCache(tmp_path))
         (entry,) = self.entries(tmp_path)
         entry.write_bytes(entry.read_bytes()[:16])
-        cache = ResultCache(tmp_path)
-        report = run_once(plan, [sample], cache)
+        report = run_once(plan, [sample], ResultCache(tmp_path))
         assert report.migrated == 1 and report.cached == 0
-        assert cache.corrupt == 1
+        assert (report.cache_corrupt, report.cache_misses) == (1, 1)
 
     def test_garbage_bytes_are_a_miss(self, tmp_path, plan, sample):
         run_once(plan, [sample], ResultCache(tmp_path))
@@ -169,17 +186,40 @@ class TestCorruption:
         payload = pickle.loads(entry.read_bytes())
         assert payload["format"] == CACHE_FORMAT == 2
         entry.write_bytes(pickle.dumps(dict(payload, format=1)))
-        cache = ResultCache(tmp_path)
-        assert cache.get(payload["key"]) is None
-        assert (cache.corrupt, cache.misses, cache.hits) == (1, 1, 0)
+        counts = lookup_counts(ResultCache(tmp_path), payload["key"])
+        assert counts == {"farm.cache.corrupt": 1, "farm.cache.misses": 1}
         assert not entry.exists()
 
     def test_corrupt_entry_never_raises(self, tmp_path):
-        cache = ResultCache(tmp_path)
         key = cache_key("d" * 64, "p" * 64)
         (tmp_path / f"{key}.migr.pkl").write_bytes(b"\x80garbage")
-        assert cache.get(key) is None
-        assert cache.misses == 1 and cache.corrupt == 1
+        counts = lookup_counts(ResultCache(tmp_path), key)
+        assert counts == {"farm.cache.corrupt": 1, "farm.cache.misses": 1}
+
+
+class TestSingleStore:
+    def test_disk_cache_keeps_no_reference_to_a_stored_result(
+        self, tmp_path, plan, sample
+    ):
+        cache = ResultCache(tmp_path)
+        key = cache_key("d" * 64, "p" * 64)
+        result = Migrator(plan).migrate(sample)
+        expected = io_cd.dump_schematic(result.schematic)
+        cache.put(key, result)
+        alive = weakref.ref(result)
+        del result
+        gc.collect()
+        assert alive() is None
+        copy = cache.get(key)
+        assert copy is not None
+        assert io_cd.dump_schematic(copy.schematic) == expected
+
+    def test_cache_keeps_no_counters_of_its_own(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for name in ("metrics", "hits", "misses", "corrupt", "stores", "key_for"):
+            assert not hasattr(cache, name), name
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path, metrics=MetricsRegistry())
 
 
 class TestMemoryOnlyCache:
@@ -189,3 +229,4 @@ class TestMemoryOnlyCache:
         assert report.migrated == 1
         report = run_once(plan, [sample], cache)
         assert report.cached == 1
+        assert (report.cache_hits, report.cache_misses) == (1, 0)

@@ -72,7 +72,7 @@ class TestFarmRun:
         corpus = build_corpus(vl_libs, count=3)
         by_executor = {
             executor: MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
-            for executor in ("inline", "thread", "process")
+            for executor in ("inline", "process")
         }
         reference = by_executor["inline"]
         for executor, report in by_executor.items():
@@ -90,7 +90,7 @@ class TestFarmRun:
         from cadinterop.obs import disable_tracing, enable_tracing
 
         corpus = build_corpus(vl_libs, count=3)
-        for executor in ("thread", "process"):
+        for executor in ("inline", "process"):
             tracer = enable_tracing()
             try:
                 report = MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
@@ -175,6 +175,42 @@ class TestFarmValidation:
         with pytest.raises(ValueError, match="executor"):
             MigrationFarm(plan, executor="fleet")
 
+    def test_thread_executor_is_gone(self, plan):
+        with pytest.raises(ValueError, match="executor"):
+            MigrationFarm(plan, jobs=2, executor="thread")
+
+
+class TestExecutorChoice:
+    """A pool of one worker is never started; the report names the path
+    that actually ran (``TestExecutorParity`` covers a one-job run)."""
+
+    def traced_run(self, farm, corpus):
+        from cadinterop.obs import disable_tracing, enable_tracing
+
+        tracer = enable_tracing()
+        try:
+            report = farm.run(corpus)
+            (run_span,) = [s for s in tracer.spans() if s["name"] == "farm:run"]
+        finally:
+            disable_tracing()
+        return report, run_span["attrs"]["executor"]
+
+    def test_default_follows_jobs(self, plan):
+        assert MigrationFarm(plan).executor == "inline"
+        assert MigrationFarm(plan, jobs=2).executor == "process"
+
+    def test_one_pending_design_runs_inline(self, vl_libs, plan, tmp_path):
+        corpus = build_corpus(vl_libs, count=3)
+        cache = ResultCache(tmp_path)
+        farm = MigrationFarm(plan, jobs=2, cache=cache)
+        report, span_executor = self.traced_run(farm, corpus)
+        assert (report.executor, span_executor) == ("process", "process")
+        corpus[2].name = "renamed"  # a new digest: one cache miss
+        report, span_executor = self.traced_run(farm, corpus)
+        assert (report.cached, report.migrated) == (2, 1)
+        assert (report.executor, span_executor) == ("inline", "inline")
+        assert "inline" in report.summary()
+
 
 class TestReportRendering:
     def test_summary_and_render(self, vl_libs, plan, tmp_path):
@@ -232,7 +268,7 @@ class TestFarmLineage:
     def test_worker_lineage_merges_and_links(self, vl_libs, plan):
         corpus = self.lossy_corpus(vl_libs)
         reference, ref_records, _ = self.run_with_lineage(plan, corpus, jobs=1)
-        for executor in ("thread", "process"):
+        for executor in ("inline", "process"):
             report, records, spans = self.run_with_lineage(
                 plan, corpus, jobs=2, executor=executor
             )

@@ -1,14 +1,13 @@
 """Worker merging: one coherent trace, and one answer, across farm executors.
 
 The acceptance bar for the observability layer: a traced
-``MigrationFarm.run`` over the thread or process executor yields ONE
-trace — every per-design ``migrate`` span parented under the single
-``farm:run`` root, every stage span parented under its design's
-``migrate`` span, and start times consistent with that nesting — even
-though the spans were recorded in other threads or other processes.
-Beyond the span tree, the inline, thread and process executors must
-record the same spans, metrics, lineage and loss report, apart from
-timings and ids.
+``MigrationFarm.run`` over the process executor yields ONE trace — every
+per-design ``migrate`` span parented under the single ``farm:run`` root,
+every stage span parented under its design's ``migrate`` span, and start
+times consistent with that nesting — even though the spans were recorded
+in other processes.  Beyond the span tree, the inline and process
+executors must record the same spans, metrics, lineage and loss report,
+apart from timings and ids.
 """
 
 import sys
@@ -103,10 +102,6 @@ class TestExecutorMerge:
         spans, _ = traced_farm_run(vl_libs, corpus, "inline")
         assert_single_coherent_trace(spans)
 
-    def test_thread_executor_merges_into_one_trace(self, vl_libs, corpus):
-        spans, _ = traced_farm_run(vl_libs, corpus, "thread")
-        assert_single_coherent_trace(spans)
-
     def test_process_executor_merges_into_one_trace(self, vl_libs, corpus):
         spans, trace_id = traced_farm_run(vl_libs, corpus, "process")
         assert_single_coherent_trace(spans)
@@ -119,17 +114,17 @@ class TestExecutorMerge:
 
     def test_executors_disagree_only_on_ids(self, vl_libs, corpus):
         names = {}
-        for executor in ("inline", "thread", "process"):
+        for executor in ("inline", "process"):
             spans, _ = traced_farm_run(vl_libs, corpus, executor)
             names[executor] = sorted(span["name"] for span in spans)
-        assert names["inline"] == names["thread"] == names["process"]
+        assert names["inline"] == names["process"]
 
 
-def observed_farm_run(plan, corpus, executor):
-    """Run the farm at jobs=2 under a context with every facility on."""
+def observed_farm_run(plan, corpus, executor, jobs=2):
+    """Run the farm under a context with every facility on."""
     context = ObsContext.enabled()
     with installed(context):
-        report = MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
+        report = MigrationFarm(plan, jobs=jobs, executor=executor).run(corpus)
     return report, context
 
 
@@ -157,8 +152,10 @@ class TestExecutorParity:
         corpus[3].pages[0].wires[0].label = "N<1:0"  # fails mid-pipeline
         plan = build_sample_plan(source_libraries=vl_libs)
         return {
-            executor: observed_farm_run(plan, corpus, executor)
-            for executor in ("inline", "thread", "process")
+            "inline": observed_farm_run(plan, corpus, "inline"),
+            "process": observed_farm_run(plan, corpus, "process"),
+            # A pool of one worker is never started: this one runs inline.
+            "process-1": observed_farm_run(plan, corpus, "process", jobs=1),
         }
 
     def each(self, runs, view):
@@ -166,9 +163,27 @@ class TestExecutorParity:
 
     def assert_same(self, runs, view):
         views = self.each(runs, view)
-        assert views["thread"] == views["inline"]
         assert views["process"] == views["inline"]
+        assert views["process-1"] == views["inline"]
         return views["inline"]
+
+    def test_reports_name_the_path_that_ran(self, runs):
+        executors = self.each(
+            runs,
+            lambda report, context: (
+                report.executor,
+                next(
+                    span["attrs"]["executor"]
+                    for span in context.tracer.spans()
+                    if span["name"] == "farm:run"
+                ),
+            ),
+        )
+        assert executors == {
+            "inline": ("inline", "inline"),
+            "process": ("process", "process"),
+            "process-1": ("inline", "inline"),
+        }
 
     def test_the_corpus_is_lossy_and_has_a_failure(self, runs):
         report, _context = runs["inline"]
@@ -217,14 +232,10 @@ class TestTracerThreadSafety:
         tracer = Tracer()
 
         def worker(index):
-            token = tracer.attach(None)
-            try:
-                with tracer.span(f"job{index}"):
-                    for _ in range(20):
-                        with tracer.span("step"):
-                            pass
-            finally:
-                tracer.detach(token)
+            with tracer.span(f"job{index}", parent=None):
+                for _ in range(20):
+                    with tracer.span("step"):
+                        pass
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for thread in threads:
@@ -256,8 +267,8 @@ class TestTracerThreadSafety:
 
 class TestMetricsThreadSafety:
     def test_get_or_create_and_updates_lose_nothing(self):
-        # Instruments are looked up without the lock and created under it;
-        # thread workers share the run's registry, so none may be lost.
+        # Instruments are looked up without the lock and created under it,
+        # so threads sharing one registry lose none.
         registry = MetricsRegistry()
         threads_n, rounds = 8, 500
 

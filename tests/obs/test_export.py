@@ -113,6 +113,7 @@ class TestCorruptInput:
             read_trace(path)
 
     def test_future_format_is_refused(self, tmp_path):
+        assert 3 not in READABLE_FORMATS
         path = tmp_path / "v3.jsonl"
         path.write_text(json.dumps({"record": "meta", "format": 3,
                                     "trace_id": "x"}) + "\n")
@@ -120,6 +121,12 @@ class TestCorruptInput:
             read_trace(path)
         errors = "\n".join(validate_trace(path))
         assert "unknown trace format 3" in errors
+        # Reader and validator share one list of readable formats.
+        for version in READABLE_FORMATS:
+            path.write_text(json.dumps({"record": "meta", "format": version,
+                                        "trace_id": "x"}) + "\n")
+            assert read_trace(path)["meta"]["format"] == version
+            assert not any("format" in error for error in validate_trace(path))
 
     def test_non_object_record_is_refused(self, tmp_path):
         path = tmp_path / "list.jsonl"

@@ -56,19 +56,6 @@ class TestNesting:
         ids = [s["span_id"] for s in tracer.spans()]
         assert len(set(ids)) == 50
 
-    def test_attach_detach_reparents_across_contexts(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            pass
-        token = tracer.attach(root.span_id)
-        try:
-            with tracer.span("adopted") as span:
-                pass
-        finally:
-            tracer.detach(token)
-        assert span.parent_id == root.span_id
-        assert current_span_id() is None
-
 
 class TestSpanData:
     def test_attrs_and_timing(self):

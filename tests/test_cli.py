@@ -232,40 +232,24 @@ class TestStats:
 
 
 class TestMigrateBatchObservability:
-    def test_trace_out_flag_enables_and_writes(self, tmp_path, capsys):
-        from cadinterop.obs import get_tracer, read_trace, validate_trace
+    """``trace`` is the one way to record a batch: migrate-batch has no
+    trace flags of its own."""
 
-        trace_file = tmp_path / "t.jsonl"
-        assert main(["migrate-batch", "--generate", "2",
-                     "--trace-out", str(trace_file)]) == 0
-        assert "trace written" in capsys.readouterr().out
-        assert not get_tracer().enabled  # torn down after the run
-        assert validate_trace(trace_file) == []
-        names = [s["name"] for s in read_trace(trace_file)["spans"]]
-        assert "farm:run" in names and "migrate" in names
+    @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out", "--lineage-out"])
+    def test_trace_flags_are_rejected(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["migrate-batch", "--generate", "1", flag, str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_metrics_out_flag_writes_snapshot(self, tmp_path, capsys):
-        import json
-
-        from cadinterop.obs import get_metrics
-
-        metrics_file = tmp_path / "m.json"
-        assert main(["migrate-batch", "--generate", "2",
-                     "--metrics-out", str(metrics_file)]) == 0
-        assert "metrics written" in capsys.readouterr().out
-        assert not get_metrics().enabled
-        snapshot = json.loads(metrics_file.read_text())
-        assert snapshot["farm.designs.migrated"]["value"] == 2
-        assert snapshot["stage.seconds[verification]"]["count"] == 2
-
-    def test_lineage_out_writes_v2_trace_with_linked_records(self, tmp_path, capsys):
+    def test_traced_batch_writes_v2_trace_with_linked_records(self, tmp_path, capsys):
         from cadinterop.obs import get_lineage, read_trace, validate_trace
 
         lineage_file = tmp_path / "lineage.jsonl"
-        assert main(["migrate-batch", "--generate", "4",
-                     "--lineage-out", str(lineage_file)]) == 0
+        assert main(["trace", "--trace-out", str(lineage_file),
+                     "migrate-batch", "--generate", "4"]) == 0
         out = capsys.readouterr().out
-        assert "lineage trace written" in out
+        assert "trace written" in out
         assert "lineage:" in out and "losses" in out  # loss summary printed
         assert not get_lineage().enabled  # torn down after the run
         assert validate_trace(lineage_file) == []
@@ -276,16 +260,16 @@ class TestMigrateBatchObservability:
         span_ids = {s["span_id"] for s in trace["spans"]}
         assert all(r["span_id"] in span_ids for r in trace["lineage"])
 
-    def test_lineage_out_can_share_the_trace_file(self, tmp_path, capsys):
-        from cadinterop.obs import read_trace
-
-        shared = tmp_path / "t.jsonl"
-        assert main(["migrate-batch", "--generate", "2",
-                     "--trace-out", str(shared),
-                     "--lineage-out", str(shared)]) == 0
-        out = capsys.readouterr().out
-        assert out.count(str(shared)) == 1  # written once, not twice
-        assert read_trace(shared)["lineage"]
+    def test_audit_is_the_same_for_every_job_count(self, tmp_path, capsys):
+        audits = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            assert main(["trace", "--trace-out", str(path),
+                         "migrate-batch", "--generate", "4", "--jobs", jobs]) == 0
+            capsys.readouterr()
+            assert main(["audit", "--json", str(path)]) == 0
+            audits.append(capsys.readouterr().out)
+        assert audits[0] == audits[1]
 
     def test_generated_corpus_loss_matches_issue_totals(self, tmp_path, capsys):
         # Acceptance criterion: the audited approximation count for the
@@ -319,8 +303,8 @@ class TestMigrateBatchObservability:
         assert expected > 0  # the corpus is intentionally lossy
 
         lineage_file = tmp_path / "l.jsonl"
-        assert main(["migrate-batch", "--generate", "8",
-                     "--lineage-out", str(lineage_file)]) == 0
+        assert main(["trace", "--trace-out", str(lineage_file),
+                     "migrate-batch", "--generate", "8"]) == 0
         capsys.readouterr()
         records = read_trace(lineage_file)["lineage"]
         approximated = [r for r in records if r["verb"] == "approximated"]
@@ -331,8 +315,8 @@ class TestMigrateBatchObservability:
 class TestAudit:
     def write_lineage_trace(self, tmp_path, name="l.jsonl", generate="4"):
         path = tmp_path / name
-        assert main(["migrate-batch", "--generate", generate,
-                     "--lineage-out", str(path)]) == 0
+        assert main(["trace", "--trace-out", str(path),
+                     "migrate-batch", "--generate", generate]) == 0
         return path
 
     def test_audit_renders_loss_matrix(self, tmp_path, capsys):
