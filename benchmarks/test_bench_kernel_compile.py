@@ -20,7 +20,7 @@ from cadinterop.hdl.compile import compile_calls, compile_model, reference_model
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.personalities import DEFAULT_ENSEMBLE, run_personality
 from cadinterop.hdl.races import detect_races
-from cadinterop.obs import disable_tracing, enable_tracing
+from cadinterop.obs import ObsContext, Tracer, installed
 
 #: Below the smallest of ten measured reference/compiled ratios (see
 #: EXPERIMENTS.md E18).
@@ -144,13 +144,11 @@ class TestLoweringSpeedup:
 class TestCompileOnceObservability:
     def test_trace_shows_one_compile_serving_all_runs(self):
         module = build_workload(stages=4, toggles=10)
-        tracer = enable_tracing()
-        try:
-            before = compile_calls()
+        tracer = Tracer()
+        before = compile_calls()
+        with installed(ObsContext(tracer)):
             detect_races(module, until=1000)
-            spans = tracer.spans()
-        finally:
-            disable_tracing()
+        spans = tracer.spans()
         assert compile_calls() == before + 1
         compile_spans = [s for s in spans if s["name"] == "hdl:compile"]
         sim_spans = [s for s in spans if s["name"] == "hdl:sim"]

@@ -17,10 +17,10 @@ from cadinterop.common.diagnostics import Category, Severity
 from cadinterop.farm import MigrationFarm
 from cadinterop.obs import (
     LOSS_VERBS,
-    disable_lineage,
-    disable_tracing,
-    enable_lineage,
-    enable_tracing,
+    LineageRecorder,
+    ObsContext,
+    Tracer,
+    installed,
 )
 from cadinterop.schematic.migrate import Migrator
 from cadinterop.schematic.samples import build_sample_plan, generate_chain_schematic
@@ -48,13 +48,8 @@ class TestLineageMatrix:
         corpus = ci_corpus(vl_libraries)
         plan = build_sample_plan(source_libraries=vl_libraries)
 
-        enable_tracing()
-        enable_lineage()
-        try:
+        with installed(ObsContext(Tracer(), lineage=LineageRecorder())):
             report = MigrationFarm(plan, jobs=2, executor="process").run(corpus)
-        finally:
-            disable_lineage()
-            disable_tracing()
         assert report.migrated == CI_DESIGNS
         loss = report.loss
         assert loss is not None and loss.total > 0
@@ -103,12 +98,10 @@ class TestLineageMatrix:
             if snaps:
                 expected[result.schematic.name] = snaps
 
-        recorder = enable_lineage()
-        try:
+        recorder = LineageRecorder()
+        with installed(ObsContext(lineage=recorder)):
             MigrationFarm(plan, jobs=1).run(corpus)
-            records = recorder.records()
-        finally:
-            disable_lineage()
+        records = recorder.records()
 
         observed = {}
         for record in records:

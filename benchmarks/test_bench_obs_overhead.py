@@ -17,12 +17,12 @@ import pytest
 
 from cadinterop.farm import MigrationFarm
 from cadinterop.obs import (
-    disable_metrics,
-    disable_tracing,
-    enable_metrics,
-    enable_tracing,
+    MetricsRegistry,
+    ObsContext,
+    Tracer,
     get_metrics,
     get_tracer,
+    installed,
     write_trace,
 )
 from cadinterop.schematic.samples import build_sample_plan, generate_chain_schematic
@@ -68,19 +68,15 @@ class TestObsOverhead:
         t_off = best(lambda: _timed_run(plan, corpus))
 
         def traced_run(export_to=None):
-            tracer = enable_tracing()
-            enable_metrics()
-            try:
+            context = ObsContext(Tracer(), MetricsRegistry())
+            with installed(context):
                 elapsed = _timed_run(plan, corpus)
-                spans = tracer.spans()
-                if export_to is not None:
-                    write_trace(export_to, spans, get_metrics().snapshot(),
-                                trace_id=tracer.trace_id)
-                # Every design span plus per-stage spans made it in.
-                assert sum(s["name"] == "migrate" for s in spans) == len(corpus)
-            finally:
-                disable_tracing()
-                disable_metrics()
+            spans = context.tracer.spans()
+            if export_to is not None:
+                write_trace(export_to, spans, context.metrics.snapshot(),
+                            trace_id=context.tracer.trace_id)
+            # Every design span plus per-stage spans made it in.
+            assert sum(s["name"] == "migrate" for s in spans) == len(corpus)
             return elapsed
 
         t_on = best(traced_run)

@@ -23,12 +23,13 @@ Subcommands
     built from the run's metrics, the same for every ``--jobs`` value.
     Run it under ``trace`` to record spans, metrics and per-object
     provenance; the loss report is then printed too.
-``cadinterop trace [--trace-out FILE] [--metrics-out FILE] CMD [ARG ...]``
+``cadinterop trace [--trace-out FILE] CMD [ARG ...]``
     Run any other subcommand with the observability layer (tracing,
-    metrics, lineage) enabled; print the span tree and flat stats
-    afterwards, optionally writing the format-2 JSONL trace (spans,
-    metrics and lineage records) and a metrics snapshot to files.  This
-    is the one way to write a trace.
+    metrics, lineage) enabled; print the span tree, flat stats and the
+    lineage loss summary afterwards, optionally writing the format-2 JSONL
+    trace (spans, metrics and lineage records) to a file.  This is the
+    one way to write a trace; ``read_trace(FILE)["metrics"]`` is its
+    metrics snapshot.
 ``cadinterop stats FILE [FILE ...]``
     Pretty-print JSONL trace files written by ``trace``; several files
     (or a shell glob) merge their metrics and span stats.
@@ -230,6 +231,7 @@ def _cmd_migrate_batch(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from cadinterop.obs import (
+        LossReport,
         ObsContext,
         installed,
         render_stats,
@@ -262,20 +264,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(render_stats(spans, snapshot))
     if lineage:
         print()
-        print(f"lineage: {len(lineage)} records "
-              "(write --trace-out and run `cadinterop audit` for the "
-              "loss matrix)")
+        print(LossReport.from_records(lineage).summary())
     if args.trace_out:
         write_trace(args.trace_out, spans, snapshot,
                     trace_id=context.tracer.trace_id, lineage=lineage)
         print(f"trace written to {args.trace_out}")
-    if args.metrics_out:
-        import json
-
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"metrics written to {args.metrics_out}")
     return code
 
 
@@ -310,12 +303,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             trace = read_trace(path)
-        except (OSError, ValueError) as exc:
+            # Valid traces can still disagree (histogram buckets, a name's
+            # instrument type); that makes this file unreadable here too.
+            merged.merge(trace["metrics"])
+        except (OSError, TypeError, ValueError) as exc:
             print(f"cannot read trace {path}: {exc}", file=sys.stderr)
             return 2
         all_spans.extend(trace["spans"])
         lineage_total += len(trace["lineage"])
-        merged.merge(trace["metrics"])
         meta = trace["meta"]
         if meta.get("trace_id"):
             print(f"trace {meta['trace_id']} ({path})")
@@ -403,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the JSONL trace to FILE")
-    trace.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the metrics snapshot (JSON) to FILE")
     trace.add_argument("args", nargs=argparse.REMAINDER,
                        help="the cadinterop command to run under tracing")
     trace.set_defaults(fn=_cmd_trace)

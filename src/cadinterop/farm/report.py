@@ -45,7 +45,7 @@ class FarmReport:
     #: Trace id of the run when tracing was enabled, else None.
     trace_id: Optional[str] = None
     #: Per-stage/per-design/per-dialect provenance roll-up of the run, when
-    #: lineage recording was enabled (:func:`cadinterop.obs.enable_lineage`).
+    #: the current :class:`~cadinterop.obs.ObsContext` records lineage.
     loss: Optional[LossReport] = None
 
     def _count(self, name: str) -> int:

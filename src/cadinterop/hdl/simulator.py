@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 from cadinterop.hdl.ast_nodes import HDLError, Module
 from cadinterop.hdl.compile import CompiledModel, CompiledProcess, compile_model
 from cadinterop.hdl.logic import Logic4
-from cadinterop.obs import get_metrics, get_tracer
+from cadinterop.obs import current_context, get_tracer
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +326,11 @@ class Simulator:
         ``max_activations`` bounds zero-delay oscillation (e.g. a ring of
         inverters with no delay) and raises :class:`HDLError` when hit.
         """
-        tracer = get_tracer()
-        if not tracer.enabled or self._obs_quiet:
+        context = current_context()
+        if self._obs_quiet or not (context.tracer.enabled or context.metrics.enabled):
             return self._run(until, max_activations)
+        # Either facility may be on alone; the other is a no-op stand-in.
+        tracer, metrics = context.tracer, context.metrics
         events_before = self.events_executed
         activations_before = self.activations
         with tracer.span("hdl:sim", module=self.module.name, until=until) as span:
@@ -338,7 +340,6 @@ class Simulator:
                 activations=self.activations - activations_before,
                 end_time=end,
             )
-        metrics = get_metrics()
         metrics.counter("hdl.sim.runs").inc()
         metrics.counter("hdl.sim.events").inc(self.events_executed - events_before)
         metrics.counter("hdl.sim.activations").inc(

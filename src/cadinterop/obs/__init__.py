@@ -5,23 +5,26 @@ task graphs and data/control-flow traces of real tool runs.  This package
 gives every pipeline in the reproduction one way to report what it did:
 
 * :mod:`~cadinterop.obs.context` — the one current :class:`ObsContext`
-  (tracer + metrics + lineage) every call site reports into; a fork of it
-  runs a farm or a process worker, and its drained payload merges back in
-  one call; :class:`StageSpan` times pipeline stages into spans and
-  ``stage.*`` metrics;
+  (tracer + metrics + lineage) every call site reports into; everything
+  is off until a block runs under ``with installed(ObsContext(...))``; a
+  fork of it runs a farm or a process worker, and its drained payload
+  merges back in one call; :class:`StageSpan` times pipeline stages into
+  spans and ``stage.*`` metrics;
 * :mod:`~cadinterop.obs.trace` — hierarchical spans (context manager /
   decorator), contextvar nesting, thread-safe buffering, process-worker
   merge; off by default via a no-op singleton tracer;
-* :mod:`~cadinterop.obs.metrics` — counters, gauges, fixed-bucket
-  histograms with mergeable plain-dict snapshots;
+* :mod:`~cadinterop.obs.metrics` — counters and fixed-bucket histograms
+  with mergeable plain-dict snapshots;
 * :mod:`~cadinterop.obs.lineage` — per-object provenance records at tool
   boundaries (preserved / transformed / approximated / dropped /
-  synthesized) with a :class:`~cadinterop.obs.lineage.LossReport`
-  aggregator behind ``cadinterop audit``;
+  synthesized) — the one count of them — with a
+  :class:`~cadinterop.obs.lineage.LossReport` aggregator behind
+  ``cadinterop audit``;
 * :mod:`~cadinterop.obs.logger` — ``get_logger(name)``, stamping the
   current trace/span ids onto every record;
-* :mod:`~cadinterop.obs.export` — JSONL trace files, span-tree and flat
-  stats renderers;
+* :mod:`~cadinterop.obs.export` — JSONL trace files (spans, ``metric``
+  records and lineage records in one file), span-tree and flat stats
+  renderers;
 * :mod:`~cadinterop.obs.validate` — schema checking for emitted traces
   (``python -m cadinterop.obs.validate``).
 
@@ -29,19 +32,14 @@ The instrumented pipelines are ``schematic.migrate`` (per-stage spans),
 ``farm`` (scheduler spans, metrics and lineage merged across workers),
 ``workflow.engine`` (run/step spans, step counters), and ``hdl``
 (elaboration/simulation/co-simulation spans, event counters).  Drive them
-from the shell via ``cadinterop trace <cmd> ...`` and ``cadinterop stats``.
+from the shell via ``cadinterop trace --trace-out FILE <cmd> ...``, then
+``cadinterop stats FILE`` and ``cadinterop audit FILE``.
 """
 
 from cadinterop.obs.context import (
     ObsContext,
     StageSpan,
     current_context,
-    disable_lineage,
-    disable_metrics,
-    disable_tracing,
-    enable_lineage,
-    enable_metrics,
-    enable_tracing,
     get_lineage,
     get_metrics,
     get_tracer,
@@ -72,7 +70,6 @@ from cadinterop.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullMetrics,
@@ -100,7 +97,6 @@ def __getattr__(name):
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "Gauge",
     "Histogram",
     "LOSS_VERBS",
     "LineageRecorder",
@@ -123,12 +119,6 @@ __all__ = [
     "VERBS",
     "current_context",
     "current_span_id",
-    "disable_lineage",
-    "disable_metrics",
-    "disable_tracing",
-    "enable_lineage",
-    "enable_metrics",
-    "enable_tracing",
     "get_lineage",
     "get_logger",
     "get_metrics",

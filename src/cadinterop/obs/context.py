@@ -3,9 +3,10 @@
 Every instrumented call site reports into the *current* context through
 :func:`get_tracer`, :func:`get_metrics` and :func:`get_lineage` — plain
 field reads, cheap enough for the simulator's hot path.  By default all
-three are the no-op singletons; :func:`install` / :func:`installed` swap
-in another context, and ``enable_*`` / ``disable_*`` switch one facility
-of the current context.
+three are the no-op singletons; ``with installed(ObsContext(...))`` (or
+``installed(ObsContext.enabled())``) is the one way to switch any of them
+on, for one block.  :func:`install` is its unscoped half, for a process
+worker's initializer.
 
 Work that runs elsewhere (a farm run, a process worker) reports into a
 :meth:`ObsContext.fork` and hands everything back in one move:
@@ -112,33 +113,6 @@ def get_metrics():
 
 def get_lineage():
     return _CURRENT.lineage
-
-
-def enable_tracing(trace_id: Optional[str] = None) -> Tracer:
-    _CURRENT.tracer = Tracer(trace_id)
-    return _CURRENT.tracer
-
-
-def enable_metrics() -> MetricsRegistry:
-    _CURRENT.metrics = MetricsRegistry()
-    return _CURRENT.metrics
-
-
-def enable_lineage() -> LineageRecorder:
-    _CURRENT.lineage = LineageRecorder()
-    return _CURRENT.lineage
-
-
-def disable_tracing() -> None:
-    _CURRENT.tracer = NULL_TRACER
-
-
-def disable_metrics() -> None:
-    _CURRENT.metrics = NULL_METRICS
-
-
-def disable_lineage() -> None:
-    _CURRENT.lineage = NULL_LINEAGE
 
 
 def traced(name: Optional[str] = None, **attrs: Any) -> Callable:

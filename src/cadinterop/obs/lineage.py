@@ -25,8 +25,9 @@ the tracer uses, so a JSONL trace file (format 2) carries both trees and
 approximated, or dropped, by which stage, and why*.  Like the tracer, the
 recorder is **off by default** (:data:`NULL_LINEAGE`), buffers thread-safely,
 and merges across process workers via :meth:`LineageRecorder.drain` /
-:meth:`LineageRecorder.adopt`.  Each record also bumps the
-``lineage.<verb>`` counter of the current context's metrics.
+:meth:`LineageRecorder.adopt`.  The records are the one count of what
+crossed a boundary: :class:`LossReport` rolls them up per verb, stage,
+design and dialect; no metrics counter repeats them.
 
 Ambient attribution — which design and which dialect pair a record belongs
 to — travels through :meth:`LineageRecorder.context`, so deep helpers
@@ -41,9 +42,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-# ``context`` imports this module for its null recorder, so the reference
-# goes the other way by module and resolves at call time.
-from cadinterop.obs import context as _context
 from cadinterop.obs.trace import current_span_id
 
 #: The closed provenance verb set; the validator rejects anything else.
@@ -97,7 +95,6 @@ class LineageRecorder:
         }
         with self._lock:
             self._records.append(record)
-        _context.get_metrics().counter(f"lineage.{verb}").inc()
         return record
 
     @contextmanager

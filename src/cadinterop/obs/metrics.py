@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 Complements :mod:`cadinterop.obs.trace`: spans say *where time went on
 this run*, metrics say *how often and how much* across runs — cache hit
@@ -17,16 +17,17 @@ Design rules:
   empties, for workers that ship their traffic once per task).
 * **Zero-cost when off.**  The current context's registry defaults to
   :data:`NULL_METRICS`, whose instruments are one shared no-op object.
-  Components that must always count (e.g. the farm's result cache) own a
-  private real :class:`MetricsRegistry` instead of the current one.
+  A run that must always count (a farm run, for its stage table) reports
+  into a fork of the current context with a real :class:`MetricsRegistry`.
+* **Snapshots cross process boundaries, registries do not.**  A worker
+  ships ``drain()`` dicts; the registry itself is never pickled.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 #: Default histogram boundaries (seconds): a wall-clock latency ladder.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -34,17 +35,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class _Instrument:
-    """Shared pickling rule: the registry lock never crosses the boundary
-    (the registry's ``__setstate__`` re-binds a fresh one)."""
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        return state
-
-
-class Counter(_Instrument):
+class Counter:
     """Monotonically increasing count."""
 
     kind = "counter"
@@ -65,42 +56,7 @@ class Counter(_Instrument):
         self.inc(data["value"])
 
 
-class Gauge(_Instrument):
-    """Last-written value (e.g. corpus size, worker count).
-
-    Every ``set`` stamps a monotonic sequence (``time.monotonic_ns``,
-    strictly increased within the process) and snapshots carry it, so
-    :meth:`merge` keeps the *newest* write instead of the last snapshot
-    merged — worker roll-up no longer depends on pool join order.
-    """
-
-    kind = "gauge"
-
-    def __init__(self, name: str, lock: threading.Lock) -> None:
-        self.name = name
-        self.value = 0.0
-        self.seq = 0
-        self._lock = lock
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-            self.seq = max(time.monotonic_ns(), self.seq + 1)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value, "seq": self.seq}
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        # Pre-seq snapshots (format-1 trace files) carry no stamp; treat
-        # them as "as old as possible" so any local write wins over them.
-        seq = data.get("seq", 0)
-        with self._lock:
-            if seq >= self.seq:
-                self.value = data["value"]
-                self.seq = seq
-
-
-class Histogram(_Instrument):
+class Histogram:
     """Distribution with fixed bucket boundaries (plus an overflow bucket)."""
 
     kind = "histogram"
@@ -161,19 +117,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: Dict[str, Any] = {}
 
-    # The lock cannot cross a pickle boundary (reports and snapshots may);
-    # a freshly unpickled registry just grows a new one.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        for instrument in self._instruments.values():
-            instrument._lock = self._lock
-
     def _get(self, name: str, factory) -> Any:
         # A dict read is atomic, so only creation takes the lock.
         instrument = self._instruments.get(name)
@@ -189,12 +132,6 @@ class MetricsRegistry:
         instrument = self._get(name, lambda: Counter(name, self._lock))
         if instrument.kind != "counter":
             raise TypeError(f"{name!r} is a {instrument.kind}, not a counter")
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._get(name, lambda: Gauge(name, self._lock))
-        if instrument.kind != "gauge":
-            raise TypeError(f"{name!r} is a {instrument.kind}, not a gauge")
         return instrument
 
     def histogram(
@@ -231,15 +168,10 @@ class MetricsRegistry:
             kind = data.get("type")
             if kind == "counter":
                 self.counter(name).merge(data)
-            elif kind == "gauge":
-                self.gauge(name).merge(data)
             elif kind == "histogram":
                 self.histogram(name, buckets=data["buckets"]).merge(data)
             else:
                 raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
-
-    def render_table(self) -> str:
-        return render_metrics(self.snapshot())
 
 
 def render_metrics(snapshot: Dict[str, Dict[str, Any]]) -> str:
@@ -271,9 +203,6 @@ class _NullInstrument:
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -292,9 +221,6 @@ class NullMetrics:
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
     def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
@@ -309,9 +235,6 @@ class NullMetrics:
 
     def merge(self, snapshot) -> None:
         pass
-
-    def render_table(self) -> str:
-        return render_metrics({})
 
 
 NULL_METRICS = NullMetrics()

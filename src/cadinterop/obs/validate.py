@@ -22,7 +22,7 @@ The contract (see :mod:`cadinterop.obs.export`):
   ``object_id`` / ``stage``, a ``verb`` from the closed provenance set,
   a string ``detail``, and a ``span_id`` that is null or resolves to a
   span in the same file;
-* every ``metric`` record has a ``name`` and a counter/gauge/histogram
+* every ``metric`` record has a ``name`` and a counter or histogram
   payload whose fields are mutually consistent (histogram ``counts`` has
   one more entry than ``buckets``; totals add up).
 """
@@ -38,7 +38,7 @@ from cadinterop.obs.export import READABLE_FORMATS
 from cadinterop.obs.lineage import VERBS
 
 VALID_STATUS = ("ok", "error")
-VALID_METRIC_TYPES = ("counter", "gauge", "histogram")
+VALID_METRIC_TYPES = ("counter", "histogram")
 
 #: JSON-primitive attribute values; anything else should have been
 #: sanitized away when the span finished.
@@ -102,9 +102,9 @@ def _check_metric(record: Dict[str, Any], line: int, errors: List[str]) -> None:
     if kind not in VALID_METRIC_TYPES:
         errors.append(f"line {line}: metric type {kind!r} invalid")
         return
-    if kind in ("counter", "gauge"):
+    if kind == "counter":
         if not isinstance(record.get("value"), (int, float)):
-            errors.append(f"line {line}: {kind} value is not a number")
+            errors.append(f"line {line}: counter value is not a number")
         return
     buckets = record.get("buckets")
     counts = record.get("counts")

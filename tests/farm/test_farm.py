@@ -87,16 +87,14 @@ class TestFarmRun:
                 )
 
     def test_traced_run_merges_worker_spans(self, vl_libs, plan):
-        from cadinterop.obs import disable_tracing, enable_tracing
+        from cadinterop.obs import ObsContext, Tracer, installed
 
         corpus = build_corpus(vl_libs, count=3)
         for executor in ("inline", "process"):
-            tracer = enable_tracing()
-            try:
+            tracer = Tracer()
+            with installed(ObsContext(tracer)):
                 report = MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
-                spans = tracer.spans()
-            finally:
-                disable_tracing()
+            spans = tracer.spans()
             assert report.trace_id == tracer.trace_id
             roots = [s for s in spans if s["parent_id"] is None]
             assert [s["name"] for s in roots] == ["farm:run"], executor
@@ -185,14 +183,12 @@ class TestExecutorChoice:
     that actually ran (``TestExecutorParity`` covers a one-job run)."""
 
     def traced_run(self, farm, corpus):
-        from cadinterop.obs import disable_tracing, enable_tracing
+        from cadinterop.obs import ObsContext, Tracer, installed
 
-        tracer = enable_tracing()
-        try:
+        tracer = Tracer()
+        with installed(ObsContext(tracer)):
             report = farm.run(corpus)
-            (run_span,) = [s for s in tracer.spans() if s["name"] == "farm:run"]
-        finally:
-            disable_tracing()
+        (run_span,) = [s for s in tracer.spans() if s["name"] == "farm:run"]
         return report, run_span["attrs"]["executor"]
 
     def test_default_follows_jobs(self, plan):
@@ -236,21 +232,12 @@ class TestFarmLineage:
         return corpus
 
     def run_with_lineage(self, plan, corpus, **kwargs):
-        from cadinterop.obs import (
-            disable_lineage,
-            disable_tracing,
-            enable_lineage,
-            enable_tracing,
-        )
+        from cadinterop.obs import LineageRecorder, ObsContext, Tracer, installed
 
-        tracer = enable_tracing()
-        recorder = enable_lineage()
-        try:
+        context = ObsContext(Tracer(), lineage=LineageRecorder())
+        with installed(context):
             report = MigrationFarm(plan, **kwargs).run(corpus)
-            return report, recorder.records(), tracer.spans()
-        finally:
-            disable_lineage()
-            disable_tracing()
+        return report, context.lineage.records(), context.tracer.spans()
 
     def test_loss_report_rides_on_the_farm_report(self, vl_libs, plan):
         corpus = self.lossy_corpus(vl_libs)
@@ -259,7 +246,9 @@ class TestFarmLineage:
         assert report.loss.total == len(records)
         assert report.loss.by_verb["approximated"] == 1  # unit01's nudged label
         assert report.loss.top_lossy_designs() == [("unit01", 1)]
-        assert report.loss.summary() in report.render()
+        rendered = report.render()
+        assert rendered.count(report.loss.summary()) == 1
+        assert "lineage." not in rendered  # losses are not counters too
 
     def test_untraced_run_has_no_loss_report(self, vl_libs, plan):
         report = MigrationFarm(plan).run(self.lossy_corpus(vl_libs))

@@ -342,3 +342,60 @@ class TestConditionalSemantics:
         )
         assert sim.value("is_z") == "1"
         assert sim.value("is_x") == "0"
+
+
+class TestObservability:
+    """Each facility gates its own record: the ``hdl.sim.*`` counters need
+    metrics only, the ``hdl:sim`` span needs the tracer only."""
+
+    SRC = """
+        module m (); reg a; wire y;
+        assign y = ~a;
+        initial begin a = 1'b0; #10 a = 1'b1; end
+        endmodule
+    """
+
+    def counters(self, snapshot):
+        return {
+            name: data["value"]
+            for name, data in snapshot.items() if name.startswith("hdl.sim.")
+        }
+
+    def test_metrics_alone_count_runs(self):
+        from cadinterop.obs import MetricsRegistry, ObsContext, installed
+
+        registry = MetricsRegistry()
+        sim = Simulator(parse_module(self.SRC))
+        with installed(ObsContext(metrics=registry)):
+            sim.run(5)
+            sim.run(50)
+        assert self.counters(registry.snapshot()) == {
+            "hdl.sim.runs": 2,
+            "hdl.sim.events": sim.events_executed,
+            "hdl.sim.activations": sim.activations,
+        }
+
+    def test_tracing_alone_records_the_span(self):
+        from cadinterop.obs import ObsContext, Tracer, installed
+
+        tracer = Tracer()
+        sim = Simulator(parse_module(self.SRC))
+        with installed(ObsContext(tracer)):
+            sim.run(50)
+        (span,) = [s for s in tracer.spans() if s["name"] == "hdl:sim"]
+        assert span["attrs"]["activations"] == sim.activations
+
+    def test_cosim_kernels_stay_quiet(self):
+        from cadinterop.hdl.cosim import BridgeSignal, CoSimulation
+        from cadinterop.obs import ObsContext, installed
+
+        context = ObsContext.enabled()
+        with installed(context):
+            CoSimulation(
+                parse_module(self.SRC),
+                parse_module("module c (); reg din; endmodule"),
+                [BridgeSignal("left", "y", "din")],
+            ).run(50)
+        assert not [s for s in context.tracer.spans() if s["name"] == "hdl:sim"]
+        assert self.counters(context.metrics.snapshot()) == {}
+        assert context.metrics.snapshot()["hdl.cosim.exchanges"]["value"] > 0

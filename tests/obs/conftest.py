@@ -1,13 +1,21 @@
-"""Shared fixtures: every obs test leaves the global singletons disabled."""
+"""Shared fixtures: every obs test leaves the null default context current."""
 
 import pytest
 
-from cadinterop.obs import disable_lineage, disable_metrics, disable_tracing
+from cadinterop.obs import (
+    NULL_LINEAGE,
+    NULL_METRICS,
+    NULL_TRACER,
+    current_context,
+)
 
 
 @pytest.fixture(autouse=True)
-def _reset_obs_globals():
+def _leaves_null_default_context():
+    default = current_context()
     yield
-    disable_tracing()
-    disable_metrics()
-    disable_lineage()
+    context = current_context()
+    assert context is default, "a test left another context installed"
+    assert (context.tracer, context.metrics, context.lineage) == (
+        NULL_TRACER, NULL_METRICS, NULL_LINEAGE
+    ), "a test switched on a facility of the default context"

@@ -10,9 +10,6 @@ from cadinterop.obs import (
     LossReport,
     ObsContext,
     Tracer,
-    disable_lineage,
-    enable_lineage,
-    enable_metrics,
     get_lineage,
     installed,
 )
@@ -83,13 +80,6 @@ class TestRecorder:
         parent.adopt(shipped)
         assert [r["object_id"] for r in parent.lineage.records()] == ["c", "a", "b"]
 
-    def test_records_feed_metrics_counters(self):
-        registry = enable_metrics()
-        recorder = LineageRecorder()
-        recorder.record("net", "a", "s", "dropped")
-        recorder.record("net", "b", "s", "dropped")
-        assert registry.counter("lineage.dropped").value == 2
-
 
 class TestSingleton:
     def test_disabled_by_default_and_inert(self):
@@ -103,11 +93,11 @@ class TestSingleton:
         assert len(NULL_LINEAGE) == 0
 
     def test_enable_disable_roundtrip(self):
-        recorder = enable_lineage()
-        assert get_lineage() is recorder
-        get_lineage().record("net", "x", "s", "preserved")
+        recorder = LineageRecorder()
+        with installed(ObsContext(lineage=recorder)):
+            assert get_lineage() is recorder
+            get_lineage().record("net", "x", "s", "preserved")
         assert len(recorder) == 1
-        disable_lineage()
         assert get_lineage() is NULL_LINEAGE
 
 

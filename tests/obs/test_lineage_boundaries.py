@@ -6,13 +6,21 @@ independent opinion about what was lost — every ``approximated`` /
 already logs, and every record links to a span in the same trace.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.hdl.cosim import BridgeSignal, CoSimulation
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.synth import synthesize
-from cadinterop.obs import enable_lineage, enable_tracing, get_lineage
+from cadinterop.obs import (
+    NULL_TRACER,
+    LineageRecorder,
+    ObsContext,
+    Tracer,
+    installed,
+)
 from cadinterop.pnr.backplane import convey
 from cadinterop.pnr.dialects import TOOL_P, TOOL_R
 from cadinterop.pnr.samples import build_cell_library, build_floorplan
@@ -36,15 +44,22 @@ def by_verb(records, verb):
     return [r for r in records if r["verb"] == verb]
 
 
+@contextmanager
+def recording(tracer=NULL_TRACER):
+    """Record lineage (and spans, given a tracer) for one block."""
+    with installed(ObsContext(tracer, lineage=LineageRecorder())) as context:
+        yield context.lineage
+
+
 class TestMigrateBoundary:
-    def migrate(self, vl_libs, offgrid_labels=0):
+    def migrate(self, vl_libs, offgrid_labels=0, tracer=NULL_TRACER):
         cell = generate_chain_schematic(
             vl_libs, pages=2, chains_per_page=2, stages=3,
             offgrid_labels=offgrid_labels,
         )
         plan = build_sample_plan(source_libraries=vl_libs)
-        recorder = enable_lineage()
-        result = Migrator(plan).migrate(cell)
+        with recording(tracer) as recorder:
+            result = Migrator(plan).migrate(cell)
         return result, recorder.records()
 
     def test_snap_parity_with_issue_log(self, vl_libs):
@@ -84,8 +99,8 @@ class TestMigrateBoundary:
         assert all(r["dialect"] and "->" in r["dialect"] for r in records)
 
     def test_every_record_links_to_a_traced_span(self, vl_libs):
-        tracer = enable_tracing()
-        _result, records = self.migrate(vl_libs, offgrid_labels=1)
+        tracer = Tracer()
+        _result, records = self.migrate(vl_libs, offgrid_labels=1, tracer=tracer)
         span_ids = {span["span_id"] for span in tracer.spans()}
         assert records
         assert all(r["span_id"] in span_ids for r in records)
@@ -93,9 +108,9 @@ class TestMigrateBoundary:
 
 class TestBackplaneBoundary:
     def test_dropped_records_match_feature_gap_issues(self):
-        recorder = enable_lineage()
         log = IssueLog()
-        payload = convey(build_floorplan(), build_cell_library(), TOOL_R, log)
+        with recording() as recorder:
+            payload = convey(build_floorplan(), build_cell_library(), TOOL_R, log)
         dropped = by_verb(recorder.records(), "dropped")
         gaps = [i for i in log if i.category is Category.FEATURE_GAP]
         assert payload.dropped  # TOOL_R is the lossy target
@@ -107,8 +122,8 @@ class TestBackplaneBoundary:
         assert preserved
 
     def test_full_support_tool_drops_nothing(self):
-        recorder = enable_lineage()
-        payload = convey(build_floorplan(), build_cell_library(), TOOL_P)
+        with recording() as recorder:
+            payload = convey(build_floorplan(), build_cell_library(), TOOL_P)
         assert payload.dropped == []
         assert not by_verb(recorder.records(), "dropped")
         assert by_verb(recorder.records(), "preserved")
@@ -116,9 +131,9 @@ class TestBackplaneBoundary:
     def test_derived_access_mismatch_is_approximated(self):
         from cadinterop.pnr.dialects import TOOL_Q
 
-        recorder = enable_lineage()
         log = IssueLog()
-        convey(build_floorplan(), build_cell_library(), TOOL_Q, log)
+        with recording() as recorder:
+            convey(build_floorplan(), build_cell_library(), TOOL_Q, log)
         approximations = by_verb(recorder.records(), "approximated")
         mismatches = [i for i in log if "derives access" in i.message]
         assert len(approximations) == len(mismatches) > 0
@@ -150,12 +165,12 @@ class TestCosimBoundary:
         )
 
     def run(self, value_mode):
-        recorder = enable_lineage()
-        cosim = CoSimulation(
-            self.producer(), self.consumer(),
-            [BridgeSignal("left", "data", "din")], value_mode=value_mode,
-        )
-        cosim.run(15)
+        with recording() as recorder:
+            cosim = CoSimulation(
+                self.producer(), self.consumer(),
+                [BridgeSignal("left", "data", "din")], value_mode=value_mode,
+            )
+            cosim.run(15)
         return [
             r for r in recorder.records() if r["stage"] == "cosim:exchange"
         ]
@@ -176,7 +191,6 @@ class TestCosimBoundary:
 
 class TestWorkflowBoundary:
     def test_artifact_facets_per_step(self):
-        recorder = enable_lineage()
         template = FlowTemplate("t")
         template.add_step(
             StepDef("produce",
@@ -189,7 +203,8 @@ class TestWorkflowBoundary:
         )
         engine = WorkflowEngine()
         instance = engine.instantiate(template, block="blockA")
-        assert engine.run(instance).ok
+        with recording() as recorder:
+            assert engine.run(instance).ok
         records = [
             r for r in recorder.records() if r["stage"].startswith("workflow:")
         ]
@@ -200,14 +215,14 @@ class TestWorkflowBoundary:
         assert all(r["design"] == "blockA" for r in records)
 
     def test_missing_variable_read_is_not_a_facet(self):
-        recorder = enable_lineage()
         template = FlowTemplate("t")
         template.add_step(
             StepDef("probe",
                     action=PythonAction(lambda api: api.get_variable("ghost", 0)))
         )
         engine = WorkflowEngine()
-        engine.run(engine.instantiate(template))
+        with recording() as recorder:
+            engine.run(engine.instantiate(template))
         assert not recorder.records()
 
 
@@ -216,10 +231,10 @@ class TestHandoffBoundaries:
         cell = generate_chain_schematic(vl_libs, pages=2, chains_per_page=2,
                                         stages=4)
         result = Migrator(build_sample_plan(source_libraries=vl_libs)).migrate(cell)
-        recorder = enable_lineage()
-        conversion = schematic_to_pnr(
-            result.schematic, sample_binding_table(), build_cell_library()
-        )
+        with recording() as recorder:
+            conversion = schematic_to_pnr(
+                result.schematic, sample_binding_table(), build_cell_library()
+            )
         assert conversion.ok
         records = recorder.records()
         assert all(r["stage"] == "schematic2pnr" for r in records)
@@ -236,10 +251,10 @@ class TestHandoffBoundaries:
         cell = generate_chain_schematic(vl_libs, pages=1, chains_per_page=1,
                                         stages=2)
         result = Migrator(build_sample_plan(source_libraries=vl_libs)).migrate(cell)
-        recorder = enable_lineage()
-        conversion = schematic_to_pnr(
-            result.schematic, BindingTable(), build_cell_library()
-        )
+        with recording() as recorder:
+            conversion = schematic_to_pnr(
+                result.schematic, BindingTable(), build_cell_library()
+            )
         assert not conversion.ok
         dropped = by_verb(recorder.records(), "dropped")
         assert len(dropped) == len(conversion.skipped_instances) > 0
@@ -258,8 +273,8 @@ class TestHandoffBoundaries:
                 """
             )).netlist
         )
-        recorder = enable_lineage()
-        conversion = gate_netlist_to_pnr(netlist, build_cell_library())
+        with recording() as recorder:
+            conversion = gate_netlist_to_pnr(netlist, build_cell_library())
         assert conversion.ok
         records = [
             r for r in recorder.records() if r["stage"] == "rtl2gds"

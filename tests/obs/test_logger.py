@@ -2,7 +2,7 @@
 
 import logging
 
-from cadinterop.obs import enable_tracing, get_logger, get_tracer
+from cadinterop.obs import ObsContext, Tracer, get_logger, get_tracer, installed
 from cadinterop.obs.logger import ROOT_LOGGER, SpanContextFilter
 
 
@@ -48,11 +48,11 @@ class TestGetLogger:
         assert record.trace_id == "-" and record.span_id == "-"
 
     def test_records_carry_live_span_ids(self):
-        tracer = enable_tracing("deadbeef00")
+        tracer = Tracer("deadbeef00")
         logger = get_logger("test.traced")
         handler = capture(logger)
         try:
-            with get_tracer().span("op") as span:
+            with installed(ObsContext(tracer)), get_tracer().span("op") as span:
                 logger.warning("inside")
         finally:
             logger.removeHandler(handler)

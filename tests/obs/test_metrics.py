@@ -1,6 +1,4 @@
-"""Metrics registry: instruments, snapshots, merging, pickling, no-op mode."""
-
-import pickle
+"""Metrics registry: instruments, snapshots, merging, no-op mode."""
 
 import pytest
 
@@ -11,8 +9,6 @@ from cadinterop.obs import (
     ObsContext,
     StageSpan,
     Tracer,
-    disable_metrics,
-    enable_metrics,
     get_metrics,
     installed,
     render_metrics,
@@ -27,13 +23,6 @@ class TestInstruments:
         counter.inc(4)
         assert counter.value == 5
         assert registry.counter("hits") is counter  # get-or-create
-
-    def test_gauge_keeps_last_value(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("workers")
-        gauge.set(2)
-        gauge.set(8)
-        assert gauge.value == 8
 
     def test_histogram_buckets_and_moments(self):
         registry = MetricsRegistry()
@@ -53,25 +42,22 @@ class TestInstruments:
         registry = MetricsRegistry()
         registry.counter("n")
         with pytest.raises(TypeError, match="counter"):
-            registry.gauge("n")
-        with pytest.raises(TypeError, match="counter"):
             registry.histogram("n")
+        registry.histogram("h")
+        with pytest.raises(TypeError, match="histogram"):
+            registry.counter("h")
 
 
 class TestSnapshotAndMerge:
     def build(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
         registry.histogram("h", buckets=(0.5,)).observe(0.25)
         return registry
 
     def test_snapshot_is_plain_data(self):
         snapshot = self.build().snapshot()
         assert snapshot["c"] == {"type": "counter", "value": 3}
-        assert snapshot["g"]["type"] == "gauge"
-        assert snapshot["g"]["value"] == 1.5
-        assert snapshot["g"]["seq"] > 0  # write stamp for merge ordering
         assert snapshot["h"]["counts"] == [1, 0]
         import json
 
@@ -83,44 +69,6 @@ class TestSnapshotAndMerge:
         snapshot = left.snapshot()
         assert snapshot["c"]["value"] == 6
         assert snapshot["h"]["count"] == 2
-        assert snapshot["g"]["value"] == 1.5  # newest write wins
-
-    def test_gauge_merge_keeps_newest_regardless_of_order(self):
-        # The regression: last-write-wins used to depend on which worker
-        # snapshot merged last, i.e. on pool join order.
-        older = MetricsRegistry()
-        older.gauge("g").set(1.0)
-        newer = MetricsRegistry()
-        newer.gauge("g").set(2.0)
-
-        forward = MetricsRegistry()
-        forward.merge(older.snapshot())
-        forward.merge(newer.snapshot())
-        backward = MetricsRegistry()
-        backward.merge(newer.snapshot())
-        backward.merge(older.snapshot())
-        assert forward.gauge("g").value == 2.0
-        assert backward.gauge("g").value == 2.0
-
-    def test_gauge_seq_is_strictly_monotonic_in_process(self):
-        gauge = MetricsRegistry().gauge("g")
-        seqs = []
-        for value in range(5):
-            gauge.set(value)
-            seqs.append(gauge.seq)
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-
-    def test_gauge_merge_accepts_preseq_snapshots(self):
-        # Format-1 trace files carry gauges without a seq stamp; a fresh
-        # registry (seq 0) must still adopt them.
-        registry = MetricsRegistry()
-        registry.merge({"g": {"type": "gauge", "value": 7.0}})
-        assert registry.gauge("g").value == 7.0
-        # ... but any stamped local write beats the stampless snapshot.
-        registry.gauge("g").set(9.0)
-        registry.merge({"g": {"type": "gauge", "value": 7.0}})
-        assert registry.gauge("g").value == 9.0
 
     def test_merge_rejects_differing_buckets(self):
         left = MetricsRegistry()
@@ -131,8 +79,9 @@ class TestSnapshotAndMerge:
             left.merge(right.snapshot())
 
     def test_merge_rejects_unknown_type(self):
-        with pytest.raises(ValueError, match="unknown instrument"):
-            MetricsRegistry().merge({"x": {"type": "meter", "value": 1}})
+        for kind in ("meter", "gauge"):
+            with pytest.raises(ValueError, match="unknown instrument"):
+                MetricsRegistry().merge({"x": {"type": kind, "value": 1}})
 
     def test_drain_snapshots_then_empties(self):
         registry = self.build()
@@ -142,17 +91,11 @@ class TestSnapshotAndMerge:
         registry.counter("c").inc()  # instruments start over after a drain
         assert registry.snapshot()["c"]["value"] == 1
 
-    def test_registry_survives_pickling(self):
-        clone = pickle.loads(pickle.dumps(self.build()))
-        clone.counter("c").inc()  # lock was recreated; instruments work
-        assert clone.counter("c").value == 4
-        assert clone.snapshot()["h"]["count"] == 1
-
-    def test_render_table(self):
-        table = self.build().render_table()
+    def test_render_metrics(self):
+        table = render_metrics(self.build().snapshot())
         assert "c" in table and "counter" in table and "3" in table
         assert "n=1" in table
-        assert render_metrics({}) .startswith("metric")
+        assert render_metrics({}).startswith("metric")
 
 
 class TestGlobalSingleton:
@@ -162,17 +105,16 @@ class TestGlobalSingleton:
 
     def test_null_registry_is_inert(self):
         NULL_METRICS.counter("x").inc()
-        NULL_METRICS.gauge("y").set(3)
         NULL_METRICS.histogram("z").observe(0.1)
         assert NULL_METRICS.snapshot() == {}
         assert NULL_METRICS.counter("x").value == 0
 
     def test_enable_disable_roundtrip(self):
-        registry = enable_metrics()
-        assert get_metrics() is registry
-        get_metrics().counter("seen").inc()
+        registry = MetricsRegistry()
+        with installed(ObsContext(metrics=registry)):
+            assert get_metrics() is registry
+            get_metrics().counter("seen").inc()
         assert registry.snapshot()["seen"]["value"] == 1
-        disable_metrics()
         assert get_metrics() is NULL_METRICS
 
     def test_default_buckets_are_sorted_and_subsecond_heavy(self):

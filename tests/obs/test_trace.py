@@ -10,8 +10,6 @@ from cadinterop.obs import (
     ObsContext,
     Tracer,
     current_span_id,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     installed,
     traced,
@@ -152,14 +150,15 @@ class TestGlobalSingleton:
         assert current_span_id() is None
 
     def test_enable_disable_roundtrip(self):
-        tracer = enable_tracing()
-        assert get_tracer() is tracer and tracer.enabled
-        with get_tracer().span("visible"):
-            pass
+        tracer = Tracer()
+        with installed(ObsContext(tracer)):
+            assert get_tracer() is tracer and tracer.enabled
+            with get_tracer().span("visible"):
+                pass
         assert len(tracer) == 1
-        disable_tracing()
         assert get_tracer() is NULL_TRACER
 
     def test_enable_with_fixed_trace_id(self):
-        tracer = enable_tracing("feedbeef")
-        assert tracer.trace_id == "feedbeef"
+        with installed(ObsContext.enabled("feedbeef")) as context:
+            assert get_tracer() is context.tracer
+        assert context.tracer.trace_id == "feedbeef"

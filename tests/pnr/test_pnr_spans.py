@@ -1,25 +1,17 @@
 """Placement and routing report ``pnr:place`` / ``pnr:route`` spans.
 
-No ``cadinterop`` subcommand runs place and route, so these tests enable
-tracing the way ``cadinterop trace`` does and read the spans back through
-the same tree renderer it prints.
+No ``cadinterop`` subcommand runs place and route, so these tests install
+a traced context the way ``cadinterop trace`` does and read the spans back
+through the same tree renderer it prints.
 """
 
-import pytest
-
-from cadinterop.obs import disable_tracing, enable_tracing, render_tree
+from cadinterop.obs import ObsContext, Tracer, installed, render_tree
 from cadinterop.pnr.backplane import run_flow
 from cadinterop.pnr.dialects import TOOL_P
 from cadinterop.pnr.placement import RowPlacer
 from cadinterop.pnr.routing import GridRouter
 from cadinterop.pnr.samples import build_cell_library, build_floorplan, generate_design
 from cadinterop.pnr.tech import generic_two_layer_tech
-
-
-@pytest.fixture(autouse=True)
-def _tracing_off_afterwards():
-    yield
-    disable_tracing()
 
 
 def place_and_route(cells=12):
@@ -46,8 +38,9 @@ def by_name(spans, name):
 
 class TestPnRSpans:
     def test_place_and_route_spans_carry_their_counts(self):
-        tracer = enable_tracing()
-        design, placed, routed, _signature = place_and_route()
+        tracer = Tracer()
+        with installed(ObsContext(tracer)):
+            design, placed, routed, _signature = place_and_route()
         spans = tracer.spans()
         (place,) = by_name(spans, "pnr:place")
         (route,) = by_name(spans, "pnr:route")
@@ -64,10 +57,12 @@ class TestPnRSpans:
         assert "pnr:place" in tree and "pnr:route" in tree
 
     def test_spans_nest_under_the_backplane_flow(self):
-        tracer = enable_tracing()
+        tracer = Tracer()
         tech = generic_two_layer_tech()
         design, pads = generate_design(build_cell_library(), cells=8)
-        run_flow(tech, build_floorplan(), build_cell_library(), design, TOOL_P, pads)
+        with installed(ObsContext(tracer)):
+            run_flow(tech, build_floorplan(), build_cell_library(), design,
+                     TOOL_P, pads)
         spans = tracer.spans()
         (flow,) = by_name(spans, "pnr:flow")
         for name in ("pnr:place", "pnr:route"):
@@ -76,6 +71,6 @@ class TestPnRSpans:
 
     def test_tracing_leaves_the_layout_unchanged(self):
         *_rest, untraced = place_and_route()
-        enable_tracing()
-        *_rest, traced = place_and_route()
+        with installed(ObsContext(Tracer())):
+            *_rest, traced = place_and_route()
         assert traced == untraced

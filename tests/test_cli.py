@@ -177,19 +177,24 @@ class TestTrace:
         from cadinterop.obs import read_trace, validate_trace
 
         trace_file = tmp_path / "t.jsonl"
-        metrics_file = tmp_path / "m.json"
         assert main(["trace", "--trace-out", str(trace_file),
-                     "--metrics-out", str(metrics_file),
                      "migrate-batch", "--generate", "2", "--jobs", "2"]) == 0
         capsys.readouterr()
         assert validate_trace(trace_file) == []
         trace = read_trace(trace_file)
         names = [s["name"] for s in trace["spans"]]
         assert "cli:migrate-batch" in names and "farm:run" in names
-        import json
-
-        metrics = json.loads(metrics_file.read_text())
+        # The trace file is the one metrics output.
+        metrics = trace["metrics"]
         assert metrics["farm.designs.migrated"]["value"] == 2
+        assert not any(name.startswith("lineage.") for name in metrics)
+
+    def test_metrics_out_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--metrics-out", str(tmp_path / "m.json"),
+                  "naming", "clk"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
     def test_trace_disables_globals_afterwards(self, capsys):
         from cadinterop.obs import get_metrics, get_tracer
@@ -230,6 +235,30 @@ class TestStats:
         assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def one_span_trace(self, path, metrics):
+        from cadinterop.obs import validate_trace, write_trace
+
+        span = {"span_id": "s1", "parent_id": None, "name": "op", "start": 0.0,
+                "seconds": 0.1, "status": "ok", "attrs": {}}
+        write_trace(path, [span], metrics, trace_id="t")
+        assert validate_trace(path) == []
+        return str(path)
+
+    @pytest.mark.parametrize("second", [
+        {"type": "histogram", "buckets": [0.5], "counts": [1, 0], "sum": 0.1,
+         "count": 1},
+        {"type": "counter", "value": 1},
+    ], ids=["buckets", "type"])
+    def test_stats_reports_traces_that_cannot_merge(self, tmp_path, capsys, second):
+        # Each file is valid alone; together their ``h`` metrics disagree.
+        first = {"type": "histogram", "buckets": [0.25, 0.5], "counts": [1, 0, 0],
+                 "sum": 0.1, "count": 1}
+        paths = [self.one_span_trace(tmp_path / "a.jsonl", {"h": first}),
+                 self.one_span_trace(tmp_path / "b.jsonl", {"h": second})]
+        assert main(["stats", *paths]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read trace" in err and paths[1] in err
+
 
 class TestMigrateBatchObservability:
     """``trace`` is the one way to record a batch: migrate-batch has no
@@ -243,7 +272,7 @@ class TestMigrateBatchObservability:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_traced_batch_writes_v2_trace_with_linked_records(self, tmp_path, capsys):
-        from cadinterop.obs import get_lineage, read_trace, validate_trace
+        from cadinterop.obs import LossReport, get_lineage, read_trace, validate_trace
 
         lineage_file = tmp_path / "lineage.jsonl"
         assert main(["trace", "--trace-out", str(lineage_file),
@@ -256,6 +285,9 @@ class TestMigrateBatchObservability:
         trace = read_trace(lineage_file)
         assert trace["meta"]["format"] == 2
         assert trace["lineage"]
+        # Once in the batch's loss report, once in the trace's own summary.
+        summary = LossReport.from_records(trace["lineage"]).summary()
+        assert out.count(summary) == 2
         # Acceptance: every lineage record resolves to a span in this file.
         span_ids = {s["span_id"] for s in trace["spans"]}
         assert all(r["span_id"] in span_ids for r in trace["lineage"])

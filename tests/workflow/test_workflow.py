@@ -421,18 +421,16 @@ class TestMetrics:
         assert snapshot["workflow.step.seconds[build]"]["count"] == 1
 
     def test_engine_counts_steps_when_metrics_enabled(self):
-        from cadinterop.obs import disable_metrics, enable_metrics
+        from cadinterop.obs import MetricsRegistry, ObsContext, installed
 
         template = FlowTemplate("t")
         template.add_step(StepDef("build", action=py(ok_action)))
         template.add_step(StepDef("flaky", action=py(fail_action)))
         engine = WorkflowEngine()
         instance = engine.instantiate(template)
-        registry = enable_metrics()
-        try:
+        registry = MetricsRegistry()
+        with installed(ObsContext(metrics=registry)):
             engine.run(instance)
-        finally:
-            disable_metrics()
         snapshot = registry.snapshot()
         assert snapshot["workflow.steps.executed"]["value"] == 2
         assert snapshot["workflow.steps.succeeded"]["value"] == 1
