@@ -1,17 +1,20 @@
 """E20 — place and route of the 3-slice ALU vs the pre-index oracles.
 
-``GridRouter`` searches integer node ids on a wall-padded grid with
-packed-int heap keys, probes clearance only as far as the widest margin in
-play, and caches one clearance verdict per node for each net; ``RowPlacer``
-re-measures a swap over an instance-to-nets index with pin offsets taken
-once.  The code they replaced survives as the oracles in
-``tests/pnr/test_router_equivalence.py`` and is timed here on the
-``rtl-to-layout`` benchmark's 3-slice ALU flow
-(synthesized, lowered onto the sample library, one spaced cell row,
-placement seed 1).  Rows: best-of-REPEATS CPU time of the oracle and the
-current code for placement and for routing, and the speedup of each.
-Expected shape: identical placements and routing results (occupancy order
-included), and routing at least MIN_SPEEDUP x faster.
+``GridRouter`` searches integer node ids on a wall-padded grid from a
+bucket queue (one FIFO list per ``f``), probes clearance only as far as the
+widest margin in play, and caches one clearance verdict per node for each
+net; ``RowPlacer`` re-measures a swap over an instance-to-nets index with
+pin offsets taken once.  The code they replaced survives as the oracles in
+``tests/pnr/test_router_equivalence.py`` (a heap keyed ``(f, push
+counter)``) and is timed here on the ``rtl-to-layout`` benchmark's 3-slice
+ALU flow (synthesized, lowered onto the sample library, one spaced cell
+row, placement seed 1).  Rows: best-of-REPEATS CPU time of the oracle and
+the current code for placement and for routing, the speedup of each, and
+the A* expansions of one routing run on each side.  Expected shape:
+identical placements and routing results (occupancy order included),
+routing at least MIN_SPEEDUP x faster, and the same expansion count: the
+bucket queue expands nodes in the heap's order, so a search that expands
+other nodes shows here even where its paths come out the same.
 
 Run from the repository root (the oracles are imported from ``tests``,
 the flow from ``perfbench``)::
@@ -52,6 +55,37 @@ def alu_flow(library):
     return conversion.design, plan, pads
 
 
+class _CountingMoves(list):
+    """A router's move table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, layer):
+        self.reads += 1
+        return super().__getitem__(layer)
+
+
+def _count_expansions(router):
+    """Make ``router`` count the nodes it expands (popped, not the target).
+
+    ``GridRouter`` reads its move table once per expansion and the oracle
+    asks ``_neighbors`` once; returns the counter, with the count in
+    ``reads``.
+    """
+    if isinstance(router, OracleRouter):
+        counter = _CountingMoves()
+        neighbors = router._neighbors
+
+        def counting(node):
+            counter.reads += 1
+            return neighbors(node)
+
+        router._neighbors = counting
+    else:
+        counter = router._moves = _CountingMoves(router._moves)
+    return counter
+
+
 def _best_cpu_seconds(function, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -83,16 +117,23 @@ class TestRoutingSpeed:
         place_s, (placed_design, placed) = _best_cpu_seconds(place(RowPlacer), repeats)
         assert placed == oracle_placed
 
+        def route_design(router_cls, prepare=lambda router: None):
+            router = router_cls(pnr_tech, plan, pads)
+            prepare(router)
+            return routing_signature(router, router.route_design(placed_design))
+
         def route(router_cls):
-            def run():
-                router = router_cls(pnr_tech, plan, pads)
-                return routing_signature(router, router.route_design(placed_design))
-            return run
+            return lambda: route_design(router_cls)
 
         oracle_route_s, oracle_routed = _best_cpu_seconds(route(OracleRouter), repeats)
         route_s, routed = _best_cpu_seconds(route(GridRouter), repeats)
         assert routed == oracle_routed
         assert routed[1] == [], "the ALU flow routes every net"
+        # Counted outside the timed runs: the counters cost a call each.
+        counters = []
+        for router_cls in (OracleRouter, GridRouter):
+            route_design(router_cls, lambda router: counters.append(_count_expansions(router)))
+        oracle_expanded, expanded = (counter.reads for counter in counters)
 
         rows = [
             ("place", oracle_place_s, place_s, oracle_place_s / place_s),
@@ -104,7 +145,9 @@ class TestRoutingSpeed:
                 (stage, f"{oracle * 1000:.1f}ms", f"{current * 1000:.1f}ms", f"{speedup:.2f}x")
                 for stage, oracle, current, speedup in rows
             ])
+            + f" expansions: oracle {oracle_expanded}, current {expanded}"
         )
+        assert expanded == oracle_expanded, "the search order changed"
         speedup = rows[1][3]
         assert speedup >= MIN_SPEEDUP, (
             f"routing only {speedup:.2f}x over the oracle "

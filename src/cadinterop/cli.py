@@ -22,17 +22,18 @@ Subcommands
     content-hash result caching, and a per-stage table (``--profile``)
     built from the run's metrics, the same for every ``--jobs`` value.
     Run it under ``trace`` to record spans, metrics and per-object
-    provenance; the loss report is then printed too.
+    provenance; ``trace`` then prints the loss report.
 ``cadinterop trace [--trace-out FILE] CMD [ARG ...]``
     Run any other subcommand with the observability layer (tracing,
     metrics, lineage) enabled; print the span tree, flat stats and the
-    lineage loss summary afterwards, optionally writing the format-2 JSONL
+    lineage loss report afterwards, optionally writing the format-2 JSONL
     trace (spans, metrics and lineage records) to a file.  This is the
     one way to write a trace; ``read_trace(FILE)["metrics"]`` is its
     metrics snapshot.
 ``cadinterop stats FILE [FILE ...]``
     Pretty-print JSONL trace files written by ``trace``; several files
-    (or a shell glob) merge their metrics and span stats.
+    (or a shell glob) merge their metrics, span stats and lineage loss
+    summary.
 ``cadinterop audit TRACE.jsonl [TRACE.jsonl ...] [--json] [--top N]``
     Aggregate the lineage records of one or more traces into the
     semantic-loss report: per-stage and per-dialect loss matrices plus
@@ -212,9 +213,6 @@ def _cmd_migrate_batch(args: argparse.Namespace) -> int:
         print(report.render(per_design=True))
     else:
         print(report.summary())
-    if report.loss is not None and report.loss.total:
-        print()
-        print(report.loss.render())
 
     if args.out:
         out_dir = Path(args.out)
@@ -264,7 +262,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(render_stats(spans, snapshot))
     if lineage:
         print()
-        print(LossReport.from_records(lineage).summary())
+        print(LossReport.from_records(lineage).render())
     if args.trace_out:
         write_trace(args.trace_out, spans, snapshot,
                     trace_id=context.tracer.trace_id, lineage=lineage)
@@ -290,6 +288,7 @@ def _expand_trace_paths(patterns: Sequence[str]) -> List[str]:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from cadinterop.obs import (
+        LossReport,
         MetricsRegistry,
         read_trace,
         render_stats,
@@ -298,19 +297,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     paths = _expand_trace_paths(args.files)
     merged = MetricsRegistry()
+    loss = LossReport()
     all_spans: List[dict] = []
-    lineage_total = 0
     for path in paths:
         try:
             trace = read_trace(path)
             # Valid traces can still disagree (histogram buckets, a name's
             # instrument type); that makes this file unreadable here too.
             merged.merge(trace["metrics"])
+            loss.merge(LossReport.from_records(trace["lineage"]))
         except (OSError, TypeError, ValueError) as exc:
             print(f"cannot read trace {path}: {exc}", file=sys.stderr)
             return 2
         all_spans.extend(trace["spans"])
-        lineage_total += len(trace["lineage"])
         meta = trace["meta"]
         if meta.get("trace_id"):
             print(f"trace {meta['trace_id']} ({path})")
@@ -319,10 +318,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(render_tree(all_spans))
     print()
     print(render_stats(all_spans, merged.snapshot()))
-    if lineage_total:
+    if loss.total:
         print()
-        print(f"lineage: {lineage_total} records — "
-              "run `cadinterop audit` for the loss matrix")
+        print(loss.summary())
     return 0
 
 
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser("stats", help="pretty-print JSONL trace files")
     stats.add_argument("files", nargs="+",
                        help="trace files (globs accepted); several files "
-                            "merge their metrics and span stats")
+                            "merge their metrics, span stats and loss summary")
     stats.set_defaults(fn=_cmd_stats)
 
     audit = commands.add_parser(

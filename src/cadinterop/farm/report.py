@@ -126,7 +126,4 @@ class FarmReport:
         if counters:
             lines.append("")
             lines.append("counters: " + "  ".join(f"{n}={v}" for n, v in counters))
-        if self.loss is not None and self.loss.total:
-            lines.append("")
-            lines.append(self.loss.summary())
         return "\n".join(lines)

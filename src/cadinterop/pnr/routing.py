@@ -14,7 +14,6 @@ The search runs on integer node ids over flat per-id arrays (see
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -126,15 +125,6 @@ class GridRouter:
             self._moves.append(along + tuple(
                 ((j - k) * plane, 0, 0, 2) for j in range(len(self._layer_names)) if j != k
             ))
-        # A heap entry packs (f, counter, id) into one int that orders like
-        # that tuple.  The heuristic is consistent, so only a node's first
-        # pop can lower a neighbor's cost: a search pushes once per source
-        # plus at most once per move of each node, and its counter stays
-        # below size * (1 + moves per node).
-        self._id_bits = size.bit_length()
-        self._f_shift = self._id_bits + (
-            size * (1 + max(len(m) for m in self._moves))
-        ).bit_length()
         for keepout in floorplan.keepouts:
             for layer_name in keepout.layers:
                 if layer_name in self.layers:
@@ -281,6 +271,14 @@ class GridRouter:
     ) -> Optional[List[Node]]:
         """Cheapest path from ``sources`` to any layer at grid point ``target``.
 
+        The open set is a bucket queue: one list of ids per ``f`` value,
+        expanded in rising ``f`` and, within a bucket, in push order.  That is
+        the order of a heap keyed ``(f, push counter)``, so ties between
+        equal-cost paths break as they always have.  It needs no heap
+        because the heuristic is consistent: a push never has an ``f`` below
+        the node being expanded (a track move changes ``g`` by 1 and ``h``
+        by at most 1, a via adds 2 to ``g`` and leaves ``h``).
+
         ``verdicts`` caches :meth:`_clear` answers by id for this net; the
         caller keeps it only while owners and margins stand still.
         """
@@ -289,16 +287,12 @@ class GridRouter:
         tx, ty = target[0] + 1, target[1] + 1
         target_xy = ty * stride + tx
         wall, owners, moves = self._wall, self._owner, self._moves
-        id_bits, f_shift = self._id_bits, self._f_shift
-        id_mask = (1 << id_bits) - 1
-        heappush, heappop = heapq.heappush, heapq.heappop
         # The heuristic's two terms, by padded coordinate.
         x_gap = [abs(x - tx) for x in range(stride)]
         y_gap = [abs(y - ty) for y in range(self.rows + 2)]
-        open_heap: List[int] = []
+        buckets: Dict[int, List[int]] = {}
         best = self._best
         parent: Dict[int, int] = {}
-        seq, unit = 0, 1 << id_bits
         try:
             for source in sources:
                 # Sources are admitted on hard occupancy only: a pin that
@@ -311,45 +305,56 @@ class GridRouter:
                 best[source_id] = 0
                 parent[source_id] = -1
                 f = abs(source[1] + 1 - tx) + abs(source[2] + 1 - ty)
-                heappush(open_heap, (f << f_shift) | seq | source_id)
-                seq += unit
+                buckets.setdefault(f, []).append(source_id)
 
-            while open_heap:
-                node = heappop(open_heap) & id_mask
-                cost = best[node]
-                layer, xy = divmod(node, plane)
-                if xy == target_xy:
-                    path: List[Node] = []
-                    while node >= 0:
-                        path.append(self._node(node))
-                        node = parent[node]
-                    return list(reversed(path))
-                y, x = divmod(xy, stride)
-                for delta, dx, dy, step in moves[layer]:
-                    neighbor = node + delta
-                    owner = owners[neighbor]
-                    if owner is not None and owner != net:
-                        continue
-                    # Terminals are always enterable by their own net; walls
-                    # and margin apply to the routing fabric in between.
-                    if wall[neighbor]:
-                        if neighbor % plane != target_xy:
+            while buckets:
+                f = min(buckets)
+                bucket = buckets[f]
+                # Pushes at this ``f`` append to ``bucket`` while it is being
+                # iterated, so they are expanded in this pass, in push order.
+                # A node improved after its push stays behind in a higher
+                # bucket, as a heap would keep its stale entry; expanding it
+                # again lowers no cost.
+                for node in bucket:
+                    cost = best[node]
+                    layer, xy = divmod(node, plane)
+                    if xy == target_xy:
+                        path: List[Node] = []
+                        while node >= 0:
+                            path.append(self._node(node))
+                            node = parent[node]
+                        return list(reversed(path))
+                    y, x = divmod(xy, stride)
+                    for delta, dx, dy, step in moves[layer]:
+                        neighbor = node + delta
+                        owner = owners[neighbor]
+                        if owner is not None and owner != net:
                             continue
-                    elif reach:
-                        verdict = verdicts[neighbor]
-                        if not verdict:
-                            verdict = verdicts[neighbor] = (
-                                1 if self._clear(neighbor, net, margin, reach) else 2
-                            )
-                        if verdict == 2 and neighbor % plane != target_xy:
-                            continue
-                    new_cost = cost + step
-                    if new_cost < best[neighbor]:
-                        best[neighbor] = new_cost
-                        parent[neighbor] = node
-                        f = new_cost + x_gap[x + dx] + y_gap[y + dy]
-                        heappush(open_heap, (f << f_shift) | seq | neighbor)
-                        seq += unit
+                        # Terminals are always enterable by their own net;
+                        # walls and margin apply to the routing fabric in
+                        # between.
+                        if wall[neighbor]:
+                            if neighbor % plane != target_xy:
+                                continue
+                        elif reach:
+                            verdict = verdicts[neighbor]
+                            if not verdict:
+                                verdict = verdicts[neighbor] = (
+                                    1 if self._clear(neighbor, net, margin, reach) else 2
+                                )
+                            if verdict == 2 and neighbor % plane != target_xy:
+                                continue
+                        new_cost = cost + step
+                        if new_cost < best[neighbor]:
+                            best[neighbor] = new_cost
+                            parent[neighbor] = node
+                            key = new_cost + x_gap[x + dx] + y_gap[y + dy]
+                            entries = buckets.get(key)
+                            if entries is None:
+                                buckets[key] = [neighbor]
+                            else:
+                                entries.append(neighbor)
+                del buckets[f]
             return None
         finally:
             # Hand the next search an all-unreached ``best``.

@@ -3,19 +3,24 @@
 ``GridRouter`` searches integer node ids on a grid padded with a ring of
 wall nodes, bounds its clearance probes by the widest margin in play,
 caches one clearance verdict per node for each ``route_net`` call, and
-orders its heap by packed int keys; ``RowPlacer`` re-measures a swap over
-an instance-to-nets index with pin offsets taken once per (cell, pin,
-orientation).  This module keeps the code they replaced, as it was, as
-test-local oracles: the router on tuple nodes with its own tuple-keyed
-grid state, which always probes out to ``MAX_MARGIN`` tracks and asks every
-question afresh, the ``_local_hpwl`` that scans every net of the design per
-swap, and the ``pin_position`` that transforms the pin box on every call.
-On hypothesis-generated floorplans with routing keepouts, global-net
-strategies (rings on the edge tracks included), fixed and movable
-instances in every orientation, pads inside the die and on its sides,
-2-5-terminal nets, nets along the die's edges and width/spacing/shield
-rules, both sides must produce the same placement and the same routing
-result, down to the order of the occupancy map.
+keeps its open set in a bucket queue (one FIFO list per ``f``);
+``RowPlacer`` re-measures a swap over an instance-to-nets index with pin
+offsets taken once per (cell, pin, orientation).  This module keeps the
+code they replaced, as it was, as test-local oracles: the router on tuple
+nodes with its own tuple-keyed grid state, which always probes out to
+``MAX_MARGIN`` tracks, asks every question afresh and keeps a heap keyed
+``(f, push counter)``, the ``_local_hpwl`` that scans every net of the
+design per swap, and the ``pin_position`` that transforms the pin box on
+every call.  On hypothesis-generated floorplans with routing keepouts,
+global-net strategies (rings on the edge tracks included), fixed and
+movable instances in every orientation, pads inside the die and on its
+sides, 2-5-terminal nets, nets along the die's edges and
+width/spacing/shield rules, both sides must produce the same placement and
+the same routing result, down to the order of the occupancy map; so must
+the fixed cases, the three ALU flows of the ``rtl-to-layout`` benchmark
+among them.  A consistent heuristic guarantees paths of equal cost, not
+equal paths: which of several equal-cost paths a search returns depends on
+the order it pops entries of equal ``f`` (``test_equal_cost_detours``).
 
 Generated rules stay within the oracle's 4-track margin cap; clearance
 beyond it is covered in ``test_floorplan_place_route.py``.
@@ -31,7 +36,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cadinterop import rtl2gds
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.hdl import parser, synth
 from cadinterop.pnr.cells import CellAbstract, CellPin, PinShape
 from cadinterop.pnr.design import PnRDesign, PnRInstance, inst_terminal, pad_terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, Keepout, NetRule
@@ -44,6 +51,7 @@ from cadinterop.pnr.samples import (
     generate_design,
 )
 from cadinterop.pnr.tech import Technology, generic_two_layer_tech
+from perfbench.workloads import rtl_to_layout
 
 
 # -- oracles: the router and placer steps as they were ------------------------
@@ -625,10 +633,51 @@ def sample_case(cells_count: int, seed: int):
     return floorplan, design, pads, [(s, 1) for s in floorplan.strategies.values()], seed
 
 
+def alu_case(slices: int, seed: int):
+    """The ``rtl-to-layout`` benchmark's ALU flow, lowered onto the sample cells."""
+    source, inputs, outputs = rtl_to_layout.alu_source(slices)
+    rtl = parser.parse_module(source)
+    hardware = rtl2gds.strip_testbench(synth.synthesize(rtl).netlist)
+    conversion = rtl2gds.gate_netlist_to_pnr(hardware, build_cell_library())
+    flow = rtl_to_layout.Flow(slices, source, inputs, outputs, seed, [])
+    floorplan, pads = rtl_to_layout.floorplan(rtl.name, conversion.cells_emitted, flow)
+    return floorplan, conversion.design, pads, [], seed
+
+
 class TestFixedEquivalence:
     @pytest.mark.parametrize("seed", [1, 3, 7])
     def test_sample_floorplan(self, seed):
         assert_equivalent(sample_case(12, seed))
+
+    @pytest.mark.parametrize(
+        "slices,seed", rtl_to_layout.FLOWS,
+        ids=[f"alu{slices}_p{seed}" for slices, seed in rtl_to_layout.FLOWS],
+    )
+    def test_alu_flow(self, slices, seed):
+        assert_equivalent(alu_case(slices, seed))
+
+    def test_equal_cost_detours(self):
+        """n0 has two detours of 19 nodes and 4 vias; push order picks one.
+
+        A search that pops equal-``f`` entries nearest the target first
+        takes the jog at column 1, not the oracle's at column 2.
+        """
+        floorplan = Floorplan("detours", Rect(0, 0, 80, 45))
+        floorplan.add_keepout(Keepout(Rect(0, 0, 1, 2), layers=("M1",)))
+        floorplan.add_keepout(Keepout(Rect(15, 20, 15, 30), layers=("M1",)))
+        pads = {
+            "pad0": Point(0, 0), "pad1": Point(2, 34), "edge1a": Point(1, 45),
+            "edge1b": Point(0, 45), "edge3a": Point(0, 0), "edge3b": Point(30, 0),
+        }
+        design = PnRDesign("detours")
+        for net, ends, width, spacing in (
+            ("n0", ("pad1", "pad0"), 2, 1),
+            ("e1", ("edge1a", "edge1b"), 1, 3),
+            ("e3", ("edge3a", "edge3b"), 3, 1),
+        ):
+            design.add_net(net, [pad_terminal(end) for end in ends])
+            floorplan.add_net_rule(NetRule(net, width_tracks=width, spacing_tracks=spacing))
+        assert_equivalent((floorplan, design, pads, [], 0))
 
     @pytest.mark.parametrize("width,spacing", [(1, 1), (2, 2), (3, 3), (2, 4)])
     def test_bus_scenario(self, width, spacing):

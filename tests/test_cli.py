@@ -223,6 +223,8 @@ class TestTrace:
 
 class TestStats:
     def test_stats_renders_a_written_trace(self, tmp_path, capsys):
+        from cadinterop.obs import LossReport, read_trace
+
         trace_file = tmp_path / "t.jsonl"
         assert main(["trace", "--trace-out", str(trace_file),
                      "migrate-batch", "--generate", "2"]) == 0
@@ -230,6 +232,9 @@ class TestStats:
         assert main(["stats", str(trace_file)]) == 0
         out = capsys.readouterr().out
         assert "trace " in out and "farm:run" in out and "span" in out
+        # The lineage records' loss summary, as ``trace`` reported it.
+        summary = LossReport.from_records(read_trace(trace_file)["lineage"]).summary()
+        assert "1 losses" in summary and out.count(summary) == 1
 
     def test_stats_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
@@ -285,12 +290,19 @@ class TestMigrateBatchObservability:
         trace = read_trace(lineage_file)
         assert trace["meta"]["format"] == 2
         assert trace["lineage"]
-        # Once in the batch's loss report, once in the trace's own summary.
+        # Printed once, in the trace's own loss report.
         summary = LossReport.from_records(trace["lineage"]).summary()
-        assert out.count(summary) == 2
+        assert out.count(summary) == 1
         # Acceptance: every lineage record resolves to a span in this file.
         span_ids = {s["span_id"] for s in trace["spans"]}
         assert all(r["span_id"] in span_ids for r in trace["lineage"])
+
+    def test_profiled_batch_prints_the_loss_summary_once(self, capsys):
+        assert main(["trace", "migrate-batch", "--generate", "4", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "stage" in out and "verification" in out  # the stage table
+        assert "top lossy designs" in out  # the loss report
+        assert out.count("lineage: ") == 1
 
     def test_audit_is_the_same_for_every_job_count(self, tmp_path, capsys):
         audits = []
@@ -407,6 +419,8 @@ class TestStatsMultiFile:
     def test_stats_merges_multiple_traces(self, tmp_path, capsys):
         import re
 
+        from cadinterop.obs import LossReport, read_trace
+
         a = self.write_trace(tmp_path, "a.jsonl")
         b = self.write_trace(tmp_path, "b.jsonl", generate="3")
         capsys.readouterr()
@@ -418,6 +432,9 @@ class TestStatsMultiFile:
         assert migrated and int(migrated.group(1)) == 5
         # The span tree is a single-file affair; merged views stay flat.
         assert "└─" not in out
+        # The loss summary covers the lineage records of both files.
+        records = read_trace(a)["lineage"] + read_trace(b)["lineage"]
+        assert LossReport.from_records(records).summary() in out
 
     def test_stats_accepts_globs(self, tmp_path, capsys):
         self.write_trace(tmp_path, "a.jsonl")
