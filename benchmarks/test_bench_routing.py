@@ -1,20 +1,22 @@
 """E20 — place and route of the 3-slice ALU vs the pre-index oracles.
 
-``GridRouter`` searches integer node ids on a wall-padded grid from a
-bucket queue (one FIFO list per ``f``), probes clearance only as far as the
-widest margin in play, and caches one clearance verdict per node for each
-net; ``RowPlacer`` re-measures a swap over an instance-to-nets index with
-pin offsets taken once.  The code they replaced survives as the oracles in
-``tests/pnr/test_router_equivalence.py`` (a heap keyed ``(f, push
+``GridRouter`` searches integer node ids on a wall-padded grid in a
+goal-directed order (lowest ``f``, then lowest ``h``, then push order)
+from bucket queues, probes clearance only as far as the widest margin in
+play, and caches one clearance verdict per node for each net;
+``RowPlacer`` re-measures a swap over an instance-to-nets index with pin
+offsets taken once.  The code they replaced survives as the oracles in
+``tests/pnr/test_router_equivalence.py`` (a heap keyed ``(f, h, push
 counter)``) and is timed here on the ``rtl-to-layout`` benchmark's 3-slice
 ALU flow (synthesized, lowered onto the sample library, one spaced cell
 row, placement seed 1).  Rows: best-of-REPEATS CPU time of the oracle and
 the current code for placement and for routing, the speedup of each, and
-the A* expansions of one routing run on each side.  Expected shape:
-identical placements and routing results (occupancy order included),
-routing at least MIN_SPEEDUP x faster, and the same expansion count: the
-bucket queue expands nodes in the heap's order, so a search that expands
-other nodes shows here even where its paths come out the same.
+the A* expansions of one routing run by the oracle, the current code and
+``PushOrderRouter`` (the search order before the goal-directed one).
+Expected shape: identical placements and routing results (occupancy order
+included), routing at least MIN_SPEEDUP x faster, the same expansion count
+as the oracle (a search that expands other nodes shows here even where its
+paths come out the same), and at most MAX_EXPANSION_RATIO of push order's.
 
 Run from the repository root (the oracles are imported from ``tests``,
 the flow from ``perfbench``)::
@@ -33,12 +35,15 @@ from perfbench.workloads.rtl_to_layout import Flow, alu_source, floorplan
 from tests.pnr.test_router_equivalence import (
     OraclePlacer,
     OracleRouter,
+    PushOrderRouter,
     placement_signature,
     routing_signature,
 )
 
 #: Well under the measured routing ratio (see EXPERIMENTS.md E20).
 MIN_SPEEDUP = 1.5
+#: Expansions allowed, as a fraction of push order's (measured 0.47, E25).
+MAX_EXPANSION_RATIO = 0.55
 REPEATS = 3
 SLICES = 3
 PLACEMENT_SEED = 1
@@ -131,9 +136,9 @@ class TestRoutingSpeed:
         assert routed[1] == [], "the ALU flow routes every net"
         # Counted outside the timed runs: the counters cost a call each.
         counters = []
-        for router_cls in (OracleRouter, GridRouter):
+        for router_cls in (OracleRouter, GridRouter, PushOrderRouter):
             route_design(router_cls, lambda router: counters.append(_count_expansions(router)))
-        oracle_expanded, expanded = (counter.reads for counter in counters)
+        oracle_expanded, expanded, push_order_expanded = (counter.reads for counter in counters)
 
         rows = [
             ("place", oracle_place_s, place_s, oracle_place_s / place_s),
@@ -145,9 +150,13 @@ class TestRoutingSpeed:
                 (stage, f"{oracle * 1000:.1f}ms", f"{current * 1000:.1f}ms", f"{speedup:.2f}x")
                 for stage, oracle, current, speedup in rows
             ])
-            + f" expansions: oracle {oracle_expanded}, current {expanded}"
+            + f" expansions: oracle {oracle_expanded}, current {expanded},"
+            f" push order {push_order_expanded}"
         )
         assert expanded == oracle_expanded, "the search order changed"
+        assert expanded <= MAX_EXPANSION_RATIO * push_order_expanded, (
+            f"{expanded} expansions, push order {push_order_expanded}"
+        )
         speedup = rows[1][3]
         assert speedup >= MIN_SPEEDUP, (
             f"routing only {speedup:.2f}x over the oracle "

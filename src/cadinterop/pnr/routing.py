@@ -14,6 +14,7 @@ The search runs on integer node ids over flat per-id arrays (see
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -271,13 +272,20 @@ class GridRouter:
     ) -> Optional[List[Node]]:
         """Cheapest path from ``sources`` to any layer at grid point ``target``.
 
-        The open set is a bucket queue: one list of ids per ``f`` value,
-        expanded in rising ``f`` and, within a bucket, in push order.  That is
-        the order of a heap keyed ``(f, push counter)``, so ties between
-        equal-cost paths break as they always have.  It needs no heap
-        because the heuristic is consistent: a push never has an ``f`` below
-        the node being expanded (a track move changes ``g`` by 1 and ``h``
-        by at most 1, a via adds 2 to ``g`` and leaves ``h``).
+        The search order is: lowest ``f``, then lowest ``h`` (the Manhattan
+        gap to ``target``), then push order, with sources pushed in
+        ascending id.  An entry left behind by a later improvement of its
+        node is skipped, so no node is expanded twice.
+
+        The heuristic is consistent and moves are one track (cost 1, ``h``
+        ±1) or a via (cost 2, ``h`` unchanged), so every push lands at the
+        expanded node's ``f`` or at ``f + 2``.  At the same ``f`` there is
+        at most one: the track move toward the target, one ``h`` below the
+        node being expanded, which was the lowest entry; so it is always the
+        next node to expand.  The search follows it at once and never
+        queues it.  Every other push goes to a bucket keyed ``f * span + h``
+        (``span`` bounds ``h``), a FIFO list that is complete before it is
+        taken; a heap of bucket keys gives the next one.
 
         ``verdicts`` caches :meth:`_clear` answers by id for this net; the
         caller keeps it only while owners and margins stand still.
@@ -290,71 +298,81 @@ class GridRouter:
         # The heuristic's two terms, by padded coordinate.
         x_gap = [abs(x - tx) for x in range(stride)]
         y_gap = [abs(y - ty) for y in range(self.rows + 2)]
+        span = stride + self.rows + 2
         buckets: Dict[int, List[int]] = {}
         best = self._best
         parent: Dict[int, int] = {}
         try:
-            for source in sources:
+            for source_id in sorted(map(self._id, sources)):
                 # Sources are admitted on hard occupancy only: a pin that
                 # sits inside another net's clearance zone must still be
                 # escapable (typically via the other layer).
-                source_id = self._id(source)
                 owner = owners[source_id]
                 if wall[source_id] or (owner is not None and owner != net):
                     continue
                 best[source_id] = 0
                 parent[source_id] = -1
-                f = abs(source[1] + 1 - tx) + abs(source[2] + 1 - ty)
-                buckets.setdefault(f, []).append(source_id)
+                y, x = divmod(source_id % plane, stride)
+                h = x_gap[x] + y_gap[y]
+                buckets.setdefault(h * span + h, []).append(source_id)
+            keys = list(buckets)
+            heapq.heapify(keys)
 
-            while buckets:
-                f = min(buckets)
-                bucket = buckets[f]
-                # Pushes at this ``f`` append to ``bucket`` while it is being
-                # iterated, so they are expanded in this pass, in push order.
-                # A node improved after its push stays behind in a higher
-                # bucket, as a heap would keep its stale entry; expanding it
-                # again lowers no cost.
-                for node in bucket:
-                    cost = best[node]
-                    layer, xy = divmod(node, plane)
-                    if xy == target_xy:
-                        path: List[Node] = []
-                        while node >= 0:
-                            path.append(self._node(node))
-                            node = parent[node]
-                        return list(reversed(path))
-                    y, x = divmod(xy, stride)
-                    for delta, dx, dy, step in moves[layer]:
-                        neighbor = node + delta
-                        owner = owners[neighbor]
-                        if owner is not None and owner != net:
-                            continue
-                        # Terminals are always enterable by their own net;
-                        # walls and margin apply to the routing fabric in
-                        # between.
-                        if wall[neighbor]:
-                            if neighbor % plane != target_xy:
+            while keys:
+                key = heapq.heappop(keys)
+                f, queued_h = divmod(key, span)
+                queued_cost = f - queued_h
+                for node in buckets.pop(key):
+                    if best[node] != queued_cost:
+                        continue  # stale: the node was improved after this push
+                    cost, h = queued_cost, queued_h
+                    # Expand ``node``, then the same-``f`` child it pushed,
+                    # if any, and so on down the chain.
+                    while node >= 0:
+                        layer, xy = divmod(node, plane)
+                        if xy == target_xy:
+                            path: List[Node] = []
+                            while node >= 0:
+                                path.append(self._node(node))
+                                node = parent[node]
+                            return list(reversed(path))
+                        y, x = divmod(xy, stride)
+                        ahead = -1
+                        for delta, dx, dy, step in moves[layer]:
+                            neighbor = node + delta
+                            owner = owners[neighbor]
+                            if owner is not None and owner != net:
                                 continue
-                        elif reach:
-                            verdict = verdicts[neighbor]
-                            if not verdict:
-                                verdict = verdicts[neighbor] = (
-                                    1 if self._clear(neighbor, net, margin, reach) else 2
-                                )
-                            if verdict == 2 and neighbor % plane != target_xy:
-                                continue
-                        new_cost = cost + step
-                        if new_cost < best[neighbor]:
-                            best[neighbor] = new_cost
-                            parent[neighbor] = node
-                            key = new_cost + x_gap[x + dx] + y_gap[y + dy]
-                            entries = buckets.get(key)
-                            if entries is None:
-                                buckets[key] = [neighbor]
-                            else:
-                                entries.append(neighbor)
-                del buckets[f]
+                            # Terminals are always enterable by their own
+                            # net; walls and margin apply to the routing
+                            # fabric in between.
+                            if wall[neighbor]:
+                                if neighbor % plane != target_xy:
+                                    continue
+                            elif reach:
+                                verdict = verdicts[neighbor]
+                                if not verdict:
+                                    verdict = verdicts[neighbor] = (
+                                        1 if self._clear(neighbor, net, margin, reach) else 2
+                                    )
+                                if verdict == 2 and neighbor % plane != target_xy:
+                                    continue
+                            new_cost = cost + step
+                            if new_cost < best[neighbor]:
+                                best[neighbor] = new_cost
+                                parent[neighbor] = node
+                                gap = x_gap[x + dx] + y_gap[y + dy]
+                                if gap < h:
+                                    ahead = neighbor
+                                    continue
+                                slot = (new_cost + gap) * span + gap
+                                entries = buckets.get(slot)
+                                if entries is None:
+                                    buckets[slot] = [neighbor]
+                                    heapq.heappush(keys, slot)
+                                else:
+                                    entries.append(neighbor)
+                        node, cost, h = ahead, cost + 1, h - 1
             return None
         finally:
             # Hand the next search an all-unreached ``best``.

@@ -1,12 +1,12 @@
-"""The routed layout does not depend on the string-hash seed.
+"""The routed layout and the search effort do not depend on the hash seed.
 
-``GridRouter`` admits A* sources, and writes ``occupancy``, in the iteration
-order of tuple sets whose layer names hash differently under each
-``PYTHONHASHSEED``.  The search breaks cost ties by push order, so a layout
-that leaned on that order would change with the seed.  This routes the
-3-slice ALU flow of the ``rtl-to-layout`` benchmark in two interpreters with
-different hash seeds and requires the same routed nodes, vias, failures and
-occupancy.
+``GridRouter`` gets its A* sources, and writes ``occupancy``, from tuple
+sets whose layer names hash differently under each ``PYTHONHASHSEED``.  The
+search breaks ties of ``f`` and ``h`` by push order, so sources pushed in
+set order would change which nodes it expands, and could change the layout.
+This routes the 3-slice ALU flow of the ``rtl-to-layout`` benchmark in two
+interpreters with different hash seeds and requires the same routed nodes,
+vias, failures, occupancy and A* expansion count.
 """
 
 from __future__ import annotations
@@ -40,8 +40,21 @@ flow = Flow(slices, source, inputs, outputs, seed, [])
 plan, pads = floorplan(rtl.name, conversion.cells_emitted, flow)
 RowPlacer(tech, plan, seed=seed).place(conversion.design, pads)
 router = GridRouter(tech, plan, pads)
+
+
+class CountingMoves(list):
+    # The move table, read once per expansion, counting its reads.
+    reads = 0
+
+    def __getitem__(self, layer):
+        self.reads += 1
+        return super().__getitem__(layer)
+
+
+router._moves = moves = CountingMoves(router._moves)
 result = router.route_design(conversion.design)
 print(json.dumps({
+    "expansions": moves.reads,
     "nodes": {name: sorted(net.nodes) for name, net in result.routed.items()},
     "vias": {name: net.vias for name, net in result.routed.items()},
     "failed": result.failed,
@@ -68,3 +81,4 @@ def test_alu_layout_is_independent_of_hash_seed():
     assert second["vias"] == first["vias"]
     assert second["failed"] == first["failed"]
     assert second["occupancy"] == first["occupancy"]
+    assert second["expansions"] == first["expansions"]

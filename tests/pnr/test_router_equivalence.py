@@ -3,24 +3,32 @@
 ``GridRouter`` searches integer node ids on a grid padded with a ring of
 wall nodes, bounds its clearance probes by the widest margin in play,
 caches one clearance verdict per node for each ``route_net`` call, and
-keeps its open set in a bucket queue (one FIFO list per ``f``);
-``RowPlacer`` re-measures a swap over an instance-to-nets index with pin
-offsets taken once per (cell, pin, orientation).  This module keeps the
-code they replaced, as it was, as test-local oracles: the router on tuple
-nodes with its own tuple-keyed grid state, which always probes out to
-``MAX_MARGIN`` tracks, asks every question afresh and keeps a heap keyed
-``(f, push counter)``, the ``_local_hpwl`` that scans every net of the
-design per swap, and the ``pin_position`` that transforms the pin box on
-every call.  On hypothesis-generated floorplans with routing keepouts,
-global-net strategies (rings on the edge tracks included), fixed and
-movable instances in every orientation, pads inside the die and on its
-sides, 2-5-terminal nets, nets along the die's edges and
-width/spacing/shield rules, both sides must produce the same placement and
-the same routing result, down to the order of the occupancy map; so must
-the fixed cases, the three ALU flows of the ``rtl-to-layout`` benchmark
-among them.  A consistent heuristic guarantees paths of equal cost, not
-equal paths: which of several equal-cost paths a search returns depends on
-the order it pops entries of equal ``f`` (``test_equal_cost_detours``).
+keeps its open set in FIFO buckets keyed ``(f, h)``, following the one
+same-``f`` child of an expansion at once; ``RowPlacer`` re-measures a swap
+over an instance-to-nets index with pin offsets taken once per (cell, pin,
+orientation).  This module keeps the code they replaced as test-local
+oracles: the router on tuple nodes with its own tuple-keyed grid state,
+which always probes out to ``MAX_MARGIN`` tracks, asks every question
+afresh and keeps a heap keyed ``(f, h, push counter)`` (sources pushed in
+the router's id order, stale entries skipped), the ``_local_hpwl`` that
+scans every net of the design per swap, and the ``pin_position`` that
+transforms the pin box on every call.  On hypothesis-generated floorplans
+with routing keepouts, global-net strategies (rings on the edge tracks
+included), fixed and movable instances in every orientation, pads inside
+the die and on its sides, 2-5-terminal nets, nets along the die's edges
+and width/spacing/shield rules, both sides must produce the same
+placement and the same routing result, down to the order of the occupancy
+map; so must the fixed cases, the three ALU flows of the
+``rtl-to-layout`` benchmark among them.
+
+The search order is a choice among equal-cost paths: a consistent
+heuristic guarantees the cost, not the path (``test_equal_cost_detours``).
+``PushOrderRouter`` keeps the order before the goal-directed one (a heap
+keyed ``(f, push counter)``), and two gates hold the new order to it:
+every search must find a path of push order's cost from the same grid
+state (``PushOrderCostGate``), and over a fixed generated corpus the
+router may fail no more nets, with total wirelength and vias within
+``QUALITY_TOLERANCE`` (``TestRoutingQuality``).
 
 Generated rules stay within the oracle's 4-track margin cap; clearance
 beyond it is covered in ``test_floorplan_place_route.py``.
@@ -34,7 +42,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from cadinterop import rtl2gds
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
@@ -43,7 +51,7 @@ from cadinterop.pnr.cells import CellAbstract, CellPin, PinShape
 from cadinterop.pnr.design import PnRDesign, PnRInstance, inst_terminal, pad_terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, Keepout, NetRule
 from cadinterop.pnr.placement import PlacementResult, RowPlacer
-from cadinterop.pnr.routing import SHIELD, GridRouter, Node, RoutedNet
+from cadinterop.pnr.routing import SHIELD, UNREACHED, GridRouter, Node, RoutedNet
 from cadinterop.pnr.samples import (
     build_bus_scenario,
     build_cell_library,
@@ -257,11 +265,13 @@ class OracleRouter(GridRouter):
             _l, x, y = node
             return min(abs(x - tx) + abs(y - ty) for tx, ty in target_xy)
 
-        open_heap: List[Tuple[int, int, Node]] = []
+        open_heap: List[Tuple[int, int, int, Node]] = []
         best: Dict[Node, int] = {}
         parent: Dict[Node, Optional[Node]] = {}
         counter = 0
-        for source in sources:
+        # Sources go in the router's id order: layer, then row, then column.
+        layer_order = {name: k for k, name in enumerate(self.layers)}
+        for source in sorted(sources, key=lambda n: (layer_order[n[0]], n[2], n[1])):
             # Sources are admitted on hard occupancy only: a pin that sits
             # inside another net's clearance zone must still be escapable
             # (typically via the other layer).
@@ -271,12 +281,15 @@ class OracleRouter(GridRouter):
                 continue
             best[source] = 0
             parent[source] = None
-            heapq.heappush(open_heap, (heuristic(source), counter, source))
+            h = heuristic(source)
+            heapq.heappush(open_heap, (h, h, counter, source))
             counter += 1
 
         while open_heap:
-            _f, _c, node = heapq.heappop(open_heap)
+            f, h, _c, node = heapq.heappop(open_heap)
             cost = best[node]
+            if cost + h != f:
+                continue  # a stale entry: the node was improved after this push
             if node in targets:
                 path: List[Node] = []
                 current: Optional[Node] = node
@@ -295,11 +308,111 @@ class OracleRouter(GridRouter):
                 if new_cost < best.get(neighbor, 1 << 30):
                     best[neighbor] = new_cost
                     parent[neighbor] = node
-                    heapq.heappush(
-                        open_heap, (new_cost + heuristic(neighbor), counter, neighbor)
-                    )
+                    h = heuristic(neighbor)
+                    heapq.heappush(open_heap, (new_cost + h, h, counter, neighbor))
                     counter += 1
         return None
+
+
+class PushOrderRouter(GridRouter):
+    """The router with the search order it had before the goal-directed one.
+
+    Its open set is one FIFO list per ``f``, expanded in rising ``f`` and,
+    within a bucket, in push order (a heap keyed ``(f, push counter)``);
+    stale entries are expanded again.  Sources are pushed in ascending id,
+    as the router pushes them: in set order, which follows the string-hash
+    seed, 303 of 2,000 generated layouts differ between ``PYTHONHASHSEED``
+    0 and 1, so a gate against it would pass or fail by seed.  It is the
+    cost reference: the goal-directed order may pick another of several
+    equal-cost paths, never a costlier one.
+    """
+
+    def _astar(
+        self,
+        sources: Set[Node],
+        target: Tuple[int, int],
+        net: str,
+        margin: int,
+        reach: int,
+        verdicts: bytearray,
+    ) -> Optional[List[Node]]:
+        plane, stride = self._plane, self._stride
+        # Padded coordinates of the target, and its offset within a plane.
+        tx, ty = target[0] + 1, target[1] + 1
+        target_xy = ty * stride + tx
+        wall, owners, moves = self._wall, self._owner, self._moves
+        # The heuristic's two terms, by padded coordinate.
+        x_gap = [abs(x - tx) for x in range(stride)]
+        y_gap = [abs(y - ty) for y in range(self.rows + 2)]
+        buckets: Dict[int, List[int]] = {}
+        best = self._best
+        parent: Dict[int, int] = {}
+        try:
+            for source_id in sorted(map(self._id, sources)):
+                # Sources are admitted on hard occupancy only: a pin that
+                # sits inside another net's clearance zone must still be
+                # escapable (typically via the other layer).
+                owner = owners[source_id]
+                if wall[source_id] or (owner is not None and owner != net):
+                    continue
+                best[source_id] = 0
+                parent[source_id] = -1
+                y, x = divmod(source_id % plane, stride)
+                buckets.setdefault(x_gap[x] + y_gap[y], []).append(source_id)
+
+            while buckets:
+                f = min(buckets)
+                bucket = buckets[f]
+                # Pushes at this ``f`` append to ``bucket`` while it is being
+                # iterated, so they are expanded in this pass, in push order.
+                # A node improved after its push stays behind in a higher
+                # bucket, as a heap would keep its stale entry; expanding it
+                # again lowers no cost.
+                for node in bucket:
+                    cost = best[node]
+                    layer, xy = divmod(node, plane)
+                    if xy == target_xy:
+                        path: List[Node] = []
+                        while node >= 0:
+                            path.append(self._node(node))
+                            node = parent[node]
+                        return list(reversed(path))
+                    y, x = divmod(xy, stride)
+                    for delta, dx, dy, step in moves[layer]:
+                        neighbor = node + delta
+                        owner = owners[neighbor]
+                        if owner is not None and owner != net:
+                            continue
+                        # Terminals are always enterable by their own net;
+                        # walls and margin apply to the routing fabric in
+                        # between.
+                        if wall[neighbor]:
+                            if neighbor % plane != target_xy:
+                                continue
+                        elif reach:
+                            verdict = verdicts[neighbor]
+                            if not verdict:
+                                verdict = verdicts[neighbor] = (
+                                    1 if self._clear(neighbor, net, margin, reach) else 2
+                                )
+                            if verdict == 2 and neighbor % plane != target_xy:
+                                continue
+                        new_cost = cost + step
+                        if new_cost < best[neighbor]:
+                            best[neighbor] = new_cost
+                            parent[neighbor] = node
+                            key = new_cost + x_gap[x + dx] + y_gap[y + dy]
+                            entries = buckets.get(key)
+                            if entries is None:
+                                buckets[key] = [neighbor]
+                            else:
+                                entries.append(neighbor)
+                del buckets[f]
+            return None
+        finally:
+            # Hand the next search an all-unreached ``best``.
+            for touched in parent:
+                best[touched] = UNREACHED
 
 
 def oracle_pin_position(instance: PnRInstance, pin_name: str) -> Point:
@@ -440,14 +553,24 @@ def placement_signature(design: PnRDesign, result: PlacementResult) -> tuple:
     )
 
 
-def flow_signature(placer_cls, router_cls, case, **route_kwargs):
-    """Place a copy of the case's design, realize its strategies, route."""
+def place_and_route(placer_cls, router_cls, case, **route_kwargs):
+    """Place a copy of the case's design, realize its strategies, route.
+
+    Returns the placed design, the placement result, the router, the
+    realized strategies and the routing result.
+    """
     floorplan, design, pads, strategies, seed = case
     design = copy.deepcopy(design)
     placed = placer_cls(TECH, floorplan, seed=seed).place(design, pads)
     router = router_cls(TECH, floorplan, pads)
     realized = [router.realize_strategy(strategy, inset) for strategy, inset in strategies]
-    result = router.route_design(design, **route_kwargs)
+    return design, placed, router, realized, router.route_design(design, **route_kwargs)
+
+
+def flow_signature(placer_cls, router_cls, case, **route_kwargs):
+    design, placed, router, realized, result = place_and_route(
+        placer_cls, router_cls, case, **route_kwargs
+    )
     return (
         placement_signature(design, placed),
         [(r.name, r.nodes) for r in realized],
@@ -464,6 +587,39 @@ def assert_equivalent(case, **route_kwargs):
     assert got[2][1] == want[2][1], "failed nets differ"
     assert got[2][2] == want[2][2], "shield counts differ"
     assert got[2][3] == want[2][3], "occupancy differs"
+
+
+def path_cost(path: List[Node]) -> int:
+    """Tracks plus twice the vias: the cost A* minimizes."""
+    return sum(1 if a[0] == b[0] else 2 for a, b in zip(path, path[1:]))
+
+
+class PushOrderCostGate(GridRouter):
+    """``GridRouter`` that repeats each search in push order and compares costs.
+
+    Both searches start from the same grid state, so they must agree on
+    whether a path exists and on its cost; the paths themselves may differ.
+    """
+
+    def _astar(self, sources, target, net, margin, reach, verdicts):
+        path = super()._astar(sources, target, net, margin, reach, verdicts)
+        reference = PushOrderRouter._astar(self, sources, target, net, margin, reach, verdicts)
+        assert (path is None) == (reference is None), f"{net}: only one order finds a path"
+        if path is not None:
+            assert path_cost(path) == path_cost(reference), (
+                f"{net}: cost {path_cost(path)}, push order {path_cost(reference)}"
+            )
+        return path
+
+
+def routing_totals(router_cls, case) -> Tuple[int, int, int]:
+    """(failed nets, wirelength in tracks, vias) of routing the case."""
+    *_, result = place_and_route(RowPlacer, router_cls, case)
+    return (
+        len(result.failed),
+        result.total_wirelength,
+        sum(net.vias for net in result.routed.values()),
+    )
 
 
 # -- generated cases ----------------------------------------------------------
@@ -605,8 +761,12 @@ def cases(draw):
     return floorplan, design, pads, strategies, draw(st.integers(0, 1000))
 
 
+#: 120 examples per test, or the loaded profile's count where that is larger
+#: (``--hypothesis-profile=routing-stress``, see ``conftest.py``).
 GENERATED = settings(
-    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=max(120, settings.default.max_examples),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -622,6 +782,61 @@ class TestGeneratedEquivalence:
     @given(case=cases())
     def test_rules_ignored_match_oracles(self, case):
         assert_equivalent(case, honor_rules=False)
+
+    @GENERATED
+    @given(case=cases(), features=st.sampled_from([None, set()]))
+    def test_every_search_costs_what_push_order_costs(self, case, features):
+        place_and_route(RowPlacer, PushOrderCostGate, case, honored_features=features)
+
+
+#: Size of the derandomized corpus the quality report routes both ways.
+QUALITY_CASES = 500
+#: How far total wirelength and total vias may stray from push order's.
+QUALITY_TOLERANCE = 0.01
+
+
+class TestRoutingQuality:
+    def test_goal_directed_order_routes_as_well_as_push_order(self):
+        """Over a fixed generated corpus: no more failed nets, the same wire.
+
+        Totals are compared over the cases where both orders fail the same
+        number of nets; the per-case counts are printed (run with ``-s``).
+        """
+        rows = []
+
+        @settings(
+            max_examples=QUALITY_CASES, derandomize=True, database=None,
+            phases=[Phase.generate], deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(case=cases())
+        def route_both_ways(case):
+            rows.append((routing_totals(PushOrderRouter, case), routing_totals(GridRouter, case)))
+
+        route_both_ways()
+        assert len(rows) >= QUALITY_CASES
+        failed = [sum(side[0] for side in sides) for sides in zip(*rows)]
+        report = [
+            f"{len(rows)} cases, failed nets {failed[0]} -> {failed[1]}:"
+            f" fewer in {sum(new[0] < old[0] for old, new in rows)},"
+            f" more in {sum(new[0] > old[0] for old, new in rows)}"
+        ]
+        equal = [(old, new) for old, new in rows if new[0] == old[0]]
+        totals = {}
+        for index, name in ((1, "wirelength"), (2, "vias")):
+            old_total, new_total = totals[name] = [
+                sum(side[index] for side in sides) for sides in zip(*equal)
+            ]
+            report.append(
+                f"{name} over {len(equal)} equal-failure cases {old_total} -> {new_total}"
+                f" ({new_total / old_total - 1:+.2%}):"
+                f" lower in {sum(new[index] < old[index] for old, new in equal)},"
+                f" higher in {sum(new[index] > old[index] for old, new in equal)}"
+            )
+        print("\nrouting quality, push order -> goal-directed: " + "; ".join(report))
+        assert failed[1] <= failed[0], report[0]
+        for old_total, new_total in totals.values():
+            assert abs(new_total - old_total) <= QUALITY_TOLERANCE * old_total, report
 
 
 # -- fixed cases --------------------------------------------------------------
@@ -654,13 +869,17 @@ class TestFixedEquivalence:
         ids=[f"alu{slices}_p{seed}" for slices, seed in rtl_to_layout.FLOWS],
     )
     def test_alu_flow(self, slices, seed):
-        assert_equivalent(alu_case(slices, seed))
+        """The oracle's layout, and push order's cost for every search."""
+        case = alu_case(slices, seed)
+        assert_equivalent(case)
+        place_and_route(RowPlacer, PushOrderCostGate, case)
 
     def test_equal_cost_detours(self):
-        """n0 has two detours of 19 nodes and 4 vias; push order picks one.
+        """n0 has two detours of 19 nodes and 4 vias; the search order picks one.
 
-        A search that pops equal-``f`` entries nearest the target first
-        takes the jog at column 1, not the oracle's at column 2.
+        Taking equal-``f`` entries nearest the target first jogs on M2 at
+        column 1, as the oracle does; push order jogs at column 2.  Both
+        cost the same: 14 tracks and 4 vias.
         """
         floorplan = Floorplan("detours", Rect(0, 0, 80, 45))
         floorplan.add_keepout(Keepout(Rect(0, 0, 1, 2), layers=("M1",)))
@@ -677,7 +896,25 @@ class TestFixedEquivalence:
         ):
             design.add_net(net, [pad_terminal(end) for end in ends])
             floorplan.add_net_rule(NetRule(net, width_tracks=width, spacing_tracks=spacing))
-        assert_equivalent((floorplan, design, pads, [], 0))
+        case = (floorplan, design, pads, [], 0)
+        assert_equivalent(case)
+
+        shared = (
+            {("M1", x, 0) for x in range(4)} | {("M2", 3, y) for y in range(8)}
+            | {("M1", 0, 6), ("M1", 1, 6), ("M1", 2, 7), ("M1", 3, 7)}
+        )
+        jogs = {
+            GridRouter: {("M1", 1, 7), ("M2", 1, 6), ("M2", 1, 7)},
+            PushOrderRouter: {("M1", 2, 6), ("M2", 2, 6), ("M2", 2, 7)},
+        }
+        costs = set()
+        for router_cls, jog in jogs.items():
+            *_, result = place_and_route(RowPlacer, router_cls, case)
+            n0 = result.routed["n0"]
+            assert n0.nodes == shared | jog, router_cls.__name__
+            tracks = len(n0.nodes) - 1 - n0.vias
+            costs.add(tracks + 2 * n0.vias)
+        assert costs == {14 + 2 * 4}
 
     @pytest.mark.parametrize("width,spacing", [(1, 1), (2, 2), (3, 3), (2, 4)])
     def test_bus_scenario(self, width, spacing):
