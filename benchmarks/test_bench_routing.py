@@ -1,22 +1,27 @@
-"""E20 — place and route of the 3-slice ALU vs the pre-index oracles.
+"""E20 — place, route and extract the 3-slice ALU vs the pre-index oracles.
 
 ``GridRouter`` searches integer node ids on a wall-padded grid in a
 goal-directed order (lowest ``f``, then lowest ``h``, then push order)
 from bucket queues, probes clearance only as far as the widest margin in
 play, and caches one clearance verdict per node for each net;
-``RowPlacer`` re-measures a swap over an instance-to-nets index with pin
-offsets taken once.  The code they replaced survives as the oracles in
-``tests/pnr/test_router_equivalence.py`` (a heap keyed ``(f, h, push
-counter)``) and is timed here on the ``rtl-to-layout`` benchmark's 3-slice
-ALU flow (synthesized, lowered onto the sample library, one spaced cell
-row, placement seed 1).  Rows: best-of-REPEATS CPU time of the oracle and
-the current code for placement and for routing, the speedup of each, and
-the A* expansions of one routing run by the oracle, the current code and
+``RowPlacer`` finds free slots with one sweep per row and swaps on integer
+arrays against a cached wirelength per net; ``parasitics.extract`` probes
+occupancy lines by integer coordinate.  The code they replaced survives as
+the oracles in ``tests/pnr/test_router_equivalence.py`` (a heap keyed
+``(f, h, push counter)``, a slot scan and a swap pass that re-measures
+every net of the design, tuple probes) and is timed here on the
+``rtl-to-layout`` benchmark's 3-slice ALU flow (synthesized, lowered onto
+the sample library, one spaced cell row, placement seed 1).  Rows:
+best-of-REPEATS CPU time of the oracle and the current code for
+placement, routing and extraction, the speedup of each, and the A*
+expansions of one routing run by the oracle, the current code and
 ``PushOrderRouter`` (the search order before the goal-directed one).
 Expected shape: identical placements and routing results (occupancy order
-included), routing at least MIN_SPEEDUP x faster, the same expansion count
-as the oracle (a search that expands other nodes shows here even where its
-paths come out the same), and at most MAX_EXPANSION_RATIO of push order's.
+included), the oracle's parasitics to within 1e-12, placement at least
+MIN_PLACE_SPEEDUP x and routing at least MIN_SPEEDUP x faster, the same
+expansion count as the oracle (a search that expands other nodes shows
+here even where its paths come out the same), and at most
+MAX_EXPANSION_RATIO of push order's.
 
 Run from the repository root (the oracles are imported from ``tests``,
 the flow from ``perfbench``)::
@@ -29,6 +34,7 @@ import time
 
 from cadinterop import rtl2gds
 from cadinterop.hdl import parser, synth
+from cadinterop.pnr.parasitics import extract
 from cadinterop.pnr.placement import RowPlacer
 from cadinterop.pnr.routing import GridRouter
 from perfbench.workloads.rtl_to_layout import Flow, alu_source, floorplan
@@ -36,12 +42,16 @@ from tests.pnr.test_router_equivalence import (
     OraclePlacer,
     OracleRouter,
     PushOrderRouter,
+    assert_same_parasitics,
+    oracle_extract,
     placement_signature,
     routing_signature,
 )
 
 #: Well under the measured routing ratio (see EXPERIMENTS.md E20).
 MIN_SPEEDUP = 1.5
+#: Well under the measured placement ratio (see EXPERIMENTS.md E26).
+MIN_PLACE_SPEEDUP = 20
 #: Expansions allowed, as a fraction of push order's (measured 0.47, E25).
 MAX_EXPANSION_RATIO = 0.55
 REPEATS = 3
@@ -127,6 +137,18 @@ class TestRoutingSpeed:
             prepare(router)
             return routing_signature(router, router.route_design(placed_design))
 
+        router = GridRouter(pnr_tech, plan, pads)
+        result = router.route_design(placed_design)
+
+        def extract_with(extract_fn):
+            return lambda: extract_fn(pnr_tech, result, router.occupancy)
+
+        oracle_extract_s, oracle_report = _best_cpu_seconds(
+            extract_with(oracle_extract), repeats
+        )
+        extract_s, report = _best_cpu_seconds(extract_with(extract), repeats)
+        assert_same_parasitics(report, oracle_report)
+
         def route(router_cls):
             return lambda: route_design(router_cls)
 
@@ -143,6 +165,7 @@ class TestRoutingSpeed:
         rows = [
             ("place", oracle_place_s, place_s, oracle_place_s / place_s),
             ("route", oracle_route_s, route_s, oracle_route_s / route_s),
+            ("extract", oracle_extract_s, extract_s, oracle_extract_s / extract_s),
         ]
         print(
             f"\nE20 rows ({len(design.instances)} cells, {len(design.nets)} nets): "
@@ -156,6 +179,11 @@ class TestRoutingSpeed:
         assert expanded == oracle_expanded, "the search order changed"
         assert expanded <= MAX_EXPANSION_RATIO * push_order_expanded, (
             f"{expanded} expansions, push order {push_order_expanded}"
+        )
+        place_speedup = rows[0][3]
+        assert place_speedup >= MIN_PLACE_SPEEDUP, (
+            f"placement only {place_speedup:.2f}x over the oracle "
+            f"(oracle {oracle_place_s * 1000:.1f}ms, current {place_s * 1000:.1f}ms)"
         )
         speedup = rows[1][3]
         assert speedup >= MIN_SPEEDUP, (

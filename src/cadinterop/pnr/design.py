@@ -47,6 +47,29 @@ def pin_offset(cell: CellAbstract, pin_name: str, orientation: Orientation) -> P
     return Transform(ORIGIN, orientation).apply_rect(box).center
 
 
+class PinOffsets:
+    """:func:`pin_offset` as ``(dx, dy)``, taken once per (cell, pin, orientation).
+
+    Cell abstracts are mutable and unhashable, so a cell's identity stands
+    for it.  The table holds every cell it has seen, so no id is reused
+    while its entries stand.
+    """
+
+    def __init__(self) -> None:
+        self._offsets: Dict[Tuple[int, str, Orientation], Tuple[int, int]] = {}
+        self._cells: List[CellAbstract] = []
+
+    def of(self, instance: PnRInstance, pin_name: str) -> Tuple[int, int]:
+        cell = instance.cell
+        key = (id(cell), pin_name, instance.orientation)
+        offset = self._offsets.get(key)
+        if offset is None:
+            point = pin_offset(cell, pin_name, instance.orientation)
+            offset = self._offsets[key] = (point.x, point.y)
+            self._cells.append(cell)
+        return offset
+
+
 #: A net terminal: ("inst", instance name, pin name) or ("pad", pad name, "").
 Terminal = Tuple[str, str, str]
 

@@ -16,7 +16,7 @@ and their loss through a weak tool dialect directly measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from cadinterop.pnr.routing import Node, RoutingResult, SHIELD
 from cadinterop.pnr.tech import Technology
@@ -81,35 +81,76 @@ def extract(
     ``occupancy`` is the router's final node->owner map (including shield
     markers); coupling is computed symmetrically but charged to each victim
     separately, as a delay tool would see it.
+
+    Probes run across a layer's direction, so ``occupancy`` is indexed once
+    by (layer, the coordinate a probe keeps), and each probe is an integer
+    lookup along one such line.  Each net counts its nodes per layer and
+    its couplings per (aggressor, layer, distance), and multiplies out in
+    layer and distance order, aggressors by name, so the report does not
+    depend on the iteration order of ``RoutedNet.nodes``.
     """
     report = ParasiticReport()
     pitch = tech.pitch
+    distances = range(1, MAX_COUPLING_TRACKS + 1)
+    layers = tech.routing_layers()
+    # Per layer: its position in ``layers``, whether probes run along y
+    # (a horizontal layer), and its lines: the fixed coordinate of a
+    # probe -> {the other coordinate: owner}.
+    lines: Dict[str, Tuple[int, bool, Dict[int, Dict[int, str]]]] = {
+        layer.name: (k, layer.direction == "horizontal", {})
+        for k, layer in enumerate(layers)
+    }
+    for (layer_name, ix, iy), owner in occupancy.items():
+        _k, along_y, by_line = lines[layer_name]
+        if along_y:
+            line = by_line.get(ix)
+            if line is None:
+                line = by_line[ix] = {}
+            line[iy] = owner
+        else:
+            line = by_line.get(iy)
+            if line is None:
+                line = by_line[iy] = {}
+            line[ix] = owner
+    area = [layer.area_cap * pitch for layer in layers]
+    coupling = [
+        layer.coupling_at(distance) * pitch for layer in layers for distance in distances
+    ]
+    slots = len(coupling)
 
     for name, routed in routing.routed.items():
         parasitics = NetParasitics(name)
-        for node in routed.nodes:
-            layer_name, ix, iy = node
-            layer = tech.layer(layer_name)
-            parasitics.area_cap += layer.area_cap * pitch
+        nodes_on = [0] * len(layers)
+        # aggressor -> hit counts, indexed layer * MAX_COUPLING_TRACKS + distance - 1
+        hits: Dict[str, List[int]] = {}
+        for layer_name, ix, iy in routed.nodes:
+            k, along_y, by_line = lines[layer_name]
+            nodes_on[k] += 1
+            if along_y:
+                line, at = by_line.get(ix), iy
+            else:
+                line, at = by_line.get(iy), ix
+            if line is None:
+                continue
+            slot = k * MAX_COUPLING_TRACKS - 1
             # Probe both perpendicular directions for the nearest neighbor.
             for sign in (-1, 1):
-                for distance in range(1, MAX_COUPLING_TRACKS + 1):
-                    if layer.direction == "horizontal":
-                        probe = (layer_name, ix, iy + sign * distance)
-                    else:
-                        probe = (layer_name, ix + sign * distance, iy)
-                    owner = occupancy.get(probe)
+                for distance in distances:
+                    owner = line.get(at + sign * distance)
                     if owner is None:
                         continue
-                    if owner == name:
-                        break  # own wire: no coupling contribution this side
-                    if owner == SHIELD:
-                        break  # grounded shield terminates the field
-                    parasitics.coupling[owner] = (
-                        parasitics.coupling.get(owner, 0.0)
-                        + layer.coupling_at(distance) * pitch
-                    )
+                    # Own wire or a grounded shield: no coupling this side.
+                    if owner != name and owner != SHIELD:
+                        counts = hits.get(owner)
+                        if counts is None:
+                            counts = hits[owner] = [0] * slots
+                        counts[slot + distance] += 1
                     break  # nearest neighbor only
+        parasitics.area_cap = sum(count * cap for count, cap in zip(nodes_on, area))
+        for owner in sorted(hits):
+            parasitics.coupling[owner] = sum(
+                count * cap for count, cap in zip(hits[owner], coupling)
+            )
         report.nets[name] = parasitics
     return report
 

@@ -9,12 +9,13 @@ experiments downstream run on sane placements.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from cadinterop.common.geometry import Orientation, Point, Rect
+from cadinterop.common.geometry import Point, Rect
 from cadinterop.obs import get_tracer
-from cadinterop.pnr.design import PnRDesign, PnRInstance, pin_offset
+from cadinterop.pnr.design import PinOffsets, PnRDesign, PnRInstance
 from cadinterop.pnr.floorplan import Floorplan
 from cadinterop.pnr.tech import Technology
 
@@ -63,30 +64,43 @@ class RowPlacer:
         self.site = tech.sites[site_name]
         self.rng = random.Random(seed)
 
-    def _slot_blocked(self, rect: Rect) -> bool:
-        for keepout in self.floorplan.keepouts:
-            if not keepout.layers and keepout.rect.intersects(rect):
-                return True
-        for block in self.floorplan.blocks.values():
-            if block.location is not None and block.outline().intersects(rect):
-                return True
-        return False
-
     def _build_slots(self, widths: Sequence[int]) -> List[List[Point]]:
-        """Slot origins per row, wide enough for the widest cell."""
+        """Slot origins per row, wide enough for the widest cell.
+
+        A slot is blocked where it meets a placement keepout or a placed
+        block (closed rectangles, as ``Rect.intersects`` has them).  Each
+        row takes the blockers whose y-range meets it, sorted by ``x1`` with
+        a running maximum of ``x2``: the slot ``[x, x + width]`` meets one
+        exactly when the blockers starting at or before ``x + width`` reach
+        ``x``, which one bisection answers.
+        """
         die = self.floorplan.die
         slot_width = max(widths) if widths else self.site.width
         # Round up to a whole number of sites.
         sites_per_slot = -(-slot_width // self.site.width)
         slot_width = sites_per_slot * self.site.width
+        blockers = [
+            keepout.rect for keepout in self.floorplan.keepouts if not keepout.layers
+        ] + [
+            block.outline()
+            for block in self.floorplan.blocks.values()
+            if block.location is not None
+        ]
+        blockers.sort(key=lambda rect: rect.x1)
         rows: List[List[Point]] = []
         y = die.y1
         while y + self.site.height <= die.y2:
+            starts: List[int] = []
+            reach: List[int] = []
+            for rect in blockers:
+                if rect.y1 <= y + self.site.height and rect.y2 >= y:
+                    starts.append(rect.x1)
+                    reach.append(max(rect.x2, reach[-1]) if reach else rect.x2)
             row: List[Point] = []
             x = die.x1
             while x + slot_width <= die.x2:
-                rect = Rect(x, y, x + slot_width, y + self.site.height)
-                if not self._slot_blocked(rect):
+                k = bisect_right(starts, x + slot_width)
+                if not k or reach[k - 1] < x:
                     row.append(Point(x, y))
                 x += slot_width
             rows.append(row)
@@ -118,95 +132,114 @@ class RowPlacer:
             for instance, slot in zip(order, slots):
                 instance.location = slot
 
-            # Greedy improvement: swap pairs if HPWL improves.  A swap moves
-            # only its two instances, so only the nets touching them are
-            # re-measured.
-            nets_of = _net_index(design, pad_positions)
+            # Greedy improvement: swap pairs if HPWL improves.  The pass works
+            # on instance indices into ``order`` and their coordinates.  A
+            # swap moves only its two instances, so ``before`` is the sum of
+            # the cached wirelengths of the nets touching them, and only
+            # ``after`` is measured.
+            xs = [instance.location.x for instance in order]
+            ys = [instance.location.y for instance in order]
+            nets, nets_of = _net_index(design, order, pad_positions)
+            lengths = [_length(net, xs, ys) for net in nets]
             improvements = 0
             for _ in range(swap_passes):
                 improved = False
                 for i in range(len(order)):
+                    nets_i = nets_of[i]
                     for j in range(i + 1, min(i + 8, len(order))):
-                        a, b = order[i], order[j]
-                        nets = nets_of[a.name]
-                        nets = nets + [net for net in nets_of[b.name] if net not in nets]
-                        before = sum(net.hpwl() for net in nets)
-                        a.location, b.location = b.location, a.location
-                        after = sum(net.hpwl() for net in nets)
-                        if after < before:
+                        touched = nets_i | nets_of[j]
+                        before = sum([lengths[n] for n in touched])
+                        xs[i], xs[j] = xs[j], xs[i]
+                        ys[i], ys[j] = ys[j], ys[i]
+                        after = [_length(nets[n], xs, ys) for n in touched]
+                        if sum(after) < before:
                             improvements += 1
                             improved = True
+                            for n, length in zip(touched, after):
+                                lengths[n] = length
                         else:
-                            a.location, b.location = b.location, a.location
+                            xs[i], xs[j] = xs[j], xs[i]
+                            ys[i], ys[j] = ys[j], ys[i]
                 if not improved:
                     break
+            for instance, x, y in zip(order, xs, ys):
+                instance.location = Point(x, y)
 
             rows_used = len({instance.location.y for instance in movable}) if movable else 0
             span.set(cells=len(movable), swaps=improvements)
             return PlacementResult(
                 placed=len(movable),
-                hpwl=hpwl(design, pad_positions),
+                hpwl=sum(lengths),
                 rows_used=rows_used,
                 swap_improvements=improvements,
             )
 
 
-class _PlacedNet:
-    """One net as the swap pass sees it.
+#: A net as the swap pass sees it: its pins on movable instances as
+#: ``(instance index, dx, dy)``, and the bounding box ``(x1, x2, y1, y2)`` of
+#: its fixed points (pads and pins of instances placed before the pass);
+#: ``_EMPTY`` when it has none.
+_Net = Tuple[Tuple[Tuple[int, int, int], ...], Tuple[int, int, int, int]]
 
-    ``movers`` are the placed instances on it, each with its pin's offset
-    from the instance origin; ``fixed`` are its pad points.  Equality is
-    identity.
-    """
+_FAR = 1 << 62
+_EMPTY = (_FAR, -_FAR, _FAR, -_FAR)
 
-    __slots__ = ("movers", "fixed")
 
-    def __init__(
-        self, movers: Sequence[Tuple[PnRInstance, int, int]], fixed: Sequence[Point]
-    ) -> None:
-        self.movers = tuple(movers)
-        self.fixed = tuple(fixed)
-
-    def hpwl(self) -> int:
-        xs = [instance.location.x + dx for instance, dx, _dy in self.movers]
-        ys = [instance.location.y + dy for instance, _dx, dy in self.movers]
-        xs.extend(point.x for point in self.fixed)
-        ys.extend(point.y for point in self.fixed)
-        return max(xs) - min(xs) + max(ys) - min(ys)
+def _length(net: _Net, xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Half-perimeter wirelength of ``net`` with the movers at ``xs``, ``ys``."""
+    pins, (x1, x2, y1, y2) = net
+    for i, dx, dy in pins:
+        x = xs[i] + dx
+        if x < x1:
+            x1 = x
+        if x > x2:
+            x2 = x
+        y = ys[i] + dy
+        if y < y1:
+            y1 = y
+        if y > y2:
+            y2 = y
+    return x2 - x1 + y2 - y1
 
 
 def _net_index(
-    design: PnRDesign, pad_positions: Optional[Dict[str, Point]]
-) -> Dict[str, List[_PlacedNet]]:
-    """Instance name -> the nets touching it, in design order.
+    design: PnRDesign,
+    movers: Sequence[PnRInstance],
+    pad_positions: Optional[Dict[str, Point]],
+) -> Tuple[List[_Net], List[FrozenSet[int]]]:
+    """Every net with a wirelength, and per mover the indices of its nets.
 
-    Only nets with two or more placed points have a wirelength, so only
-    those are indexed.  Pin offsets are taken once per (cell, pin,
-    orientation); the cell's identity stands for it, since cell abstracts
-    are mutable and unhashable.
+    A net has a wirelength when it has two or more placed points; the ones
+    with no mover keep a fixed one, and count only toward the total.
     """
     pads = pad_positions or {}
-    offsets: Dict[Tuple[int, str, Orientation], Point] = {}
-    index: Dict[str, List[_PlacedNet]] = {name: [] for name in design.instances}
+    offsets = PinOffsets()
+    index_of = {instance.name: i for i, instance in enumerate(movers)}
+    nets: List[_Net] = []
+    nets_of: List[Set[int]] = [set() for _ in movers]
     for terminals in design.nets.values():
-        movers: List[Tuple[PnRInstance, int, int]] = []
+        pins: List[Tuple[int, int, int]] = []
         fixed: List[Point] = []
         for kind, name, pin in terminals:
             if kind == "inst":
                 instance = design.instance(name)
                 if instance.placed:
-                    key = (id(instance.cell), pin, instance.orientation)
-                    offset = offsets.get(key)
-                    if offset is None:
-                        offset = offsets[key] = pin_offset(
-                            instance.cell, pin, instance.orientation
-                        )
-                    movers.append((instance, offset.x, offset.y))
+                    dx, dy = offsets.of(instance, pin)
+                    i = index_of.get(name)
+                    if i is None:
+                        fixed.append(instance.location.translated(dx, dy))
+                    else:
+                        pins.append((i, dx, dy))
             elif name in pads:
                 fixed.append(pads[name])
-        if len(movers) + len(fixed) < 2:
+        if len(pins) + len(fixed) < 2:
             continue
-        net = _PlacedNet(movers, fixed)
-        for name in dict.fromkeys(instance.name for instance, _x, _y in movers):
-            index[name].append(net)
-    return index
+        box = _EMPTY
+        if fixed:
+            xs = [point.x for point in fixed]
+            ys = [point.y for point in fixed]
+            box = (min(xs), max(xs), min(ys), max(ys))
+        for i, _dx, _dy in pins:
+            nets_of[i].add(len(nets))
+        nets.append((tuple(pins), box))
+    return nets, [frozenset(touching) for touching in nets_of]

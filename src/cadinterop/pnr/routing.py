@@ -7,9 +7,9 @@ experiments can compare a tool that honors those constraints against
 dialects that drop them — the measurable consequence is coupling
 capacitance (:mod:`cadinterop.pnr.parasitics`).
 
-The search runs on integer node ids over flat per-id arrays (see
-:class:`GridRouter`); :data:`Node` tuples are the output form, in
-``occupancy`` and :class:`RoutedNet`.
+The search and its bookkeeping run on integer node ids over flat per-id
+arrays (see :class:`GridRouter`); :data:`Node` tuples are the output form,
+in ``occupancy`` and :class:`RoutedNet`, made once per routed node.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from cadinterop.common.geometry import Point, Rect
 from cadinterop.obs import get_tracer
-from cadinterop.pnr.design import PnRDesign, Terminal
+from cadinterop.pnr.design import PinOffsets, PnRDesign, Terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, NetRule
 from cadinterop.pnr.tech import Layer, Technology
 
@@ -75,7 +75,7 @@ class GridRouter:
     nodes around it, so a one-track move is a constant id delta (``±1``
     along x, ``±stride`` along y, ``±k * plane`` for a via) that needs no
     bounds test and cannot wrap into another row or layer.  ``Node`` tuples
-    are the output form, made from ids only when a path is built.
+    are the output form, made from ids only when a net is committed.
     """
 
     def __init__(
@@ -107,6 +107,11 @@ class GridRouter:
         self._wall = bytearray(size)
         #: per id, A* cost so far; ``UNREACHED`` everywhere between searches
         self._best = [UNREACHED] * size
+        #: ``|k - zero|`` at index ``k``, for ``zero`` the longest padded
+        #: side: slices of it are the heuristic's gaps to a target coordinate
+        self._zero = zero = max(stride, self.rows + 2) - 1
+        self._ramp = [abs(k - zero) for k in range(2 * zero + 1)]
+        self._pin_offsets = PinOffsets()
         ring_row, ring_column = b"\x01" * stride, b"\x01" * self.rows
         for base in range(0, size, plane):
             self._wall[base:base + stride] = ring_row
@@ -142,10 +147,10 @@ class GridRouter:
         y, x = divmod(xy, self._stride)
         return (self._layer_names[layer], x - 1, y - 1)
 
-    def _claim(self, node: Node, owner: str) -> None:
-        """Give ``node`` to ``owner`` (a net or ``SHIELD``)."""
+    def _claim(self, node_id: int, node: Node, owner: str) -> None:
+        """Give ``node`` (the tuple form of ``node_id``) to ``owner``, a net or ``SHIELD``."""
         self.occupancy[node] = owner
-        self._owner[self._id(node)] = owner
+        self._owner[node_id] = owner
 
     def _block_rect(self, layer_name: str, rect: Rect) -> None:
         die = self.floorplan.die
@@ -159,9 +164,12 @@ class GridRouter:
             self._wall[start:start + len(row)] = row
 
     def snap(self, point: Point) -> Tuple[int, int]:
+        return self._snap(point.x, point.y)
+
+    def _snap(self, x: int, y: int) -> Tuple[int, int]:
         die = self.floorplan.die
-        ix = min(self.cols - 1, max(0, (point.x - die.x1) // self.tech.pitch))
-        iy = min(self.rows - 1, max(0, (point.y - die.y1) // self.tech.pitch))
+        ix = min(self.cols - 1, max(0, (x - die.x1) // self.tech.pitch))
+        iy = min(self.rows - 1, max(0, (y - die.y1) // self.tech.pitch))
         return (ix, iy)
 
     def _clear(self, node_id: int, net: str, margin: int, reach: int) -> bool:
@@ -192,16 +200,23 @@ class GridRouter:
 
     # -- routing --------------------------------------------------------------
 
-    def _terminal_nodes(self, design: PnRDesign, terminal: Terminal) -> List[Node]:
+    def _terminal_point(self, design: PnRDesign, terminal: Terminal) -> Tuple[int, int]:
+        """The grid point a terminal snaps to: its pin's, or its pad's."""
         kind, name, pin = terminal
         if kind == "inst":
-            position = design.instance(name).pin_position(pin)
-        else:
-            if name not in self.pads:
-                raise KeyError(f"no pad position for {name!r}")
-            position = self.pads[name]
-        ix, iy = self.snap(position)
-        return [(layer.name, ix, iy) for layer in self.layers.values()]
+            instance = design.instance(name)
+            if instance.location is None:
+                raise ValueError(f"instance {name!r} is not placed")
+            dx, dy = self._pin_offsets.of(instance, pin)
+            return self._snap(instance.location.x + dx, instance.location.y + dy)
+        if name not in self.pads:
+            raise KeyError(f"no pad position for {name!r}")
+        return self.snap(self.pads[name])
+
+    def _stack(self, point: Tuple[int, int]) -> List[int]:
+        """The ids of a grid point's layer stack, bottom first."""
+        base = (point[1] + 1) * self._stride + point[0] + 1
+        return list(range(base, len(self._wall), self._plane))
 
     def reserve_terminals(self, design: PnRDesign) -> None:
         """Reserve every net's primary terminal node (the pin's own layer).
@@ -210,11 +225,15 @@ class GridRouter:
         not own.  Upper-layer nodes above a pin stay free — crossing over a
         foreign pin on another layer is legal.
         """
+        pin_layer = self._layer_names[0]
+        owners = self._owner
         for net, terminals in design.nets.items():
             for terminal in terminals:
-                node = self._terminal_nodes(design, terminal)[0]
-                if self.occupancy.get(node, net) == net:
-                    self._claim(node, net)
+                point = self._terminal_point(design, terminal)
+                node_id = self._stack(point)[0]
+                owner = owners[node_id]
+                if owner is None or owner == net:
+                    self._claim(node_id, (pin_layer, *point), net)
 
     def route_net(
         self,
@@ -238,39 +257,52 @@ class GridRouter:
         # clearance verdict per id (0 unknown, 1 clear, 2 not) serves every
         # terminal's search.
         verdicts = bytearray(len(self._wall))
-        routed_nodes: Set[Node] = set()
+        plane = self._plane
+        # The ids on this net's paths, in the order they were first reached.
+        routed: Dict[int, None] = {}
         vias = 0
         # Connect each terminal to the growing tree.
-        tree: Set[Node] = set(self._terminal_nodes(design, terminals[0]))
+        tree = set(self._stack(self._terminal_point(design, terminals[0])))
         for terminal in terminals[1:]:
-            # A terminal's nodes are one grid point's layer stack.
-            targets = set(self._terminal_nodes(design, terminal))
-            _l, tx, ty = next(iter(targets))
-            path = self._astar(tree | routed_nodes, (tx, ty), net, margin, reach, verdicts)
+            target = self._terminal_point(design, terminal)
+            path = self._astar(tree.union(routed), target, net, margin, reach, verdicts)
             if path is None:
                 return None
-            for index, node in enumerate(path):
-                routed_nodes.add(node)
-                if index > 0 and path[index - 1][0] != node[0]:
+            layer = path[0] // plane
+            for node_id in path:
+                routed[node_id] = None
+                if node_id // plane != layer:
+                    layer = node_id // plane
                     vias += 1
-            tree |= targets
+            tree.update(self._stack(target))
 
-        result = RoutedNet(net, nodes=routed_nodes, vias=vias, rule=rule)
-        for node in routed_nodes:
-            self._claim(node, net)
+        # Tuples are added in first-reached order, as a set of them built
+        # path by path would be, so ``nodes`` iterates, and ``occupancy``
+        # fills, in the same order.
+        nodes: Set[Node] = set()
+        ids: Dict[Node, int] = {}
+        for node_id in routed:
+            node = self._node(node_id)
+            nodes.add(node)
+            ids[node] = node_id
+        for node in nodes:
+            self._claim(ids[node], node, net)
         self._net_margin[net] = margin
-        return result
+        return RoutedNet(net, nodes=nodes, vias=vias, rule=rule)
 
     def _astar(
         self,
-        sources: Set[Node],
+        sources: Set[int],
         target: Tuple[int, int],
         net: str,
         margin: int,
         reach: int,
         verdicts: bytearray,
-    ) -> Optional[List[Node]]:
+    ) -> Optional[List[int]]:
         """Cheapest path from ``sources`` to any layer at grid point ``target``.
+
+        ``sources`` are node ids; the path is a list of node ids, from a
+        source to the target's node, or None when no path exists.
 
         The search order is: lowest ``f``, then lowest ``h`` (the Manhattan
         gap to ``target``), then push order, with sources pushed in
@@ -296,14 +328,15 @@ class GridRouter:
         target_xy = ty * stride + tx
         wall, owners, moves = self._wall, self._owner, self._moves
         # The heuristic's two terms, by padded coordinate.
-        x_gap = [abs(x - tx) for x in range(stride)]
-        y_gap = [abs(y - ty) for y in range(self.rows + 2)]
+        ramp, zero = self._ramp, self._zero
+        x_gap = ramp[zero - tx:zero - tx + stride]
+        y_gap = ramp[zero - ty:zero - ty + self.rows + 2]
         span = stride + self.rows + 2
         buckets: Dict[int, List[int]] = {}
         best = self._best
         parent: Dict[int, int] = {}
         try:
-            for source_id in sorted(map(self._id, sources)):
+            for source_id in sorted(sources):
                 # Sources are admitted on hard occupancy only: a pin that
                 # sits inside another net's clearance zone must still be
                 # escapable (typically via the other layer).
@@ -331,11 +364,12 @@ class GridRouter:
                     while node >= 0:
                         layer, xy = divmod(node, plane)
                         if xy == target_xy:
-                            path: List[Node] = []
+                            path = []
                             while node >= 0:
-                                path.append(self._node(node))
+                                path.append(node)
                                 node = parent[node]
-                            return list(reversed(path))
+                            path.reverse()
+                            return path
                         y, x = divmod(xy, stride)
                         ahead = -1
                         for delta, dx, dy, step in moves[layer]:
@@ -390,7 +424,7 @@ class GridRouter:
                 shield_id = node_id + offset * step
                 if self._wall[shield_id] or self._owner[shield_id] is not None:
                     continue
-                self._claim(self._node(shield_id), SHIELD)
+                self._claim(shield_id, self._node(shield_id), SHIELD)
                 added += 1
         return added
 
@@ -448,7 +482,7 @@ class GridRouter:
 
         routed = RoutedNet(strategy.net, nodes=nodes, rule=NetRule(strategy.net))
         for node in nodes:
-            self._claim(node, strategy.net)
+            self._claim(self._id(node), node, strategy.net)
         self._net_margin[strategy.net] = 0
         if strategy.shielded:
             self.add_shields(routed)

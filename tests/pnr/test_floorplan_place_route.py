@@ -204,7 +204,8 @@ class TestRouting:
         terminal_nodes = set()
         for net, terminals in design.nets.items():
             for terminal in terminals:
-                terminal_nodes.update(router._terminal_nodes(design, terminal))
+                ix, iy = router._terminal_point(design, terminal)
+                terminal_nodes.update((layer, ix, iy) for layer in router.layers)
         crit_nodes = result.routed["crit"].nodes
         margin = (width - 1) + (spacing - 1)
         for node in crit_nodes:

@@ -1,34 +1,49 @@
-"""The grid router and row placer against their straightforward oracles.
+"""The grid router, row placer and extractor against straightforward oracles.
 
 ``GridRouter`` searches integer node ids on a grid padded with a ring of
-wall nodes, bounds its clearance probes by the widest margin in play,
-caches one clearance verdict per node for each ``route_net`` call, and
-keeps its open set in FIFO buckets keyed ``(f, h)``, following the one
-same-``f`` child of an expansion at once; ``RowPlacer`` re-measures a swap
-over an instance-to-nets index with pin offsets taken once per (cell, pin,
-orientation).  This module keeps the code they replaced as test-local
-oracles: the router on tuple nodes with its own tuple-keyed grid state,
-which always probes out to ``MAX_MARGIN`` tracks, asks every question
-afresh and keeps a heap keyed ``(f, h, push counter)`` (sources pushed in
-the router's id order, stale entries skipped), the ``_local_hpwl`` that
-scans every net of the design per swap, and the ``pin_position`` that
-transforms the pin box on every call.  On hypothesis-generated floorplans
-with routing keepouts, global-net strategies (rings on the edge tracks
-included), fixed and movable instances in every orientation, pads inside
-the die and on its sides, 2-5-terminal nets, nets along the die's edges
-and width/spacing/shield rules, both sides must produce the same
-placement and the same routing result, down to the order of the occupancy
-map; so must the fixed cases, the three ALU flows of the
-``rtl-to-layout`` benchmark among them.
+wall nodes, keeps each net's tree and paths as ids (``_astar`` takes id
+sources and returns an id path), bounds its clearance probes by the widest
+margin in play, caches one clearance verdict per node for each
+``route_net`` call, and keeps its open set in FIFO buckets keyed ``(f,
+h)``, following the one same-``f`` child of an expansion at once.
+``RowPlacer`` finds free slots with one sweep per row over the blockers
+sorted by ``x1`` and swaps on integer arrays, measuring only the new
+wirelength of the nets a swap touches against a cached one per net, with
+pin offsets taken once per (cell, pin, orientation).  ``extract`` indexes
+occupancy by (layer, fixed coordinate) and counts couplings per
+(aggressor, layer, distance).  This module keeps the code they replaced
+as test-local oracles: the router on tuple nodes with its own tuple-keyed
+grid state and terminal nodes, which always probes out to ``MAX_MARGIN``
+tracks, asks every question afresh and keeps a heap keyed ``(f, h, push
+counter)`` (sources pushed in the router's id order, stale entries
+skipped); the placer's scan that tests every slot against every blocker,
+the ``_local_hpwl`` that scans every net of the design per swap and the
+``pin_position`` that transforms the pin box on every call; and
+``oracle_extract``, which probes tuple keys node by node (in sorted order,
+so its sums do not follow the hash seed).
+
+On hypothesis-generated floorplans with routing keepouts, placement
+keepouts and placed blocks (often touching slot edges exactly), global-net
+strategies (rings on the edge tracks included), fixed and movable
+instances in every orientation, pads inside the die and on its sides,
+2-5-terminal nets, nets along the die's edges and width/spacing/shield
+rules, both sides must produce the same placement, or the same "floorplan
+has N slots" error, and the same routing result, down to the order of the
+occupancy map; so must the fixed cases, the three ALU flows of the
+``rtl-to-layout`` benchmark among them.  Slots must equal the scan's on
+generated floorplans off the origin, and ``extract`` must find the
+oracle's aggressors, with every value within 1e-12, on generated layouts
+(shields and strategies included) and the three ALU flows.
 
 The search order is a choice among equal-cost paths: a consistent
 heuristic guarantees the cost, not the path (``test_equal_cost_detours``).
 ``PushOrderRouter`` keeps the order before the goal-directed one (a heap
 keyed ``(f, push counter)``), and two gates hold the new order to it:
 every search must find a path of push order's cost from the same grid
-state (``PushOrderCostGate``), and over a fixed generated corpus the
-router may fail no more nets, with total wirelength and vias within
-``QUALITY_TOLERANCE`` (``TestRoutingQuality``).
+state (``PushOrderCostGate``), and over a fixed generated corpus (without
+placement blockers, so it stays the corpus it was) the router may fail no
+more nets, with total wirelength and vias within ``QUALITY_TOLERANCE``
+(``TestRoutingQuality``).
 
 Generated rules stay within the oracle's 4-track margin cap; clearance
 beyond it is covered in ``test_floorplan_place_route.py``.
@@ -39,19 +54,21 @@ from __future__ import annotations
 import copy
 import heapq
 import random
+import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, reject, settings, strategies as st
 
 from cadinterop import rtl2gds
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
 from cadinterop.hdl import parser, synth
 from cadinterop.pnr.cells import CellAbstract, CellPin, PinShape
 from cadinterop.pnr.design import PnRDesign, PnRInstance, inst_terminal, pad_terminal
-from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, Keepout, NetRule
+from cadinterop.pnr.floorplan import Block, Floorplan, GlobalNetStrategy, Keepout, NetRule
+from cadinterop.pnr.parasitics import MAX_COUPLING_TRACKS, NetParasitics, ParasiticReport, extract
 from cadinterop.pnr.placement import PlacementResult, RowPlacer
-from cadinterop.pnr.routing import SHIELD, UNREACHED, GridRouter, Node, RoutedNet
+from cadinterop.pnr.routing import SHIELD, UNREACHED, GridRouter, Node, RoutedNet, RoutingResult
 from cadinterop.pnr.samples import (
     build_bus_scenario,
     build_cell_library,
@@ -68,9 +85,10 @@ from perfbench.workloads import rtl_to_layout
 class OracleRouter(GridRouter):
     """The router with its pre-index search: fixed probe depth, no caches.
 
-    It keeps its own tuple-keyed grid state (``_blocked``, ``occupancy``)
-    and every method that writes it, so only ``snap``, ``_terminal_nodes``
-    and the net ordering of ``route_design`` are shared with ``GridRouter``.
+    It keeps its own tuple-keyed grid state (``_blocked``, ``occupancy``),
+    every method that writes it and its own terminal nodes (from
+    ``oracle_pin_position``), so only ``snap`` and the net ordering of
+    ``route_design`` are shared with ``GridRouter``.
     """
 
     #: farthest clearance any rule can demand (bounds the probe loop)
@@ -107,6 +125,17 @@ class OracleRouter(GridRouter):
         for ix in range(x1, x2 + 1):
             for iy in range(y1, y2 + 1):
                 self._blocked.add((layer_name, ix, iy))
+
+    def _terminal_nodes(self, design: PnRDesign, terminal) -> List[Node]:
+        kind, name, pin = terminal
+        if kind == "inst":
+            position = oracle_pin_position(design.instance(name), pin)
+        else:
+            if name not in self.pads:
+                raise KeyError(f"no pad position for {name!r}")
+            position = self.pads[name]
+        ix, iy = self.snap(position)
+        return [(layer.name, ix, iy) for layer in self.layers.values()]
 
     def reserve_terminals(self, design: PnRDesign) -> None:
         for net, terminals in design.nets.items():
@@ -329,13 +358,13 @@ class PushOrderRouter(GridRouter):
 
     def _astar(
         self,
-        sources: Set[Node],
+        sources: Set[int],
         target: Tuple[int, int],
         net: str,
         margin: int,
         reach: int,
         verdicts: bytearray,
-    ) -> Optional[List[Node]]:
+    ) -> Optional[List[int]]:
         plane, stride = self._plane, self._stride
         # Padded coordinates of the target, and its offset within a plane.
         tx, ty = target[0] + 1, target[1] + 1
@@ -348,7 +377,7 @@ class PushOrderRouter(GridRouter):
         best = self._best
         parent: Dict[int, int] = {}
         try:
-            for source_id in sorted(map(self._id, sources)):
+            for source_id in sorted(sources):
                 # Sources are admitted on hard occupancy only: a pin that
                 # sits inside another net's clearance zone must still be
                 # escapable (typically via the other layer).
@@ -372,9 +401,9 @@ class PushOrderRouter(GridRouter):
                     cost = best[node]
                     layer, xy = divmod(node, plane)
                     if xy == target_xy:
-                        path: List[Node] = []
+                        path: List[int] = []
                         while node >= 0:
-                            path.append(self._node(node))
+                            path.append(node)
                             node = parent[node]
                         return list(reversed(path))
                     y, x = divmod(xy, stride)
@@ -444,7 +473,41 @@ def oracle_hpwl(design: PnRDesign, pad_positions: Optional[Dict[str, Point]] = N
 
 
 class OraclePlacer(RowPlacer):
-    """The placer whose swap pass re-scans every net of the design."""
+    """The placer whose swap pass re-scans every net of the design.
+
+    Its slots come from a scan that tests every slot against every
+    placement keepout and placed block.
+    """
+
+    def _slot_blocked(self, rect: Rect) -> bool:
+        for keepout in self.floorplan.keepouts:
+            if not keepout.layers and keepout.rect.intersects(rect):
+                return True
+        for block in self.floorplan.blocks.values():
+            if block.location is not None and block.outline().intersects(rect):
+                return True
+        return False
+
+    def _build_slots(self, widths: Sequence[int]) -> List[List[Point]]:
+        """Slot origins per row, wide enough for the widest cell."""
+        die = self.floorplan.die
+        slot_width = max(widths) if widths else self.site.width
+        # Round up to a whole number of sites.
+        sites_per_slot = -(-slot_width // self.site.width)
+        slot_width = sites_per_slot * self.site.width
+        rows: List[List[Point]] = []
+        y = die.y1
+        while y + self.site.height <= die.y2:
+            row: List[Point] = []
+            x = die.x1
+            while x + slot_width <= die.x2:
+                rect = Rect(x, y, x + slot_width, y + self.site.height)
+                if not self._slot_blocked(rect):
+                    row.append(Point(x, y))
+                x += slot_width
+            rows.append(row)
+            y += self.site.height
+        return rows
 
     def place(
         self,
@@ -527,6 +590,45 @@ class OraclePlacer(RowPlacer):
         return total
 
 
+def oracle_extract(
+    tech: Technology, routing: RoutingResult, occupancy: Dict[Node, str]
+) -> ParasiticReport:
+    """Parasitics probed node by node on the tuple occupancy map.
+
+    Nodes are walked in sorted order, so the float sums do not follow the
+    hash seed.
+    """
+    report = ParasiticReport()
+    pitch = tech.pitch
+    for name, routed in routing.routed.items():
+        parasitics = NetParasitics(name)
+        for node in sorted(routed.nodes):
+            layer_name, ix, iy = node
+            layer = tech.layer(layer_name)
+            parasitics.area_cap += layer.area_cap * pitch
+            # Probe both perpendicular directions for the nearest neighbor.
+            for sign in (-1, 1):
+                for distance in range(1, MAX_COUPLING_TRACKS + 1):
+                    if layer.direction == "horizontal":
+                        probe = (layer_name, ix, iy + sign * distance)
+                    else:
+                        probe = (layer_name, ix + sign * distance, iy)
+                    owner = occupancy.get(probe)
+                    if owner is None:
+                        continue
+                    if owner == name:
+                        break  # own wire: no coupling contribution this side
+                    if owner == SHIELD:
+                        break  # grounded shield terminates the field
+                    parasitics.coupling[owner] = (
+                        parasitics.coupling.get(owner, 0.0)
+                        + layer.coupling_at(distance) * pitch
+                    )
+                    break  # nearest neighbor only
+        report.nets[name] = parasitics
+    return report
+
+
 # -- comparison helpers -------------------------------------------------------
 
 
@@ -567,6 +669,21 @@ def place_and_route(placer_cls, router_cls, case, **route_kwargs):
     return design, placed, router, realized, router.route_design(design, **route_kwargs)
 
 
+#: How ``place`` reports a floorplan with too few free slots.
+NO_ROOM = r"floorplan has \d+ slots for \d+ cells"
+
+
+def place_and_route_or_reject(router_cls, case, **route_kwargs):
+    """``place_and_route`` with ``RowPlacer``; a case whose floorplan cannot
+    seat its cells is rejected, as it leaves nothing to route."""
+    try:
+        return place_and_route(RowPlacer, router_cls, case, **route_kwargs)
+    except ValueError as error:
+        if re.fullmatch(NO_ROOM, str(error)):
+            reject()
+        raise
+
+
 def flow_signature(placer_cls, router_cls, case, **route_kwargs):
     design, placed, router, realized, result = place_and_route(
         placer_cls, router_cls, case, **route_kwargs
@@ -579,8 +696,16 @@ def flow_signature(placer_cls, router_cls, case, **route_kwargs):
 
 
 def assert_equivalent(case, **route_kwargs):
+    try:
+        want = flow_signature(OraclePlacer, OracleRouter, case, **route_kwargs)
+    except ValueError as error:
+        if not re.fullmatch(NO_ROOM, str(error)):
+            raise
+        with pytest.raises(ValueError) as raised:
+            flow_signature(RowPlacer, GridRouter, case, **route_kwargs)
+        assert str(raised.value) == str(error), "the placers count slots differently"
+        return
     got = flow_signature(RowPlacer, GridRouter, case, **route_kwargs)
-    want = flow_signature(OraclePlacer, OracleRouter, case, **route_kwargs)
     assert got[0] == want[0], "placement differs"
     assert got[1] == want[1], "strategy geometry differs"
     assert got[2][0] == want[2][0], "routed nets differ"
@@ -589,9 +714,34 @@ def assert_equivalent(case, **route_kwargs):
     assert got[2][3] == want[2][3], "occupancy differs"
 
 
-def path_cost(path: List[Node]) -> int:
-    """Tracks plus twice the vias: the cost A* minimizes."""
-    return sum(1 if a[0] == b[0] else 2 for a, b in zip(path, path[1:]))
+def assert_same_parasitics(got: ParasiticReport, want: ParasiticReport) -> None:
+    """The same nets and aggressors, with values equal to within 1e-12.
+
+    The sums differ in order only; ``extract`` lists aggressors by name.
+    """
+    assert list(got.nets) == list(want.nets)
+    for name, net in want.nets.items():
+        extracted = got.nets[name]
+        assert extracted.area_cap == pytest.approx(net.area_cap, rel=1e-12), name
+        assert set(extracted.coupling) == set(net.coupling), name
+        assert list(extracted.coupling) == sorted(extracted.coupling), name
+        for aggressor, value in net.coupling.items():
+            assert extracted.coupling[aggressor] == pytest.approx(value, rel=1e-12), (
+                name, aggressor,
+            )
+
+
+def extract_both_ways(router: GridRouter, result: RoutingResult) -> None:
+    assert_same_parasitics(
+        extract(TECH, result, router.occupancy),
+        oracle_extract(TECH, result, router.occupancy),
+    )
+
+
+def path_cost(router: GridRouter, path: List[int]) -> int:
+    """Tracks plus twice the vias: the cost A* minimizes, of a path of ids."""
+    layers = [node // router._plane for node in path]
+    return sum(1 if a == b else 2 for a, b in zip(layers, layers[1:]))
 
 
 class PushOrderCostGate(GridRouter):
@@ -606,9 +756,8 @@ class PushOrderCostGate(GridRouter):
         reference = PushOrderRouter._astar(self, sources, target, net, margin, reach, verdicts)
         assert (path is None) == (reference is None), f"{net}: only one order finds a path"
         if path is not None:
-            assert path_cost(path) == path_cost(reference), (
-                f"{net}: cost {path_cost(path)}, push order {path_cost(reference)}"
-            )
+            cost, reference_cost = path_cost(self, path), path_cost(self, reference)
+            assert cost == reference_cost, f"{net}: cost {cost}, push order {reference_cost}"
         return path
 
 
@@ -679,9 +828,44 @@ def net_rules(draw, net: str) -> NetRule:
     )
 
 
+def slot_aligned(low: int, high: int):
+    """A coordinate in [low, high], one draw in two on a multiple of 10.
+
+    Slots are a whole number of 10-unit sites wide and rows 40 high, so
+    aligned blockers touch slot edges exactly.
+    """
+    first, last = -(-low // 10), high // 10
+    if first > last:
+        return st.integers(low, high)
+    return st.one_of(st.integers(first, last).map(lambda k: 10 * k), st.integers(low, high))
+
+
 @st.composite
-def cases(draw):
-    """(floorplan, design, pads, (strategy, inset) pairs, placement seed)."""
+def placement_blockers(draw, floorplan: Floorplan) -> None:
+    """Add 0-3 placement keepouts and, one time in three, a placed block."""
+    die = floorplan.die
+    for _ in range(draw(st.integers(0, 3))):
+        x1, y1 = draw(slot_aligned(die.x1, die.x2)), draw(slot_aligned(die.y1, die.y2))
+        rect = Rect(x1, y1, x1 + draw(slot_aligned(0, 40)), y1 + draw(slot_aligned(0, 40)))
+        floorplan.add_keepout(Keepout(rect))
+    if draw(st.integers(0, 2)) == 0:
+        location = Point(draw(slot_aligned(die.x1, die.x2)), draw(slot_aligned(die.y1, die.y2)))
+        floorplan.add_block(Block(
+            "blk", area=draw(st.integers(1, 1600)),
+            aspect_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])),
+            location=location,
+        ))
+
+
+@st.composite
+def cases(draw, blockers: bool = False):
+    """(floorplan, design, pads, (strategy, inset) pairs, placement seed).
+
+    With ``blockers``, the floorplan also takes ``placement_blockers``, and
+    can then leave too few slots for the design's cells.  Without, the
+    draws are the ones ``TestRoutingQuality``'s derandomized corpus was
+    measured on.
+    """
     cols = draw(st.integers(16, 36))
     rows = draw(st.integers(8, 24))
     die = Rect(0, 0, cols * TECH.pitch, rows * TECH.pitch)
@@ -692,6 +876,8 @@ def cases(draw):
         rect = Rect(x1, y1, x1 + draw(st.integers(0, 30)), y1 + draw(st.integers(0, 30)))
         layers = draw(st.sampled_from([("M1",), ("M2",), ("M1", "M2")]))
         floorplan.add_keepout(Keepout(rect, layers=layers))
+    if blockers:
+        draw(placement_blockers(floorplan))
 
     library = [draw(cells(k)) for k in range(draw(st.integers(1, 3)))]
     slot = max(cell.width for cell in library)
@@ -772,21 +958,55 @@ GENERATED = settings(
 
 class TestGeneratedEquivalence:
     @GENERATED
-    @given(case=cases(), features=st.sampled_from(
+    @given(case=cases(blockers=True), features=st.sampled_from(
         [None, set(), {"width"}, {"spacing"}, {"width", "spacing"}]
     ))
     def test_place_and_route_match_oracles(self, case, features):
         assert_equivalent(case, honored_features=features)
 
     @GENERATED
-    @given(case=cases())
+    @given(case=cases(blockers=True))
     def test_rules_ignored_match_oracles(self, case):
         assert_equivalent(case, honor_rules=False)
 
     @GENERATED
-    @given(case=cases(), features=st.sampled_from([None, set()]))
+    @given(case=cases(blockers=True), features=st.sampled_from([None, set()]))
     def test_every_search_costs_what_push_order_costs(self, case, features):
-        place_and_route(RowPlacer, PushOrderCostGate, case, honored_features=features)
+        place_and_route_or_reject(PushOrderCostGate, case, honored_features=features)
+
+
+@st.composite
+def floorplans(draw) -> Floorplan:
+    """A die of 1-6 rows off the origin, with routing and placement blockers."""
+    x0, y0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    die = Rect(x0, y0, x0 + draw(st.integers(0, 300)), y0 + draw(st.integers(0, 240)))
+    floorplan = Floorplan("slots", die)
+    for _ in range(draw(st.integers(0, 2))):
+        # Routing keepouts take no slots.
+        x1, y1 = draw(st.integers(x0, die.x2)), draw(st.integers(y0, die.y2))
+        floorplan.add_keepout(Keepout(Rect(x1, y1, x1 + 30, y1 + 30), layers=("M1",)))
+    draw(placement_blockers(floorplan))
+    return floorplan
+
+
+class TestGeneratedParasitics:
+    @GENERATED
+    @given(
+        case=cases(blockers=True), features=st.sampled_from([None, set(), {"width", "spacing"}])
+    )
+    def test_extract_matches_oracle(self, case, features):
+        *_, router, _realized, result = place_and_route_or_reject(
+            GridRouter, case, honored_features=features
+        )
+        extract_both_ways(router, result)
+
+
+class TestGeneratedPlacement:
+    @GENERATED
+    @given(floorplan=floorplans(), widths=st.lists(st.integers(1, 45), max_size=4))
+    def test_slots_match_the_scan(self, floorplan, widths):
+        got = RowPlacer(TECH, floorplan)._build_slots(widths)
+        assert got == OraclePlacer(TECH, floorplan)._build_slots(widths)
 
 
 #: Size of the derandomized corpus the quality report routes both ways.
@@ -869,10 +1089,12 @@ class TestFixedEquivalence:
         ids=[f"alu{slices}_p{seed}" for slices, seed in rtl_to_layout.FLOWS],
     )
     def test_alu_flow(self, slices, seed):
-        """The oracle's layout, and push order's cost for every search."""
+        """The oracle's layout, push order's cost for every search, and the
+        oracle's parasitics."""
         case = alu_case(slices, seed)
         assert_equivalent(case)
-        place_and_route(RowPlacer, PushOrderCostGate, case)
+        *_, router, _realized, result = place_and_route(RowPlacer, PushOrderCostGate, case)
+        extract_both_ways(router, result)
 
     def test_equal_cost_detours(self):
         """n0 has two detours of 19 nodes and 4 vias; the search order picks one.
