@@ -38,11 +38,12 @@ class Point:
         Raises :class:`OffGridError` if the result is not an integer point;
         exactness is the whole point of migrating between commensurate grids.
         """
-        nx = Fraction(self.x) * factor
-        ny = Fraction(self.y) * factor
-        if nx.denominator != 1 or ny.denominator != 1:
+        numerator, denominator = factor.numerator, factor.denominator
+        x, x_rest = divmod(self.x * numerator, denominator)
+        y, y_rest = divmod(self.y * numerator, denominator)
+        if x_rest or y_rest:
             raise OffGridError(f"scaling {self} by {factor} leaves the integer lattice")
-        return Point(int(nx), int(ny))
+        return Point(x, y)
 
     def manhattan_to(self, other: "Point") -> int:
         return abs(self.x - other.x) + abs(self.y - other.y)

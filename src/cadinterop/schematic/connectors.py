@@ -31,6 +31,7 @@ from cadinterop.schematic.model import (
     LibrarySet,
     Page,
     PinDirection,
+    PinOffsets,
     Schematic,
     Symbol,
     SymbolPin,
@@ -78,19 +79,66 @@ class FloatingEnd:
     point: Point
 
 
+class _PageSites:
+    """One page's wire index and pin points, for placing connectors.
+
+    Stubs and connectors added through :meth:`add_wire` and
+    :meth:`add_instance` are added here too, so every query answers for the
+    page as it stands.
+    """
+
+    def __init__(self, page: Page, pins: PinOffsets) -> None:
+        self.page = page
+        self.wires = WireIndex(page.wires)
+        self._pins = pins
+        # Pin points by line: y -> xs and x -> ys.
+        self._rows: Dict[int, Set[int]] = {}
+        self._columns: Dict[int, Set[int]] = {}
+        for instance in page.instances:
+            self._add_pins(instance)
+
+    def _add_pins(self, instance: Instance) -> None:
+        transform = instance.transform
+        ox, oy = transform.offset.x, transform.offset.y
+        for _name, dx, dy in self._pins.of(instance.symbol, transform.orientation):
+            x, y = ox + dx, oy + dy
+            self._rows.setdefault(y, set()).add(x)
+            self._columns.setdefault(x, set()).add(y)
+
+    def add_wire(self, wire: Wire) -> None:
+        self.page.add_wire(wire)
+        self.wires.replace_wire(len(self.page.wires) - 1, (), wire.points)
+
+    def add_instance(self, instance: Instance) -> None:
+        self.page.add_instance(instance)
+        self._add_pins(instance)
+
+    def is_pin(self, point: Point) -> bool:
+        return point.x in self._rows.get(point.y, ())
+
+    def pin_on(self, stub: Segment) -> bool:
+        """True if some pin lies on ``stub``."""
+        a, b = stub.a, stub.b
+        if stub.is_horizontal:
+            along, fixed, lo, hi = self._rows, a.y, min(a.x, b.x), max(a.x, b.x)
+        else:
+            along, fixed, lo, hi = self._columns, a.x, min(a.y, b.y), max(a.y, b.y)
+        return any(lo <= at <= hi for at in along.get(fixed, ()))
+
+
 def find_floating_ends(page: Page) -> List[FloatingEnd]:
     """Locate all floating wire ends on a page."""
-    pin_points: Set[Point] = set()
-    for instance in page.instances:
-        pin_points.update(instance.pin_positions().values())
+    return _floating_ends(_PageSites(page, PinOffsets()))
 
-    wires = WireIndex(page.wires)
+
+def _floating_ends(sites: _PageSites) -> List[FloatingEnd]:
+    page = sites.page
     floating: List[FloatingEnd] = []
     for index, wire in enumerate(page.wires):
         for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1])):
-            if point in pin_points:
+            if sites.is_pin(point):
                 continue
-            if not wires.wires_at(point.x, point.y) - {index}:
+            if not sites.wires.wires_at(point.x, point.y) - {index}:
                 floating.append(FloatingEnd(page.number, index, end_index, point))
     return floating
 
@@ -123,24 +171,15 @@ class _ConnectorNamer:
                 return name
 
 
-def _stub_is_clear(page: Page, stub: Segment, ignore_wire: int) -> bool:
+def _stub_is_clear(sites: _PageSites, stub: Segment, ignore_wire: int) -> bool:
     """True if ``stub`` would not touch any other wire or instance pin."""
-    for index, wire in enumerate(page.wires):
-        if index == ignore_wire:
-            continue
-        for segment in wire.segments():
-            if segment.touches(stub) or stub.touches(segment):
-                return False
-    for instance in page.instances:
-        for point in instance.pin_positions().values():
-            if stub.contains_point(point):
-                return False
-    return True
+    if sites.wires.wires_touching(stub.a, stub.b) - {ignore_wire}:
+        return False
+    return not sites.pin_on(stub)
 
 
 def _attach_connector(
-    schematic: Schematic,
-    page: Page,
+    sites: _PageSites,
     point: Point,
     symbol: Symbol,
     signal: str,
@@ -152,13 +191,12 @@ def _attach_connector(
         transform=Transform(point),
     )
     instance.properties.set("signal", signal, origin="connector-synthesis")
-    page.add_instance(instance)
+    sites.add_instance(instance)
     return instance
 
 
 def _place_for_net(
-    schematic: Schematic,
-    page: Page,
+    sites: _PageSites,
     wire_index: int,
     floating: Optional[FloatingEnd],
     symbol: Symbol,
@@ -168,9 +206,10 @@ def _place_for_net(
     log: IssueLog,
 ) -> None:
     """Place one connector for the net carried by ``page.wires[wire_index]``."""
+    page = sites.page
     wire = page.wires[wire_index]
     if floating is not None:
-        _attach_connector(schematic, page, floating.point, symbol, signal, namer)
+        _attach_connector(sites, floating.point, symbol, signal, namer)
         report.placed_on_floating_end += 1
         return
 
@@ -183,18 +222,23 @@ def _place_for_net(
         edge_point = Point(frame.x2, anchor.y)
     if edge_point != anchor:
         stub = Segment(anchor, edge_point)
-        if _stub_is_clear(page, stub, ignore_wire=wire_index):
-            page.add_wire(Wire([anchor, edge_point]))
-            _attach_connector(schematic, page, edge_point, symbol, signal, namer)
+        if _stub_is_clear(sites, stub, ignore_wire=wire_index):
+            sites.add_wire(Wire([anchor, edge_point]))
+            _attach_connector(sites, edge_point, symbol, signal, namer)
             report.placed_at_sheet_edge += 1
             return
 
-    _attach_connector(schematic, page, anchor, symbol, signal, namer)
+    _attach_connector(sites, anchor, symbol, signal, namer)
     report.placed_direct += 1
     log.add(
         Severity.NOTE, Category.CONNECTIVITY, signal,
         f"connector placed directly on net (sheet-edge stub would short another net)",
     )
+
+
+def _page_sites(schematic: Schematic) -> Dict[int, _PageSites]:
+    pins = PinOffsets()
+    return {page.number: _PageSites(page, pins) for page in schematic.pages}
 
 
 def insert_offpage_connectors(
@@ -223,15 +267,15 @@ def insert_offpage_connectors(
             if wire.label:
                 label_sites.setdefault(wire.label, {}).setdefault(page.number, index)
 
+    page_sites = _page_sites(schematic)
     floating_by_page: Dict[int, List[FloatingEnd]] = {
-        page.number: find_floating_ends(page) for page in schematic.pages
+        number: _floating_ends(site) for number, site in page_sites.items()
     }
 
     for label, sites in sorted(label_sites.items()):
         if len(sites) < 2:
             continue
         for page_number, wire_index in sorted(sites.items()):
-            page = schematic.page(page_number)
             floating = next(
                 (
                     end
@@ -243,7 +287,7 @@ def insert_offpage_connectors(
             if floating is not None:
                 floating_by_page[page_number].remove(floating)
             _place_for_net(
-                schematic, page, wire_index, floating, connector_symbol, label,
+                page_sites[page_number], wire_index, floating, connector_symbol, label,
                 namer, report, log,
             )
             report.offpage_added += 1
@@ -273,8 +317,9 @@ def insert_hierarchy_connectors(
         PinDirection.BIDIRECTIONAL: libraries.resolve(names.library, names.hier_inout),
     }
 
+    page_sites = _page_sites(schematic)
     floating_by_page: Dict[int, List[FloatingEnd]] = {
-        page.number: find_floating_ends(page) for page in schematic.pages
+        number: _floating_ends(site) for number, site in page_sites.items()
     }
 
     for port in schematic.ports:
@@ -294,7 +339,7 @@ def insert_hierarchy_connectors(
                 if floating is not None:
                     floating_by_page[page.number].remove(floating)
                 _place_for_net(
-                    schematic, page, index, floating,
+                    page_sites[page.number], index, floating,
                     symbol_for_direction[port.direction], port.name,
                     namer, report, log,
                 )

@@ -46,11 +46,13 @@ from cadinterop.schematic.model import (
     Instance,
     LibrarySet,
     Page,
+    PinOffsets,
     Port,
     Schematic,
     Symbol,
     TextLabel,
     Wire,
+    WireIndex,
 )
 from cadinterop.schematic.propertymap import PropertyRuleSet
 from cadinterop.schematic.ripup import BatchReplacementReport, replace_component
@@ -225,9 +227,13 @@ class Migrator:
         with StageSpan("replacement", "migrate:replacement") as stage:
             # Step 2: component replacement with minimal rip-up.
             replacements = BatchReplacementReport()
+            pins = PinOffsets()
             for page in working.pages:
-                for instance_name in [i.name for i in page.instances]:
-                    instance = page.instance(instance_name)
+                # One index per page, kept current by every replacement on it.
+                index = WireIndex(page.wires)
+                # Each replacement moves its instance to the end of the list,
+                # so walk the instances as they stood before the first one.
+                for instance in list(page.instances):
                     mapping = plan.symbol_map.lookup(SymbolKey.of(instance.symbol))
                     if mapping is None:
                         continue
@@ -235,12 +241,12 @@ class Migrator:
                         mapping.target.library, mapping.target.name, mapping.target.view
                     )
                     stats = replace_component(
-                        page, instance_name, mapping, target_symbol, log,
-                        strategy=plan.replacement_strategy,
+                        page, instance.name, mapping, target_symbol, log,
+                        strategy=plan.replacement_strategy, index=index, pins=pins,
                     )
                     replacements.add(stats)
                     get_lineage().record(
-                        "instance", instance_name, "replacement", "transformed",
+                        "instance", instance.name, "replacement", "transformed",
                         detail=f"{mapping.source} -> {mapping.target}",
                     )
             stage.items = replacements.replacements

@@ -13,6 +13,7 @@ from this geometry, which is what migration verification compares.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -185,6 +186,52 @@ class Instance:
         return self.transform.orientation
 
 
+class PinOffsets:
+    """Each symbol's pins as ``(name, dx, dy)`` under one orientation, taken once.
+
+    ``dx, dy`` is the pin's position relative to the instance origin, so a
+    pin sits at the origin plus its offset, exactly where
+    :meth:`Instance.pin_position` puts it.  Symbols are mutable and
+    unhashable, so a symbol's identity stands for it; the table holds every
+    symbol it has seen, so no id is reused while its entries stand.  Make
+    one table per call: it assumes no symbol's pins change while it lives.
+    """
+
+    def __init__(self) -> None:
+        self._offsets: Dict[Tuple[int, Orientation], Tuple[Tuple[str, int, int], ...]] = {}
+        self._symbols: List[Symbol] = []
+
+    def of(self, symbol: Symbol, orientation: Orientation) -> Tuple[Tuple[str, int, int], ...]:
+        key = (id(symbol), orientation)
+        offsets = self._offsets.get(key)
+        if offsets is None:
+            a, b, c, d = orientation.matrix()
+            offsets = self._offsets[key] = tuple(
+                (pin.name, a * pin.position.x + b * pin.position.y,
+                 c * pin.position.x + d * pin.position.y)
+                for pin in symbol.pins
+            )
+            self._symbols.append(symbol)
+        return offsets
+
+    def positions(self, instance: Instance) -> Dict[str, Point]:
+        """:meth:`Instance.pin_positions`, from the table."""
+        transform = instance.transform
+        ox, oy = transform.offset.x, transform.offset.y
+        return {
+            name: Point(ox + dx, oy + dy)
+            for name, dx, dy in self.of(instance.symbol, transform.orientation)
+        }
+
+
+def _check_manhattan(points: Sequence[Point]) -> None:
+    """Raise as :func:`path_segments` does if a step is neither horizontal
+    nor vertical."""
+    for a, b in zip(points, points[1:]):
+        if a.x != b.x and a.y != b.y:
+            raise ValueError(f"segment {a}->{b} is not Manhattan")
+
+
 @dataclass
 class Wire:
     """A Manhattan polyline carrying connectivity, optionally labeled.
@@ -200,8 +247,8 @@ class Wire:
     def __post_init__(self) -> None:
         if len(self.points) < 2:
             raise SchematicError("wire needs at least two points")
-        # Validate Manhattan-ness eagerly; path_segments raises otherwise.
-        path_segments(self.points)
+        # Validate Manhattan-ness eagerly, as path_segments would.
+        _check_manhattan(self.points)
 
     def segments(self) -> List[Segment]:
         return path_segments(self.points)
@@ -219,76 +266,164 @@ class Wire:
 _Interval = Tuple[int, int, int]
 
 
+def _intervals(points: Sequence[Point], number: int) -> List[Tuple[bool, int, _Interval]]:
+    """``(vertical, fixed coordinate, interval)`` for each segment of wire
+    ``number`` drawn through ``points``; repeated points make no segment."""
+    result: List[Tuple[bool, int, _Interval]] = []
+    if not points:
+        return result
+    px, py = points[0].x, points[0].y
+    for point in points:
+        x, y = point.x, point.y
+        if y == py:
+            if x == px:
+                continue  # a repeated point
+            result.append((False, y, (x, px, number) if x < px else (px, x, number)))
+        elif x == px:
+            result.append((True, x, (y, py, number) if y < py else (py, y, number)))
+        else:
+            raise ValueError(f"segment {Point(px, py)}->{point} is not Manhattan")
+        px, py = x, y
+    return result
+
+
 class WireIndex:
     """Point-on-wire lookups over one page's wires, built once per page.
 
     Each segment becomes an interval on its fixed line: horizontal segments
-    are bucketed by ``y``, vertical ones by ``x``, each bucket sorted by its
-    low end.  Two wires touch exactly when a segment of one contains a
-    segment end of the other, so every touch and pin-attach test on a page
-    is a :meth:`wires_at` lookup instead of a scan over all wires.
-    ``bare`` lists the wires with no segment (every point the same), which
-    no lookup returns.
+    are bucketed by ``y``, vertical ones by ``x``, each bucket sorted.  Two
+    wires touch exactly when a segment of one contains a segment end of the
+    other, so every touch and pin-attach test on a page is a lookup instead
+    of a scan over all wires.  ``bare`` lists, in ascending order, the wires
+    with no segment (every point the same), which no lookup returns.
 
-    The index is a snapshot: edit a wire's points and it is stale.
+    The index is a snapshot: edit a wire's points and it is stale until
+    :meth:`replace_wire` is told of the edit.
     """
 
     def __init__(self, wires: Sequence[Wire]) -> None:
-        horizontal: Dict[int, List[_Interval]] = {}
-        vertical: Dict[int, List[_Interval]] = {}
+        self._horizontal: Dict[int, List[_Interval]] = {}
+        self._vertical: Dict[int, List[_Interval]] = {}
         self.bare: List[int] = []
         for number, wire in enumerate(wires):
-            first = wire.points[0]
-            px, py = first.x, first.y
-            bare = True
-            for point in wire.points:
-                x, y = point.x, point.y
-                if y == py:
-                    if x == px:
-                        continue  # a repeated point
-                    interval = (x, px, number) if x < px else (px, x, number)
-                    line, fixed = horizontal, y
-                elif x == px:
-                    interval = (y, py, number) if y < py else (py, y, number)
-                    line, fixed = vertical, x
-                else:
-                    raise ValueError(f"segment {Point(px, py)}->{point} is not Manhattan")
+            intervals = _intervals(wire.points, number)
+            if not intervals:
+                self.bare.append(number)
+            for vertical, fixed, interval in intervals:
+                line = self._vertical if vertical else self._horizontal
                 bucket = line.get(fixed)
                 if bucket is None:
                     line[fixed] = [interval]
                 else:
                     bucket.append(interval)
-                px, py = x, y
-                bare = False
-            if bare:
-                self.bare.append(number)
-        for bucket in horizontal.values():
+        for bucket in self._horizontal.values():
             bucket.sort()
-        for bucket in vertical.values():
+        for bucket in self._vertical.values():
             bucket.sort()
-        self._horizontal = horizontal
-        self._vertical = vertical
 
-    def segment_ends(self) -> Iterator[Tuple[int, int, int]]:
-        """``(wire number, x, y)`` for both ends of every segment."""
-        for y, bucket in self._horizontal.items():
-            for lo, hi, number in bucket:
-                yield number, lo, y
-                yield number, hi, y
-        for x, bucket in self._vertical.items():
-            for lo, hi, number in bucket:
-                yield number, x, lo
-                yield number, x, hi
+    def replace_wire(
+        self, number: int, old_points: Sequence[Point], new_points: Sequence[Point]
+    ) -> None:
+        """Swap wire ``number``'s intervals from ``old_points`` to ``new_points``.
+
+        Afterwards every lookup answers as an index built afresh from the
+        edited wires would.  With no ``old_points`` this adds wire
+        ``number`` (the next one appended to the page).
+        """
+        for vertical, fixed, interval in _intervals(old_points, number):
+            line = self._vertical if vertical else self._horizontal
+            bucket = line[fixed]
+            del bucket[bisect_left(bucket, interval)]
+            if not bucket:
+                del line[fixed]
+        intervals = _intervals(new_points, number)
+        for vertical, fixed, interval in intervals:
+            line = self._vertical if vertical else self._horizontal
+            bucket = line.get(fixed)
+            if bucket is None:
+                line[fixed] = [interval]
+            else:
+                insort(bucket, interval)
+        position = bisect_left(self.bare, number)
+        listed = position < len(self.bare) and self.bare[position] == number
+        if listed and intervals:
+            del self.bare[position]
+        elif not listed and not intervals:
+            self.bare.insert(position, number)
 
     def wires_at(self, x: int, y: int) -> Set[int]:
         """Numbers of the wires with a segment containing ``(x, y)``."""
         found: Set[int] = set()
-        for along, bucket in ((x, self._horizontal.get(y)), (y, self._vertical.get(x))):
-            if bucket:
+        for lo, hi, number in self._horizontal.get(y, ()):
+            if lo > x:
+                break
+            if x <= hi:
+                found.add(number)
+        for lo, hi, number in self._vertical.get(x, ()):
+            if lo > y:
+                break
+            if y <= hi:
+                found.add(number)
+        return found
+
+    def touching_pairs(self) -> List[Tuple[int, int]]:
+        """Pairs of different wires that touch, enough to join all that do.
+
+        Each segment end is paired with every wire whose perpendicular
+        segment contains it.  On one line, sorted intervals that overlap
+        form runs; each is paired with the run's interval reaching farthest
+        so far, which it overlaps.  Joining the pairs gives the same
+        connected groups as joining every touching pair.
+        """
+        pairs: List[Tuple[int, int]] = []
+        for lines, across in (
+            (self._horizontal, self._vertical), (self._vertical, self._horizontal)
+        ):
+            for fixed, bucket in lines.items():
+                reach = reacher = None
                 for lo, hi, number in bucket:
-                    if lo > along:
+                    if reacher is None or lo > reach:
+                        reach, reacher = hi, number
+                    else:
+                        if number != reacher:
+                            pairs.append((reacher, number))
+                        if hi > reach:
+                            reach, reacher = hi, number
+                    for end in (lo, hi):
+                        crossing = across.get(end)
+                        if crossing:
+                            for other_lo, other_hi, other in crossing:
+                                if other_lo > fixed:
+                                    break
+                                if fixed <= other_hi and other != number:
+                                    pairs.append((number, other))
+        return pairs
+
+    def wires_touching(self, a: Point, b: Point) -> Set[int]:
+        """Numbers of the wires with a segment that touches segment ``a``-``b``.
+
+        Segments touch when either contains an end of the other (as
+        :meth:`Segment.touches` in either order).
+        """
+        if a.y == b.y:
+            along, across, fixed = self._horizontal, self._vertical, a.y
+            lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
+        else:
+            along, across, fixed = self._vertical, self._horizontal, a.x
+            lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
+        found: Set[int] = set()
+        for other_lo, other_hi, number in along.get(fixed, ()):
+            if other_lo > hi:
+                break
+            if other_hi >= lo:
+                found.add(number)
+        for line, bucket in across.items():
+            if lo <= line <= hi:
+                at_end = line == lo or line == hi
+                for other_lo, other_hi, number in bucket:
+                    if other_lo > fixed:
                         break
-                    if along <= hi:
+                    if other_lo == fixed or other_hi == fixed or (at_end and other_hi >= fixed):
                         found.add(number)
         return found
 
@@ -345,9 +480,13 @@ class Page:
         return label
 
     def instance(self, name: str) -> Instance:
-        for instance in self.instances:
+        return self.instances[self.instance_position(name)]
+
+    def instance_position(self, name: str) -> int:
+        """Where instance ``name`` sits in :attr:`instances`."""
+        for position, instance in enumerate(self.instances):
             if instance.name == name:
-                return instance
+                return position
         raise SchematicError(f"page {self.number} has no instance {name!r}")
 
     def remove_instance(self, name: str) -> Instance:

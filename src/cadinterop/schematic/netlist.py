@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point
 from cadinterop.schematic.dialects import Dialect, get_dialect
-from cadinterop.schematic.model import Instance, Schematic, Wire, WireIndex
+from cadinterop.schematic.model import PinOffsets, Schematic, Wire, WireIndex
 
 
 Terminal = Tuple[str, str]  # (instance name, pin name)
@@ -119,6 +119,14 @@ class Netlist:
         return len(self.nets)
 
 
+def _path_length(points: Sequence[Point]) -> int:
+    """A Manhattan polyline's length: the sum of its steps."""
+    total = 0
+    for a, b in zip(points, points[1:]):
+        total += abs(b.x - a.x) + abs(b.y - a.y)
+    return total
+
+
 def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
     """Extract the netlist of one schematic cell.
 
@@ -127,58 +135,88 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
     """
     active = dialect or get_dialect(schematic.dialect)
     netlist = Netlist(schematic.name)
-    uf = _UnionFind()
 
-    # node keys: ("wire", page#, index) and ("pt", page#, x, y)
-    wire_nodes: Dict[Tuple[int, int], Wire] = {}
-    indexes = [WireIndex(page.wires) for page in schematic.pages]
+    # Union-find over integer nodes: every page's wires first, numbered in
+    # page order, then each distinct (page, pin point) in the order the
+    # pins are met.  Nets come out in the order of their lowest node.
+    parent: List[int] = []
+    wires: List[Tuple[int, Wire]] = []
 
-    for page, index in zip(schematic.pages, indexes):
-        for number, wire in enumerate(page.wires):
-            uf.add(("wire", page.number, number))
-            wire_nodes[(page.number, number)] = wire
+    def find(node: int) -> int:
+        root = parent[node]
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        parent[node] = root
+        return root
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    indexes = []
+    for page in schematic.pages:
+        index = WireIndex(page.wires)
+        base = len(wires)
+        indexes.append((page, index, base))
+        wires.extend((page.number, wire) for wire in page.wires)
+    wire_count = len(wires)
+    parent.extend(range(wire_count))
+    for _page, index, base in indexes:
         # Merge wires that touch geometrically: a segment of one contains a
         # segment end of the other.
-        for number, x, y in index.segment_ends():
-            for other in index.wires_at(x, y):
-                if other != number:
-                    uf.union(("wire", page.number, number), ("wire", page.number, other))
+        for a, b in index.touching_pairs():
+            union(base + a, base + b)
 
     # Attach instance pins to wires passing through their location; pins at
-    # identical locations connect by abutment even with no wire.
-    pin_terminals: Dict[Tuple[int, Point], List[Tuple[Terminal, Instance]]] = {}
-    for page, index in zip(schematic.pages, indexes):
+    # identical locations connect by abutment even with no wire.  Point
+    # ``i`` is node ``wire_count + i``.
+    points: Dict[Tuple[int, int, int], int] = {}
+    point_pages: List[int] = []
+    point_terminals: List[List[Terminal]] = []
+    pins = PinOffsets()
+    for page, index, base in indexes:
+        page_number = page.number
         for instance in page.instances:
-            for pin_name, position in instance.pin_positions().items():
-                terminal = (instance.name, pin_name)
-                point_key = ("pt", page.number, position.x, position.y)
-                uf.add(point_key)
-                pin_terminals.setdefault((page.number, position), []).append((terminal, instance))
-                for number in index.wires_at(position.x, position.y):
-                    uf.union(point_key, ("wire", page.number, number))
+            name, transform = instance.name, instance.transform
+            ox, oy = transform.offset.x, transform.offset.y
+            for pin_name, dx, dy in pins.of(instance.symbol, transform.orientation):
+                x, y = ox + dx, oy + dy
+                key = (page_number, x, y)
+                point = points.get(key)
+                if point is None:
+                    point = points[key] = len(point_pages)
+                    point_pages.append(page_number)
+                    point_terminals.append([])
+                    parent.append(len(parent))
+                point_terminals[point].append((name, pin_name))
+                for number in index.wires_at(x, y):
+                    union(wire_count + point, base + number)
 
-    groups = uf.groups()
+    # Build provisional nets from connected groups, each filled in node
+    # order.
+    by_root: Dict[int, Net] = {}
 
-    # Build provisional nets from connected groups.
-    provisional: List[Net] = []
-    for members in groups.values():
-        net = Net(name="")
-        for member in members:
-            kind = member[0]
-            if kind == "wire":
-                _, page_number, index = member
-                wire = wire_nodes[(page_number, index)]
-                net.pages.add(page_number)
-                net.wire_length += wire.length()
-                if wire.label:
-                    net.labels.add(wire.label)
-            else:
-                _, page_number, x, y = member
-                for terminal, _instance in pin_terminals.get((page_number, Point(x, y)), []):
-                    net.terminals.add(terminal)
-                net.pages.add(page_number)
-        if net.terminals or net.labels or net.wire_length:
-            provisional.append(net)
+    def net_of(node: int) -> Net:
+        root = find(node)
+        net = by_root.get(root)
+        if net is None:
+            net = by_root[root] = Net(name="")
+        return net
+
+    for node, (page_number, wire) in enumerate(wires):
+        net = net_of(node)
+        net.pages.add(page_number)
+        net.wire_length += _path_length(wire.points)
+        if wire.label:
+            net.labels.add(wire.label)
+    for point, (page_number, terminals) in enumerate(zip(point_pages, point_terminals)):
+        net = net_of(wire_count + point)
+        net.terminals.update(terminals)
+        net.pages.add(page_number)
+    provisional = [
+        net for net in by_root.values() if net.terminals or net.labels or net.wire_length
+    ]
 
     # Handle connector instances: their single pin joins the net at its
     # location (already done geometrically); the *meaning* differs by kind.

@@ -27,7 +27,15 @@ from typing import Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point, Segment, Transform
-from cadinterop.schematic.model import Instance, Page, SchematicError, Symbol, Wire, WireIndex
+from cadinterop.schematic.model import (
+    Instance,
+    Page,
+    PinOffsets,
+    SchematicError,
+    Symbol,
+    Wire,
+    WireIndex,
+)
 from cadinterop.schematic.symbolmap import SymbolMapping
 
 
@@ -64,18 +72,28 @@ def replace_component(
     target_symbol: Symbol,
     log: Optional[IssueLog] = None,
     strategy: str = "minimal",
+    index: Optional[WireIndex] = None,
+    pins: Optional[PinOffsets] = None,
 ) -> ReplacementStats:
     """Replace one instance on ``page`` per ``mapping``, rerouting its nets.
 
     The replacement instance is placed at the original transform composed
     with the mapping's origin offset and rotation code, so it lands where
-    the original sat.  Wires attached to each source pin are rerouted to the
-    corresponding target pin (through the pin-name map).
+    the original sat, and goes to the end of the page's instance list.
+    Wires attached to each source pin are rerouted to the corresponding
+    target pin (through the pin-name map).
+
+    ``index`` is the page's :class:`WireIndex`, if the caller keeps one
+    across several replacements on the page; every rerouted wire is swapped
+    in it, so it stays current.  Without one, a fresh index is built.
+    ``pins`` is a pin offset table the caller may share between calls.
     """
     if strategy not in ("minimal", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     log = log if log is not None else IssueLog()
-    old_instance = page.instance(instance_name)
+    pins = pins if pins is not None else PinOffsets()
+    position = page.instance_position(instance_name)
+    old_instance = page.instances[position]
     stats = ReplacementStats(instance=instance_name)
 
     correction = Transform(mapping.origin_offset, mapping.rotation)
@@ -88,8 +106,8 @@ def replace_component(
     )
 
     # Old pin position -> new pin position, via the pin-name map.
-    old_positions = old_instance.pin_positions()
-    new_positions = new_instance.pin_positions()
+    old_positions = pins.positions(old_instance)
+    new_positions = pins.positions(new_instance)
     pin_moves: Dict[Point, Point] = {}
     for old_pin, old_pos in old_positions.items():
         new_pin = mapping.map_pin(old_pin)
@@ -105,14 +123,16 @@ def replace_component(
         else:
             stats.moved_pins += 1
 
-    page.remove_instance(instance_name)
-    page.add_instance(new_instance)
+    # The new instance has the old one's name, so the swap cannot clash.
+    del page.instances[position]
+    page.instances.append(new_instance)
 
     # Only wires through an old pin position or ending on one can need
     # work; visit them in page order so warnings keep their order.  A wire
     # ending on a pin has a segment through it unless it has no segment at
     # all, and then its every point is the same.
-    index = WireIndex(page.wires)
+    if index is None:
+        index = WireIndex(page.wires)
     tapped = {old_pos: index.wires_at(old_pos.x, old_pos.y) for old_pos in pin_moves}
     visit = set().union(*tapped.values())
     visit.update(n for n in index.bare if page.wires[n].points[0] in pin_moves)
@@ -137,12 +157,29 @@ def replace_component(
         if not attached_ends:
             continue
 
-        if strategy == "naive":
-            _naive_reroute(wire, attached_ends, pin_moves, stats)
-        else:
-            _minimal_reroute(wire, attached_ends, pin_moves, stats)
+        # Rerouting assigns new point lists and never edits the old one.
+        old_points = wire.points
+        try:
+            if strategy == "naive":
+                _naive_reroute(wire, attached_ends, pin_moves, stats)
+            else:
+                _minimal_reroute(wire, attached_ends, pin_moves, stats)
+        finally:
+            if wire.points is not old_points:
+                index.replace_wire(wire_index, old_points, wire.points)
 
     return stats
+
+
+def _segment_count(points: List[Point]) -> int:
+    """``len(path_segments(points))`` without building the segments."""
+    count = 0
+    previous = points[0]
+    for point in points:
+        if point.x != previous.x or point.y != previous.y:
+            count += 1
+        previous = point
+    return count
 
 
 def _minimal_reroute(
@@ -152,7 +189,7 @@ def _minimal_reroute(
     stats: ReplacementStats,
 ) -> None:
     """Move only the terminal segment(s) touching a moved pin."""
-    original_segment_count = len(wire.segments())
+    original_segment_count = _segment_count(wire.points)
     touched = 0
     for end_index, old_pos in attached_ends:
         new_pos = pin_moves[old_pos]
@@ -207,7 +244,7 @@ def _naive_reroute(
     stats: ReplacementStats,
 ) -> None:
     """Baseline: throw the whole wire away and L-route from the far end."""
-    original_segments = len(wire.segments())
+    original_segments = _segment_count(wire.points)
     stats.ripped_segments += original_segments
 
     # Determine the far anchor (an end NOT attached to a moved pin, else the

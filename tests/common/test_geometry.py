@@ -21,6 +21,22 @@ points = st.builds(Point, coords, coords)
 orientations = st.sampled_from(list(Orientation))
 
 
+def fraction_scaled(point: Point, factor: Fraction) -> Point:
+    """Reference: scale through two exact ``Fraction`` products."""
+    nx = Fraction(point.x) * factor
+    ny = Fraction(point.y) * factor
+    if nx.denominator != 1 or ny.denominator != 1:
+        raise OffGridError(f"scaling {point} by {factor} leaves the integer lattice")
+    return Point(int(nx), int(ny))
+
+
+def outcome(call):
+    try:
+        return call()
+    except OffGridError as exc:
+        return f"OffGridError: {exc}"
+
+
 class TestPoint:
     def test_translate(self):
         assert Point(1, 2).translated(3, -5) == Point(4, -3)
@@ -31,6 +47,24 @@ class TestPoint:
     def test_scaled_off_lattice_raises(self):
         with pytest.raises(OffGridError):
             Point(3, 0).scaled(Fraction(5, 8))
+
+    @given(
+        point=points,
+        factor=st.builds(
+            Fraction, st.integers(-40, 40), st.integers(1, 40)
+        ) | st.sampled_from([Fraction(5, 8), Fraction(8, 5), Fraction(1), Fraction(0)]),
+    )
+    def test_scaled_matches_fraction_arithmetic(self, point, factor):
+        """Integer scaling gives the point, or the error, that exact
+        rational arithmetic gives."""
+        assert outcome(lambda: point.scaled(factor)) == outcome(
+            lambda: fraction_scaled(point, factor)
+        )
+
+    def test_scaled_negative_coordinates(self):
+        assert Point(-16, -8).scaled(Fraction(5, 8)) == Point(-10, -5)
+        with pytest.raises(OffGridError, match=r"scaling Point\(x=-3, y=0\) by 5/8"):
+            Point(-3, 0).scaled(Fraction(5, 8))
 
     def test_manhattan(self):
         assert Point(0, 0).manhattan_to(Point(3, 4)) == 7

@@ -58,7 +58,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, reject, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, reject, seed, settings, strategies as st
 
 from cadinterop import rtl2gds
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
@@ -863,7 +863,7 @@ def cases(draw, blockers: bool = False):
 
     With ``blockers``, the floorplan also takes ``placement_blockers``, and
     can then leave too few slots for the design's cells.  Without, the
-    draws are the ones ``TestRoutingQuality``'s derandomized corpus was
+    draws are the ones ``TestRoutingQuality``'s seeded corpus was
     measured on.
     """
     cols = draw(st.integers(16, 36))
@@ -1009,8 +1009,16 @@ class TestGeneratedPlacement:
         assert got == OraclePlacer(TECH, floorplan)._build_slots(widths)
 
 
-#: Size of the derandomized corpus the quality report routes both ways.
+#: Size of the fixed corpus the quality report routes both ways.
 QUALITY_CASES = 500
+#: The corpus's seed.  It is the one ``derandomize=True`` derived from the
+#: source of ``route_both_ways`` when the corpus was first drawn; pinned, so
+#: that editing the test does not swap the corpus.  Over it both orders fail
+#: 1,150 nets and, where they fail equally, lay 18,424 tracks and 1,404 vias.
+QUALITY_SEED = int(
+    "17733079753358387838313633900690250361848162951242274871529651991715930801113"
+    "556717727954582874367033731727439990008"
+)
 #: How far total wirelength and total vias may stray from push order's.
 QUALITY_TOLERANCE = 0.01
 
@@ -1024,8 +1032,9 @@ class TestRoutingQuality:
         """
         rows = []
 
+        @seed(QUALITY_SEED)
         @settings(
-            max_examples=QUALITY_CASES, derandomize=True, database=None,
+            max_examples=QUALITY_CASES, database=None,
             phases=[Phase.generate], deadline=None,
             suppress_health_check=[HealthCheck.too_slow],
         )

@@ -3,12 +3,15 @@
 :class:`~cadinterop.schematic.model.WireIndex` replaced three pairwise
 scans: wire-against-wire touch tests and pin attachment in netlist
 extraction, the wire selection in ``replace_component``, and the
-wire-end search in ``find_floating_ends``.  This module keeps those scans,
-as they were before the index, as test-local oracles and checks on
+wire-end search in ``find_floating_ends``; the sheet-edge stub check of
+connector placement followed.  This module keeps those scans, as they
+were before the index, as test-local oracles and checks on
 hypothesis-generated multi-page Manhattan schematics that the indexed code
 gives exactly the same answers: every net field in the same order, the
 same diagnostics in the same order, the same rip-up statistics, wire
-points and warnings, and the same floating ends.
+points and warnings, the same floating ends and the same stub verdicts.
+Rip-up may carry one index through a page's replacements; after every
+replacement that index must answer as one built afresh would.
 
 The generator works on a small lattice so that T-junctions, collinear
 overlaps, crossings that do not touch, pins mid-segment, repeated points
@@ -26,13 +29,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
-from cadinterop.common.geometry import Orientation, Point, Rect, Transform
-from cadinterop.schematic.connectors import FloatingEnd, find_floating_ends
+from cadinterop.common.geometry import Orientation, Point, Rect, Segment, Transform
+from cadinterop.schematic.connectors import (
+    FloatingEnd,
+    _PageSites,
+    _stub_is_clear,
+    find_floating_ends,
+)
 from cadinterop.schematic.dialects import COMPOSER_LIKE, VIEWDRAW_LIKE, Dialect, get_dialect
 from cadinterop.schematic.model import (
     Instance,
     Page,
     PinDirection,
+    PinOffsets,
     Port,
     Schematic,
     Symbol,
@@ -350,6 +359,21 @@ def scan_floating_ends(page: Page) -> List[FloatingEnd]:
     return floating
 
 
+def scan_stub_is_clear(page: Page, stub: Segment, ignore_wire: int) -> bool:
+    """Oracle: ``_stub_is_clear`` testing every segment and every pin."""
+    for index, wire in enumerate(page.wires):
+        if index == ignore_wire:
+            continue
+        for segment in wire.segments():
+            if segment.touches(stub) or stub.touches(segment):
+                return False
+    for instance in page.instances:
+        for point in instance.pin_positions().values():
+            if stub.contains_point(point):
+                return False
+    return True
+
+
 # -- generated Manhattan schematics --------------------------------------------
 
 GRID = 16
@@ -455,6 +479,42 @@ def replacements(draw):
     return page, victim.name, mapping, target, strategy
 
 
+@st.composite
+def replacement_sequences(draw):
+    """A page with two to four components and, for each in a drawn order, a
+    replacement rule as :func:`replacements` makes one."""
+    cell = draw(schematics(min_instances=draw(st.integers(2, 4)), max_pages=1))
+    page = cell.pages[0]
+    victims = [i for i in page.instances if i.symbol.kind == "component"]
+    steps = []
+    for victim in draw(st.permutations(victims)):
+        source = victim.symbol
+        pin_map = {pin: pin.lower() for pin in source.pin_names()}
+        target = Symbol(
+            library="tgt", name=source.name, kind="component", body=source.body,
+            pins=[SymbolPin(pin_map[pin], _lattice(draw, 0, 2)) for pin in source.pin_names()],
+        )
+        mapping = SymbolMapping(
+            source=SymbolKey.of(source),
+            target=SymbolKey.of(target),
+            origin_offset=_lattice(draw, -2, 2),
+            rotation=draw(st.sampled_from(list(Orientation))),
+            pin_map=pin_map,
+        )
+        steps.append((victim.name, mapping, target))
+    strategy = draw(st.sampled_from(["minimal", "naive"]))
+    return page, steps, strategy
+
+
+@st.composite
+def stubs(draw):
+    """A horizontal or vertical segment between lattice points."""
+    a = _lattice(draw, -1, SPAN + 1)
+    length = draw(st.integers(1, SPAN)) * GRID * draw(st.sampled_from([-1, 1]))
+    b = Point(a.x + length, a.y) if draw(st.booleans()) else Point(a.x, a.y + length)
+    return Segment(a, b)
+
+
 def assert_same_netlist(indexed: Netlist, oracle: Netlist) -> None:
     assert indexed.cell_name == oracle.cell_name
     # Net equality covers every field; list order covers naming order.
@@ -474,10 +534,50 @@ def run_replacement(replace, page, name, mapping, target, strategy):
     return outcome, [wire.points for wire in page.wires], instances, list(log)
 
 
+def assert_index_is_fresh(index: WireIndex, page: Page) -> None:
+    """``index`` answers every lookup as one built from ``page`` now would."""
+    fresh = WireIndex(page.wires)
+    lattice = [Point(x * GRID, y * GRID) for x in range(-3, SPAN + 4) for y in range(-3, SPAN + 4)]
+    for point in set(lattice).union(*(wire.points for wire in page.wires)):
+        assert index.wires_at(point.x, point.y) == fresh.wires_at(point.x, point.y), point
+    assert index.bare == fresh.bare
+    assert sorted(index.touching_pairs()) == sorted(fresh.touching_pairs())
+
+
+def run_sequence(page, steps, strategy, carried: bool):
+    """Replace ``steps`` in order on a private copy of ``page``, with one
+    carried index and pin table, or with ``scan_replace_component``."""
+    page = copy.deepcopy(page)
+    log = IssueLog()
+    index, pins = WireIndex(page.wires), PinOffsets()
+    outcomes = []
+    for name, mapping, target in steps:
+        try:
+            if carried:
+                outcome = replace_component(
+                    page, name, mapping, target, log=log, strategy=strategy,
+                    index=index, pins=pins,
+                )
+            else:
+                outcome = scan_replace_component(
+                    page, name, mapping, target, log=log, strategy=strategy
+                )
+        except RipupError as exc:
+            outcomes.append(f"RipupError: {exc}")
+            break
+        outcomes.append(outcome)
+        if carried:
+            assert_index_is_fresh(index, page)
+    instances = [(i.name, i.symbol.full_name, i.transform) for i in page.instances]
+    return outcomes, [wire.points for wire in page.wires], instances, list(log)
+
+
 # -- tests ---------------------------------------------------------------------
 
 GENERATED = settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=max(200, settings.default.max_examples),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -497,13 +597,15 @@ class TestWireIndex:
         assert index.wires_at(16, 16) == {2}
         assert index.wires_at(100, 0) == set()
         assert index.bare == [4]
-        assert sorted(end for end in index.segment_ends() if end[0] == 1) == [
-            (1, 32, 0), (1, 32, 32)
-        ]
+        # Wire 2 crosses wire 0 without an end on it; no lookup sees wire 4.
+        assert {frozenset(pair) for pair in index.touching_pairs()} == {
+            frozenset({0, 1}), frozenset({0, 3})
+        }
 
     def test_repeated_points_make_no_segment(self):
         index = WireIndex([Wire([Point(0, 0), Point(0, 0), Point(0, 32), Point(0, 32)])])
-        assert sorted(index.segment_ends()) == [(0, 0, 0), (0, 0, 32)]
+        assert index.wires_at(0, 0) == index.wires_at(0, 32) == {0}
+        assert index.wires_at(0, 33) == set()
         assert index.bare == []
 
     def test_diagonal_points_rejected_like_segments(self):
@@ -531,6 +633,32 @@ class TestGeneratedSchematics:
             assert_same_netlist(extract(cell, dialect), pairwise_extract(cell, dialect))
 
 
+class TestTouchingPairs:
+    @given(cell=schematics(max_pages=1))
+    @GENERATED
+    def test_pairs_touch_and_join_what_touches(self, cell):
+        """Every pair touches, and joining the pairs groups the wires as
+        joining every touching pair does."""
+        wires = cell.pages[0].wires
+
+        def groups(pairs):
+            uf = _UnionFind()
+            for number in range(len(wires)):
+                uf.add(number)
+            for a, b in pairs:
+                uf.union(a, b)
+            return sorted(sorted(members) for members in uf.groups().values())
+
+        pairs = WireIndex(wires).touching_pairs()
+        for a, b in pairs:
+            assert a != b and _wires_touch(wires[a], wires[b]), (a, b)
+        touching = [
+            (i, j) for i in range(len(wires)) for j in range(i + 1, len(wires))
+            if _wires_touch(wires[i], wires[j])
+        ]
+        assert groups(pairs) == groups(touching)
+
+
 class TestChainCorpus:
     @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3, 4), (1, 6, 9), (3, 4, 6)])
     def test_chain_cell_and_its_migration_match_oracle(self, shape):
@@ -554,3 +682,48 @@ class TestReplaceComponentMatchesScan:
         assert run_replacement(
             replace_component, page, name, mapping, target, strategy
         ) == run_replacement(scan_replace_component, page, name, mapping, target, strategy)
+
+
+class TestSharedIndexAcrossReplacements:
+    @given(case=replacement_sequences())
+    @GENERATED
+    def test_carried_index_matches_scan_in_order(self, case):
+        page, steps, strategy = case
+        assert run_sequence(page, steps, strategy, carried=True) == run_sequence(
+            page, steps, strategy, carried=False
+        )
+
+    def test_replace_wire_adds_and_empties(self):
+        wires = [Wire([Point(0, 0), Point(32, 0)]), Wire([Point(16, 16), Point(16, 16)])]
+        index = WireIndex(wires)
+        assert index.bare == [1]
+        old = wires[1].points
+        wires[1].points = [Point(16, 16), Point(16, 0)]
+        index.replace_wire(1, old, wires[1].points)
+        old = wires[0].points
+        wires[0].points = [Point(0, 0), Point(0, 0)]
+        index.replace_wire(0, old, wires[0].points)
+        wires.append(Wire([Point(0, 0), Point(0, 48)]))
+        index.replace_wire(2, (), wires[2].points)
+        page = Page(1, Rect(0, 0, 64, 64), wires=wires)
+        assert index.bare == [0]
+        assert_index_is_fresh(index, page)
+
+
+class TestStubIsClearMatchesScan:
+    @given(cell=schematics(max_pages=1), stubs=st.lists(stubs(), min_size=1, max_size=6))
+    @GENERATED
+    def test_stubs_on_a_changing_page(self, cell, stubs):
+        """Each clear stub is drawn with a connector at its end, as
+        connector placement does, before the next query."""
+        page = cell.pages[0]
+        sites = _PageSites(page, PinOffsets())
+        connector = CONNECTORS[2]
+        for number, stub in enumerate(stubs):
+            ignore = number % (len(page.wires) + 1) - 1
+            clear = scan_stub_is_clear(page, stub, ignore)
+            assert _stub_is_clear(sites, stub, ignore) == clear, stub
+            if clear:
+                sites.add_wire(Wire([stub.a, stub.b]))
+                sites.add_instance(Instance(f"C{number}", connector, Transform(stub.b)))
+        assert_index_is_fresh(sites.wires, page)
