@@ -105,6 +105,14 @@ class PropertyBag:
             bag.add(prop)
         return bag
 
+    def __reduce__(self):
+        """Pickle as one flat tuple of every property's fields, in order (the
+        constructor takes one origin for all, so it cannot restore a bag)."""
+        fields: List[Union[PropertyValue, str]] = []
+        for prop in self._items.values():
+            fields += (prop.name, prop.value, prop.visible, prop.origin)
+        return (_bag_from_fields, (tuple(fields),))
+
     def as_dict(self) -> Dict[str, PropertyValue]:
         return {name: prop.value for name, prop in self._items.items()}
 
@@ -116,3 +124,13 @@ class PropertyBag:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{n}={p.value!r}" for n, p in self._items.items())
         return f"PropertyBag({inner})"
+
+
+def _bag_from_fields(fields: Tuple[Union[PropertyValue, str], ...]) -> PropertyBag:
+    """The bag whose properties ``fields`` lists as ``name, value, visible,
+    origin`` each, in order (how a pickled bag is restored)."""
+    bag = PropertyBag()
+    items = iter(fields)
+    for name, value, visible, origin in zip(items, items, items, items):
+        bag.add(Property(name, value, visible, origin))
+    return bag

@@ -7,13 +7,20 @@ results can never be served.  Entries persist across processes and runs —
 re-running a corpus job after touching one design re-migrates only that
 design.
 
+An entry file is one header line, ``<format> <key> <sha256 of the
+rest>``, followed by the pickled :class:`MigrationResult`.  The model's
+value classes pickle compactly (a wire as flat coordinates, points as
+tuples, the rest by constructor arguments), which keeps an entry small and
+cheap to write.
+
 Robustness rules:
 
 * writes are atomic (temp file + ``os.replace``), so a killed run never
   leaves a half-written entry;
-* *any* failure to load an entry — truncated pickle, garbage bytes, a
-  payload whose recorded key disagrees with its filename — is a **miss**,
-  never an error: the entry is deleted and the migration re-runs.
+* *any* failure to load an entry — an older format, a truncated or altered
+  file, garbage bytes, a header whose key disagrees with its filename — is
+  a **miss**, never an error: the entry is deleted and the migration
+  re-runs.  The checksum is verified before anything is unpickled.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ from cadinterop.schematic.migrate import MigrationResult, PIPELINE_VERSION
 
 #: Bump to invalidate every on-disk entry regardless of pipeline version
 #: (e.g. when the pickle payload layout changes).  Format 2: results no
-#: longer carry per-stage timings (stage time lives in metrics).
-CACHE_FORMAT = 2
+#: longer carry per-stage timings (stage time lives in metrics).  Format 3:
+#: a checksummed header line, then the result in the model's compact
+#: pickled forms.
+CACHE_FORMAT = 3
 
 
 def cache_key(design_digest: str, plan_dig: str, pipeline_version: str = PIPELINE_VERSION) -> str:
@@ -66,6 +75,11 @@ class ResultCache:
         assert self.root is not None
         return self.root / f"{key}.migr.pkl"
 
+    @staticmethod
+    def _header(key: str, blob: bytes) -> bytes:
+        checksum = hashlib.sha256(blob).hexdigest()
+        return f"{CACHE_FORMAT} {key} {checksum}\n".encode("ascii")
+
     # -- access ----------------------------------------------------------
 
     def get(self, key: str) -> Optional[MigrationResult]:
@@ -80,14 +94,11 @@ class ResultCache:
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("key") != key
-                or payload.get("format") != CACHE_FORMAT
-            ):
-                raise ValueError("cache payload does not match its key")
-            result = payload["result"]
+                header = handle.readline()
+                blob = handle.read()
+            if header != self._header(key, blob):
+                raise ValueError("cache entry is of another format, key or content")
+            result = pickle.loads(blob)
             if not isinstance(result, MigrationResult):
                 raise ValueError("cache payload is not a MigrationResult")
         except FileNotFoundError:
@@ -110,11 +121,12 @@ class ResultCache:
         if self._memory is not None:
             self._memory[key] = result
             return
-        payload = {"format": CACHE_FORMAT, "key": key, "result": result}
+        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(self._header(key, blob))
+                handle.write(blob)
             os.replace(tmp_name, self._path(key))
         except BaseException:
             try:

@@ -32,7 +32,6 @@ Semantics implemented (standard-conformant core):
 from __future__ import annotations
 
 import heapq
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -47,50 +46,27 @@ from cadinterop.obs import current_context, get_tracer
 # ---------------------------------------------------------------------------
 
 
-def _accepts_ordinal(select: Callable[..., int]) -> bool:
-    """Does ``select`` take a second positional (activation ordinal) arg?"""
-    try:
-        signature = inspect.signature(select)
-    except (TypeError, ValueError):  # builtins without introspection
-        return False
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind == parameter.VAR_POSITIONAL:
-            return True
-        if parameter.kind in (
-            parameter.POSITIONAL_ONLY,
-            parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return positional >= 2
-
-
 @dataclass(frozen=True)
 class OrderingPolicy:
     """Chooses which ready process activation runs next.
 
-    ``select`` receives the list of ready activation keys (ints, in arrival
-    order) and returns the index to run.  It may take a second positional
-    argument — the per-run activation ordinal — which stateful strategies
-    (e.g. seeded shuffles) should use to stay deterministic across reruns.
-    All policies are legal readings of the standard: the choice is
+    ``select(ready, ordinal)`` receives the list of ready activation keys
+    (ints, in arrival order) and the per-run activation ordinal, and returns
+    the index to run.  Strategies that vary their choice (e.g. seeded
+    shuffles) derive it from the ordinal to stay deterministic across
+    reruns.  All policies are legal readings of the standard: the choice is
     observable only for racy models.
     """
 
     name: str
-    select: Callable[..., int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_takes_ordinal", _accepts_ordinal(self.select))
+    select: Callable[[Sequence[int], int], int]
 
     def choose(self, ready: Sequence[int], ordinal: int) -> int:
-        if self._takes_ordinal:  # type: ignore[attr-defined]
-            return self.select(ready, ordinal)
-        return self.select(ready)
+        return self.select(ready, ordinal)
 
 
-FIFO = OrderingPolicy("fifo", lambda ready: 0)
-LIFO = OrderingPolicy("lifo", lambda ready: len(ready) - 1)
+FIFO = OrderingPolicy("fifo", lambda ready, ordinal: 0)
+LIFO = OrderingPolicy("lifo", lambda ready, ordinal: len(ready) - 1)
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,7 +82,7 @@ def seeded_shuffle_policy(seed: int) -> OrderingPolicy:
     """
     offset = (seed * 0x9E3779B97F4A7C15 + 1) & _MASK64
 
-    def select(ready: Sequence[int], ordinal: int = 0) -> int:
+    def select(ready: Sequence[int], ordinal: int) -> int:
         # splitmix64-style integer mix of the ordinal, inlined: this runs
         # once per multi-ready activation.
         x = (offset + ordinal) & _MASK64
@@ -276,9 +252,7 @@ class Simulator:
         """
         ready = self._ready
         ready_set = self._ready_set
-        policy = self.policy
-        select = policy.select
-        takes_ordinal = policy._takes_ordinal  # type: ignore[attr-defined]
+        select = self.policy.select
         remaining = self._budget
         ordinal = self.activations
         try:
@@ -293,10 +267,8 @@ class Simulator:
                 count = len(ready)
                 if count == 1:
                     choice = 0
-                elif takes_ordinal:
-                    choice = select(range(count), ordinal)
                 else:
-                    choice = select(range(count))
+                    choice = select(range(count), ordinal)
                 ordinal += 1
                 process = ready.pop(choice)
                 ready_set.discard(process.index)

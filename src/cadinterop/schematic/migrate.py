@@ -54,9 +54,9 @@ from cadinterop.schematic.model import (
     Wire,
     WireIndex,
 )
-from cadinterop.schematic.propertymap import PropertyRuleSet
+from cadinterop.schematic.propertymap import PropertyRuleSet, RuleMatches
 from cadinterop.schematic.ripup import BatchReplacementReport, replace_component
-from cadinterop.schematic.symbolmap import SymbolKey, SymbolMap
+from cadinterop.schematic.symbolmap import SymbolKey, SymbolMap, SymbolMapping
 from cadinterop.schematic.text import TextAdjustReport, adjust_labels
 from cadinterop.schematic.verify import VerificationResult, verify_migration
 
@@ -199,6 +199,19 @@ class Migrator:
         # Fold global rules into the symbol map (idempotent).
         plan.global_map.extend_symbol_map(plan.symbol_map)
 
+        # Each symbol master's key and mapping, looked up once per call.
+        # Every master outlives the call (held by the source, the
+        # scaled-master table or the target libraries), so no id is reused
+        # while the table stands.
+        masters: Dict[int, Tuple[SymbolKey, Optional[SymbolMapping]]] = {}
+
+        def master(symbol: Symbol) -> Tuple[SymbolKey, Optional[SymbolMapping]]:
+            known = masters.get(id(symbol))
+            if known is None:
+                key = SymbolKey.of(symbol)
+                known = masters[id(symbol)] = (key, plan.symbol_map.lookup(key))
+            return known
+
         with StageSpan("scaling", "migrate:scaling") as stage:
             # Step 1: scaling.
             scaling = rescale_schematic(working, plan.source_dialect, plan.target_dialect, log)
@@ -208,7 +221,7 @@ class Migrator:
             # masters in step 2 (rip-up works against the scaled positions).
             for page in working.pages:
                 for instance in page.instances:
-                    mapped = plan.symbol_map.lookup(SymbolKey.of(instance.symbol))
+                    _key, mapped = master(instance.symbol)
                     instance.symbol = self._scaled_symbol(instance.symbol, factor)
                     if mapped is None:
                         log.add(
@@ -228,27 +241,33 @@ class Migrator:
             # Step 2: component replacement with minimal rip-up.
             replacements = BatchReplacementReport()
             pins = PinOffsets()
+            lineage = get_lineage()
+            # Mapping (by id; the plan holds it) -> its resolved target master.
+            targets: Dict[int, Symbol] = {}
             for page in working.pages:
                 # One index per page, kept current by every replacement on it.
                 index = WireIndex(page.wires)
                 # Each replacement moves its instance to the end of the list,
                 # so walk the instances as they stood before the first one.
                 for instance in list(page.instances):
-                    mapping = plan.symbol_map.lookup(SymbolKey.of(instance.symbol))
+                    _key, mapping = master(instance.symbol)
                     if mapping is None:
                         continue
-                    target_symbol = plan.target_libraries.resolve(
-                        mapping.target.library, mapping.target.name, mapping.target.view
-                    )
+                    target_symbol = targets.get(id(mapping))
+                    if target_symbol is None:
+                        target_symbol = targets[id(mapping)] = plan.target_libraries.resolve(
+                            mapping.target.library, mapping.target.name, mapping.target.view
+                        )
                     stats = replace_component(
                         page, instance.name, mapping, target_symbol, log,
                         strategy=plan.replacement_strategy, index=index, pins=pins,
                     )
                     replacements.add(stats)
-                    get_lineage().record(
-                        "instance", instance.name, "replacement", "transformed",
-                        detail=f"{mapping.source} -> {mapping.target}",
-                    )
+                    if lineage.enabled:  # skip rendering the detail otherwise
+                        lineage.record(
+                            "instance", instance.name, "replacement", "transformed",
+                            detail=f"{mapping.source} -> {mapping.target}",
+                        )
             stage.items = replacements.replacements
 
         with StageSpan("properties", "migrate:properties") as stage:
@@ -257,13 +276,15 @@ class Migrator:
             plan.property_rules.apply_to_design(
                 working, log, context={"cell": working.name}
             )
+            matches: Dict[SymbolKey, RuleMatches] = {}
             for page in working.pages:
                 for instance in page.instances:
                     plan.property_rules.apply_to_instance(
                         instance,
-                        SymbolKey.of(instance.symbol),
+                        master(instance.symbol)[0],
                         log,
                         context={"page": page.number, "cell": working.name},
+                        matches=matches,
                     )
                     stage.items += 1
 
@@ -417,7 +438,25 @@ def _canon_symbol(symbol: Symbol) -> Tuple:
     )
 
 
+class _Rendered(str):
+    """A canonical form already rendered: its ``repr`` is the text itself,
+    so a tuple holding it renders exactly as if it held the form."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
 def _canon_schematic(schematic: Schematic) -> Tuple:
+    # Instances share a few symbol masters: render each master's canonical
+    # form once and splice the text in (the bytes hashed are unchanged).
+    masters: Dict[int, _Rendered] = {}
+
+    def master(symbol: Symbol) -> _Rendered:
+        rendered = masters.get(id(symbol))
+        if rendered is None:
+            rendered = masters[id(symbol)] = _Rendered(repr(_canon_symbol(symbol)))
+        return rendered
+
     pages = []
     for page in schematic.pages:
         pages.append(
@@ -427,30 +466,24 @@ def _canon_schematic(schematic: Schematic) -> Tuple:
                 tuple(
                     (
                         instance.name,
-                        _canon_symbol(instance.symbol),
-                        (
-                            instance.transform.offset.x,
-                            instance.transform.offset.y,
-                            instance.transform.orientation.value,
-                        ),
+                        master(instance.symbol),
+                        (*instance.transform.offset, instance.transform.orientation.value),
                         _canon_properties(instance.properties),
                     )
                     for instance in page.instances
                 ),
                 tuple(
                     (
-                        tuple((p.x, p.y) for p in wire.points),
+                        tuple(map(tuple, wire.points)),
                         wire.label,
-                        (wire.label_position.x, wire.label_position.y)
-                        if wire.label_position
-                        else None,
+                        tuple(wire.label_position) if wire.label_position else None,
                     )
                     for wire in page.wires
                 ),
                 tuple(
                     (
                         label.text,
-                        (label.position.x, label.position.y),
+                        tuple(label.position),
                         label.height,
                         label.width_per_char,
                         label.baseline_offset,

@@ -340,15 +340,13 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
     # construction, but a same-name pair NOT joined by an off-page connector
     # deserves a diagnostic because the implicit dialect would have joined it.
     if not active.implicit_cross_page_by_name:
-        label_pages: Dict[str, Set[int]] = {}
-        for net in netlist.nets.values():
-            for label in net.labels:
-                label_pages.setdefault(label, set()).update(net.pages)
         seen: Dict[str, int] = {}
         for net in netlist.nets.values():
             for label in net.labels:
                 seen[label] = seen.get(label, 0) + 1
-        for label, count in seen.items():
+        # In label order: a net's labels are a set, whose order would make
+        # the log depend on the interpreter's hash seed.
+        for label, count in sorted(seen.items()):
             if count > 1:
                 netlist.log.add(
                     Severity.ERROR, Category.CONNECTIVITY, label,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.properties import PropertyBag, PropertyValue
@@ -179,6 +179,8 @@ class DesignCallbackRule:
 
 
 PropertyRule = Union[AddRule, DeleteRule, RenameRule, ChangeValueRule]
+#: The rules and the callbacks whose scope matches one symbol key.
+RuleMatches = Tuple[List[PropertyRule], List[CallbackRule]]
 
 
 class PropertyRuleSet:
@@ -213,11 +215,25 @@ class PropertyRuleSet:
         symbol_key: SymbolKey,
         log: IssueLog,
         context: Optional[Dict[str, Any]] = None,
+        matches: Optional[Dict[SymbolKey, RuleMatches]] = None,
     ) -> None:
-        """Apply declarative rules then callbacks whose scope matches."""
-        for rule in self.rules:
-            if rule.scope.matches(symbol_key):
-                rule.apply(instance.properties, log, instance.name)
-        for callback in self.callbacks:
-            if callback.scope.matches(symbol_key):
-                callback.apply_to_instance(instance, log, context)
+        """Apply declarative rules then callbacks whose scope matches.
+
+        ``matches`` memoizes, by symbol key, the rules and callbacks whose
+        scope matches it, so each :meth:`Scope.matches` runs once per
+        (scope, key).  A caller applying the rules to many instances may
+        share one between calls while the rules stay the same.
+        """
+        found = matches.get(symbol_key) if matches is not None else None
+        if found is None:
+            found = (
+                [rule for rule in self.rules if rule.scope.matches(symbol_key)],
+                [callback for callback in self.callbacks if callback.scope.matches(symbol_key)],
+            )
+            if matches is not None:
+                matches[symbol_key] = found
+        rules, callbacks = found
+        for rule in rules:
+            rule.apply(instance.properties, log, instance.name)
+        for callback in callbacks:
+            callback.apply_to_instance(instance, log, context)

@@ -1,5 +1,7 @@
 """Tests for cadinterop.common.geometry."""
 
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,15 @@ from cadinterop.common.geometry import (
 coords = st.integers(min_value=-10_000, max_value=10_000)
 points = st.builds(Point, coords, coords)
 orientations = st.sampled_from(list(Orientation))
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPoint:
+    """``Point`` as a frozen, ordered dataclass, as it was before it became a
+    named tuple: the reference for its printed form, order, hash and pickle."""
+
+    x: int
+    y: int
 
 
 def fraction_scaled(point: Point, factor: Fraction) -> Point:
@@ -75,6 +86,51 @@ class TestPoint:
     def test_unpacking(self):
         x, y = Point(7, 9)
         assert (x, y) == (7, 9)
+
+
+class TestPointMatchesTheDataclass:
+    """``Point`` is a named tuple; everything the program relied on from
+    the dataclass it replaced holds, so set and dict orders are unchanged."""
+
+    @given(point=points)
+    def test_repr_and_hash(self, point):
+        old = DataclassPoint(point.x, point.y)
+        assert repr(point) == repr(old).replace("DataclassPoint", "Point")
+        assert str(point) == repr(point)
+        assert hash(point) == hash(old) == hash((point.x, point.y))
+
+    @given(a=points, b=points)
+    def test_ordering_and_equality(self, a, b):
+        old_a, old_b = DataclassPoint(*a), DataclassPoint(*b)
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+            old_a < old_b, old_a <= old_b, old_a > old_b, old_a >= old_b,
+            old_a == old_b, old_a != old_b,
+        )
+
+    @given(st.lists(points, max_size=30))
+    def test_set_and_dict_orders(self, listed):
+        old = [DataclassPoint(*p) for p in listed]
+        assert [tuple(p) for p in set(listed)] == [(p.x, p.y) for p in set(old)]
+        assert [tuple(p) for p in dict.fromkeys(listed)] == [
+            (p.x, p.y) for p in dict.fromkeys(old)
+        ]
+        assert [tuple(p) for p in sorted(listed)] == [(p.x, p.y) for p in sorted(old)]
+
+    @given(point=points)
+    def test_pickle_round_trip(self, point):
+        old = DataclassPoint(*point)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(point, protocol=protocol))
+            assert type(copy) is Point and copy == point
+            assert pickle.loads(pickle.dumps(old, protocol=protocol)) == old
+        assert len(pickle.dumps(point, pickle.HIGHEST_PROTOCOL)) < len(
+            pickle.dumps(old, pickle.HIGHEST_PROTOCOL)
+        )
+
+    def test_equals_its_coordinate_tuple(self):
+        # New with the named tuple: the dataclass never equalled a tuple.
+        assert Point(3, 4) == (3, 4)
+        assert DataclassPoint(3, 4) != (3, 4)
 
 
 class TestOrientation:

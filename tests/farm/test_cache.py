@@ -1,19 +1,25 @@
 """Result cache correctness: hits equal cold runs, edits invalidate,
 corruption is a miss — never an error."""
 
+import enum
 import gc
+import hashlib
 import pickle
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from cadinterop.common.geometry import Point
+from cadinterop.common.diagnostics import Category, Issue, Severity
+from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.common.properties import PropertyBag
 from cadinterop.farm import CACHE_FORMAT, MigrationFarm, ResultCache, cache_key
 from cadinterop.obs import MetricsRegistry, ObsContext, installed
 from cadinterop.schematic.migrate import Migrator
 from cadinterop.schematic import io_cd
 from cadinterop.schematic.migrate import PIPELINE_VERSION
-from cadinterop.schematic.model import TextLabel, Wire
+from cadinterop.schematic.model import Instance, TextLabel, Wire
+from cadinterop.schematic.ripup import ReplacementStats
 from cadinterop.schematic.samples import (
     build_sample_plan,
     build_sample_schematic,
@@ -39,6 +45,39 @@ def sample(vl_libs):
 
 def run_once(plan, designs, cache):
     return MigrationFarm(plan, jobs=1, cache=cache).run(designs)
+
+
+def state(value):
+    """Every field of ``value``, recursively, as comparable data that names
+    each object's type: two values with equal states are equal field for
+    field (``PropertyBag.__eq__`` compares values only)."""
+    if isinstance(value, (str, int, float, type(None), enum.Enum, Fraction)):
+        return (type(value).__name__, value)
+    if isinstance(value, PropertyBag):
+        return ("PropertyBag", [state(prop) for prop in value])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [state(item) for item in value])
+    if isinstance(value, (set, frozenset)):
+        return (type(value).__name__, sorted(repr(state(item)) for item in value))
+    if isinstance(value, dict):
+        return ("dict", [(state(k), state(v)) for k, v in value.items()])
+    return (type(value).__name__, {name: state(field) for name, field in vars(value).items()})
+
+
+def corpus(vl_libs):
+    """Chain cells of several shapes, off-grid label anchors included, and
+    the two-page sample with ports."""
+    cells = [build_sample_schematic(vl_libs)]
+    for index, (pages, chains, stages, offgrid) in enumerate(
+        [(1, 2, 3, 0), (2, 3, 4, 2), (1, 6, 9, 0)]
+    ):
+        cell = generate_chain_schematic(
+            vl_libs, pages=pages, chains_per_page=chains, stages=stages,
+            seed=index, offgrid_labels=offgrid,
+        )
+        cell.name = f"unit{index:02d}"
+        cells.append(cell)
+    return cells
 
 
 def lookup_counts(cache, key):
@@ -101,6 +140,56 @@ class TestWarmHitEqualsColdRun:
                 assert getattr(report, f"cache_{name}") == metric["value"]
 
 
+class TestRoundTrip:
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_disk_hit_equals_fresh_migration_field_for_field(
+        self, tmp_path, plan, vl_libs, executor
+    ):
+        designs = corpus(vl_libs)
+        cold = MigrationFarm(plan, jobs=2, cache=ResultCache(tmp_path), executor=executor)
+        assert cold.run(designs).migrated == len(designs)
+        warm = MigrationFarm(plan, jobs=2, cache=ResultCache(tmp_path), executor=executor)
+        report = warm.run(designs)
+        assert report.cached == len(designs)
+        migrator = Migrator(plan)
+        for design, item in zip(designs, report.items):
+            fresh = migrator.migrate(design)
+            assert state(item.result) == state(fresh), design.name
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Point(-3, 7),
+            Rect(-1, 2, 30, 40),
+            Transform(Point(16, -8), Orientation.MY90),
+            PropertyBag(),
+            Wire([Point(0, 0), Point(0, 16), Point(32, 16)], label="D<0>",
+                 label_position=Point(4, 16)),
+            Wire([Point(8, 8), Point(8, 8)]),
+            Issue(Severity.WARNING, Category.SCALING, "U1", "snapped", remedy="redraw"),
+            ReplacementStats("U1", 1, 2, 3, 4, 5),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_compact_pickles_are_lossless(self, value):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(value, protocol=protocol))
+            assert state(copy) == state(value), protocol
+
+    def test_instance_and_bag_pickles_keep_every_field(self, vl_libs):
+        bag = PropertyBag()
+        bag.set("wl", "1u/0.5u")
+        bag.set("hidden", 3, visible=False, origin="a/L")
+        bag.set("flag", True, origin="property-map")
+        instance = Instance(
+            "U1", vl_libs.resolve("vl_prims", "inv"),
+            Transform(Point(160, 96), Orientation.R90), bag,
+        )
+        copy = pickle.loads(pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL))
+        assert state(copy) == state(instance)
+        assert [prop.origin for prop in copy.properties] == ["native", "a/L", "property-map"]
+
+
 class TestInvalidation:
     def test_editing_a_wire_invalidates(self, tmp_path, plan, sample):
         run_once(plan, [sample], ResultCache(tmp_path))
@@ -154,6 +243,17 @@ class TestCorruption:
     def entries(self, tmp_path):
         return sorted(tmp_path.glob("*.migr.pkl"))
 
+    def entry_parts(self, entry):
+        """(format, key, checksum, pickled result) of a format-3 entry."""
+        header, _newline, blob = entry.read_bytes().partition(b"\n")
+        fmt, key, checksum = header.decode("ascii").split(" ")
+        return int(fmt), key, checksum, blob
+
+    def assert_dropped(self, tmp_path, entry, key):
+        counts = lookup_counts(ResultCache(tmp_path), key)
+        assert counts == {"farm.cache.corrupt": 1, "farm.cache.misses": 1}
+        assert not entry.exists()
+
     def test_truncated_entry_is_a_miss(self, tmp_path, plan, sample):
         run_once(plan, [sample], ResultCache(tmp_path))
         (entry,) = self.entries(tmp_path)
@@ -173,22 +273,67 @@ class TestCorruption:
         assert report.cached == 1
 
     def test_wrong_payload_type_is_a_miss(self, tmp_path, plan, sample):
+        # A well-formed entry whose checksummed payload is not a result.
         run_once(plan, [sample], ResultCache(tmp_path))
         (entry,) = self.entries(tmp_path)
-        entry.write_bytes(pickle.dumps({"format": 1, "key": "bogus", "result": 42}))
+        _fmt, key, _checksum, _blob = self.entry_parts(entry)
+        blob = pickle.dumps(42)
+        checksum = hashlib.sha256(blob).hexdigest()
+        entry.write_bytes(f"{CACHE_FORMAT} {key} {checksum}\n".encode("ascii") + blob)
         report = run_once(plan, [sample], ResultCache(tmp_path))
         assert report.migrated == 1 and report.cached == 0
+        assert report.cache_corrupt == 1
 
     def test_format_1_entry_is_corrupt_and_deleted(self, tmp_path, plan, sample):
-        # Format 1 results carried per-stage timings; format 2 dropped them.
+        # Format 1 pickled {"format", "key", "result"} with per-stage
+        # timings in the result; format 2 dropped the timings; format 3 is a
+        # checksummed header line and the result in compact pickled forms.
         run_once(plan, [sample], ResultCache(tmp_path))
         (entry,) = self.entries(tmp_path)
-        payload = pickle.loads(entry.read_bytes())
-        assert payload["format"] == CACHE_FORMAT == 2
-        entry.write_bytes(pickle.dumps(dict(payload, format=1)))
-        counts = lookup_counts(ResultCache(tmp_path), payload["key"])
-        assert counts == {"farm.cache.corrupt": 1, "farm.cache.misses": 1}
-        assert not entry.exists()
+        fmt, key, checksum, blob = self.entry_parts(entry)
+        assert fmt == CACHE_FORMAT == 3
+        assert checksum == hashlib.sha256(blob).hexdigest()
+        result = pickle.loads(blob)
+        entry.write_bytes(pickle.dumps({"format": 1, "key": key, "result": result}))
+        self.assert_dropped(tmp_path, entry, key)
+
+    def test_format_2_entry_is_corrupt_and_deleted(self, tmp_path, plan, sample):
+        run_once(plan, [sample], ResultCache(tmp_path))
+        (entry,) = self.entries(tmp_path)
+        _fmt, key, _checksum, blob = self.entry_parts(entry)
+        payload = {"format": 2, "key": key, "result": pickle.loads(blob)}
+        entry.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        self.assert_dropped(tmp_path, entry, key)
+
+    def test_truncated_format_3_entry_is_corrupt_and_deleted(self, tmp_path, plan, sample):
+        run_once(plan, [sample], ResultCache(tmp_path))
+        (entry,) = self.entries(tmp_path)
+        _fmt, key, _checksum, _blob = self.entry_parts(entry)
+        data = entry.read_bytes()
+        entry.write_bytes(data[: len(data) // 2])
+        self.assert_dropped(tmp_path, entry, key)
+
+    def test_altered_format_3_entry_is_corrupt_and_deleted(self, tmp_path, plan, sample):
+        run_once(plan, [sample], ResultCache(tmp_path))
+        (entry,) = self.entries(tmp_path)
+        _fmt, key, _checksum, blob = self.entry_parts(entry)
+        header = entry.read_bytes()[: -len(blob)]
+        # One letter of a property name: the same length and still a valid
+        # pickle of a different result, so only the checksum can tell.
+        altered = blob.replace(b"migrated_by", b"migrated_bY", 1)
+        assert altered != blob
+        assert state(pickle.loads(altered)) != state(pickle.loads(blob))
+        entry.write_bytes(header + altered)
+        self.assert_dropped(tmp_path, entry, key)
+
+    def test_entry_filed_under_another_key_is_corrupt_and_deleted(
+        self, tmp_path, plan, sample
+    ):
+        run_once(plan, [sample], ResultCache(tmp_path))
+        (entry,) = self.entries(tmp_path)
+        other = tmp_path / f"{cache_key('d' * 64, 'p' * 64)}.migr.pkl"
+        entry.rename(other)
+        self.assert_dropped(tmp_path, other, other.name.split(".")[0])
 
     def test_corrupt_entry_never_raises(self, tmp_path):
         key = cache_key("d" * 64, "p" * 64)
