@@ -47,7 +47,7 @@ checklist:
 
 # Lowering equivalence (compiled vs reference lowering) + the E18 speedup row.
 kernels:
-	$(PYTHON) -m pytest tests/hdl/test_kernel_differential.py tests/hdl/test_expr_tables.py -q
+	$(PYTHON) -m pytest tests/hdl/test_kernel_differential.py tests/hdl/test_scheduler_equivalence.py tests/hdl/test_expr_tables.py -q
 	$(PYTHON) -m pytest benchmarks/test_bench_kernel_compile.py -s --benchmark-disable
 
 all: test bench examples

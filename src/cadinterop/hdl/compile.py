@@ -14,7 +14,9 @@ variants, so the model is split from the run:
 * a sensitivity *trigger index* holding one wake table per signal, keyed
   by the new level (``"1"`` -> level and posedge listeners, ``"0"`` ->
   level and negedge, ``"x"``/``"z"`` -> level), so a signal change is one
-  lookup and one walk over exactly the processes it wakes;
+  lookup and one walk over the ids of exactly the processes it wakes;
+* ``runs``, the run closures indexed by process id, which is all the
+  scheduler calls;
 * a driver map for multi-driver net resolution.
 
 A ``CompiledModel`` holds no simulation state and is safely shared: every
@@ -469,12 +471,14 @@ class CompiledProcess:
         self.run = run
 
 
-#: signal -> new level -> processes to wake, in process-definition order.
-#: A signal only wakes anything when its level changes, so a posedge is
-#: exactly "the new level is 1" and a negedge "the new level is 0": the
-#: "1" tuple holds the level and posedge listeners, "0" the level and
-#: negedge ones, "x" and "z" the level ones.  Every net has an entry.
-TriggerIndex = Dict[str, Dict[str, Tuple[CompiledProcess, ...]]]
+#: signal -> new level -> ids of the processes to wake, in ascending id
+#: (process-definition) order.  A signal only wakes anything when its
+#: level changes, so a posedge is exactly "the new level is 1" and a
+#: negedge "the new level is 0": the "1" tuple holds the level and posedge
+#: listeners, "0" the level and negedge ones, "x" and "z" the level ones.
+#: Every net has an entry.  A process id is its index in
+#: :attr:`CompiledModel.processes` and :attr:`CompiledModel.runs`.
+TriggerIndex = Dict[str, Dict[str, Tuple[int, ...]]]
 
 
 class CompiledModel:
@@ -482,12 +486,14 @@ class CompiledModel:
 
     Holds compiled processes, the sensitivity trigger index, and the
     driver map — everything a run needs that cannot change between runs.
-    Instantiate runs with ``Simulator(model, policy)``; the ensemble
-    machinery (``detect_races``) builds one of these per module and fans
-    out policies over it.
+    The scheduler works on process ids only: ``runs[i]`` is the run
+    closure of ``processes[i]``, and the trigger index and ``startup``
+    hold ids.  Instantiate runs with ``Simulator(model, policy)``; the
+    ensemble machinery (``detect_races``) builds one of these per module
+    and fans out policies over it.
     """
 
-    __slots__ = ("module", "processes", "triggers", "drivers_of",
+    __slots__ = ("module", "processes", "runs", "triggers", "drivers_of",
                  "driver_count", "startup")
 
     def __init__(
@@ -497,10 +503,11 @@ class CompiledModel:
         triggers: TriggerIndex,
         drivers_of: Dict[str, Tuple[int, ...]],
         driver_count: int,
-        startup: Tuple[CompiledProcess, ...],
+        startup: Tuple[int, ...],
     ) -> None:
         self.module = module
         self.processes = processes
+        self.runs: Tuple[StmtFn, ...] = tuple(p.run for p in processes)
         self.triggers = triggers
         self.drivers_of = drivers_of
         self.driver_count = driver_count
@@ -563,7 +570,7 @@ def reference_model(module: Module) -> CompiledModel:
 #: The edge kind a change *to* each level completes (x and z complete none).
 _WAKING_EDGE = {"0": "negedge", "1": "posedge", "x": None, "z": None}
 #: The wake table of a signal nothing is sensitive to (shared, never mutated).
-_WAKE_NONE: Dict[str, Tuple[CompiledProcess, ...]] = dict.fromkeys(_WAKING_EDGE, ())
+_WAKE_NONE: Dict[str, Tuple[int, ...]] = dict.fromkeys(_WAKING_EDGE, ())
 
 
 def _compile(module: Module, lower: _Lowering) -> CompiledModel:
@@ -588,6 +595,19 @@ def _compile(module: Module, lower: _Lowering) -> CompiledModel:
         {s for s, ids in drivers_of.items() if len(ids) == 1}
         if lower.shortcut else set()
     )
+
+    # Equal assignments lower to one shared closure (closures are
+    # stateless): long stimulus bodies repeat ``clk = 1`` / ``clk = 0``.
+    lowered: Dict[Tuple[str, Expr, bool], StmtFn] = {}
+
+    def lower_stmt(stmt: Stmt) -> StmtFn:
+        if not isinstance(stmt, Assign):
+            return lower.stmt(stmt)
+        key = (stmt.target, stmt.expr, stmt.nonblocking)
+        fn = lowered.get(key)
+        if fn is None:
+            fn = lowered[key] = lower.stmt(stmt)
+        return fn
 
     def register(signal: str, index: int, kind: str) -> None:
         kinds = sensitivity.setdefault(signal, {}).setdefault(index, [])
@@ -623,7 +643,7 @@ def _compile(module: Module, lower: _Lowering) -> CompiledModel:
 
     for block in module.always_blocks:
         index = len(processes)
-        run_always = compile_always_body(block.body, lower.stmt)
+        run_always = compile_always_body(block.body, lower_stmt)
         processes.append(CompiledProcess(index, "always", run_always))
         if block.sensitivity.is_edge_triggered():
             # An edge-triggered list ignores any stray level items.
@@ -636,7 +656,7 @@ def _compile(module: Module, lower: _Lowering) -> CompiledModel:
 
     for block in module.initial_blocks:
         index = len(processes)
-        steps = compile_initial_body(block.body, lower.stmt)
+        steps = compile_initial_body(block.body, lower_stmt)
 
         def run_initial(sim, _steps=steps) -> None:
             sim._resume_initial(_steps, 0)
@@ -648,13 +668,13 @@ def _compile(module: Module, lower: _Lowering) -> CompiledModel:
         listeners = sorted(per_signal.items())
         triggers[signal] = {
             level: tuple(
-                processes[index]
+                index
                 for index, kinds in listeners
                 if "level" in kinds or edge in kinds
             )
             for level, edge in _WAKING_EDGE.items()
         }
-    startup = tuple(p for p in processes if p.kind != "always")
+    startup = tuple(p.index for p in processes if p.kind != "always")
     return CompiledModel(
         module=module,
         processes=tuple(processes),

@@ -16,7 +16,13 @@ There is one scheduler.  It runs a :class:`CompiledModel`, the closures
 and trigger index :mod:`cadinterop.hdl.compile` lowers a module to; the
 AST interpreter survives only as the alternative lowering
 :func:`~cadinterop.hdl.compile.reference_model`, scheduled by this same
-loop.
+loop.  The scheduler works on integer process ids: the ready queue is a
+list of ids in arrival order with a ``bytearray`` of queued flags beside
+it, an activation is ``model.runs[id](sim)``, and a timed event is a plain
+``[time, sequence, action]`` list whose action is set to ``None`` when a
+newer evaluation of an inertial driver supersedes it.  The pre-id
+scheduler is kept as the oracle these must match schedule for schedule
+(tests/hdl/test_scheduler_equivalence.py).
 
 Semantics implemented (standard-conformant core):
 
@@ -32,11 +38,11 @@ Semantics implemented (standard-conformant core):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from cadinterop.hdl.ast_nodes import HDLError, Module
-from cadinterop.hdl.compile import CompiledModel, CompiledProcess, compile_model
+from cadinterop.hdl.compile import CompiledModel, compile_model
 from cadinterop.hdl.logic import Logic4
 from cadinterop.obs import current_context, get_tracer
 
@@ -50,12 +56,14 @@ from cadinterop.obs import current_context, get_tracer
 class OrderingPolicy:
     """Chooses which ready process activation runs next.
 
-    ``select(ready, ordinal)`` receives the list of ready activation keys
-    (ints, in arrival order) and the per-run activation ordinal, and returns
-    the index to run.  Strategies that vary their choice (e.g. seeded
-    shuffles) derive it from the ordinal to stay deterministic across
-    reruns.  All policies are legal readings of the standard: the choice is
-    observable only for racy models.
+    ``select(ready, ordinal)`` receives the scheduler's ready list itself
+    (process ids, ints, in arrival order) and the per-run activation
+    ordinal, and returns the index in ``ready`` to run; the scheduler asks
+    only when two or more are ready.  It must not mutate or keep the list.
+    Strategies that vary their choice (e.g. seeded shuffles) derive it from
+    the ordinal to stay deterministic across reruns.  All policies are
+    legal readings of the standard: the choice is observable only for racy
+    models.
     """
 
     name: str
@@ -101,14 +109,6 @@ def seeded_shuffle_policy(seed: int) -> OrderingPolicy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(order=True)
-class _TimedEvent:
-    time: int
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class Simulator:
     """Simulate one (flat) module under a given event-ordering policy.
 
@@ -146,10 +146,18 @@ class Simulator:
                 for name in (trace_signals if trace_signals is not None else module.nets)
             }
 
-            self._heap: List[_TimedEvent] = []
+            #: Timed events, ``[time, sequence, action]``; a cancelled one
+            #: has ``action`` None.  Sequences are unique, so the heap never
+            #: compares actions.  An action is called with the simulator
+            #: rather than closing over it, so pending events form no
+            #: reference cycle and a finished run is freed at once.
+            self._heap: List[list] = []
             self._sequence = 0
-            self._ready: List[CompiledProcess] = []
-            self._ready_set: Set[int] = set()
+            #: Ready process ids in arrival order; ``_queued[id]`` is 1 while
+            #: ``id`` is in ``_ready``.
+            self._ready: List[int] = []
+            self._queued = bytearray(len(model.runs))
+            self._runs = model.runs
             self._nba: List[Tuple[str, str]] = []
             #: Activations left before :class:`HDLError`; set by each ``run``.
             self._budget = 0
@@ -160,23 +168,23 @@ class Simulator:
             self._driver_values: Dict[int, str] = {
                 i: "z" for i in range(model.driver_count)
             }
-            self._pending_updates: Dict[int, _TimedEvent] = {}
+            self._pending_updates: Dict[int, list] = {}
 
             # Everything but always blocks runs once at time zero
             # (continuous assigns settle, initial blocks start).
-            for process in model.startup:
-                self._activate(process)
+            for process_id in model.startup:
+                self._activate(process_id)
             span.set(processes=len(model.processes), nets=len(module.nets))
 
     # -- scheduling ------------------------------------------------------------
 
-    def _activate(self, process: CompiledProcess) -> None:
-        if process.index not in self._ready_set:
-            self._ready.append(process)
-            self._ready_set.add(process.index)
+    def _activate(self, process_id: int) -> None:
+        if not self._queued[process_id]:
+            self._queued[process_id] = 1
+            self._ready.append(process_id)
 
-    def _schedule(self, delay: int, action: Callable[[], None]) -> _TimedEvent:
-        event = _TimedEvent(self.now + delay, self._sequence, action)
+    def _schedule(self, delay: int, action: Callable[["Simulator"], None]) -> list:
+        event = [self.now + delay, self._sequence, action]
         self._sequence += 1
         heapq.heappush(self._heap, event)
         return event
@@ -191,8 +199,10 @@ class Simulator:
         # Inertial delay: a newer evaluation supersedes the pending one.
         pending = self._pending_updates.get(driver_id)
         if pending is not None:
-            pending.cancelled = True
-        event = self._schedule(delay, lambda: self._apply_drive(driver_id, signal, value))
+            pending[2] = None
+        event = self._schedule(
+            delay, lambda sim: sim._apply_drive(driver_id, signal, value)
+        )
         self._pending_updates[driver_id] = event
 
     def _apply_drive(self, driver_id: int, signal: str, value: str) -> None:
@@ -202,7 +212,7 @@ class Simulator:
         self.set_signal(signal, Logic4.resolve_many(contributions))
 
     def set_signal(self, signal: str, value: str) -> None:
-        """Update a signal value, waking the processes its wake table names."""
+        """Update a signal value, queueing the process ids its wake table names."""
         values = self.values
         if values[signal] == value:
             return
@@ -216,13 +226,12 @@ class Simulator:
         waveform = self.waveforms.get(signal)
         if waveform is not None:
             waveform.append((self.now, value))
-        ready_set = self._ready_set
+        queued = self._queued
         ready = self._ready
-        for process in woken:
-            index = process.index
-            if index not in ready_set:
-                ready.append(process)
-                ready_set.add(index)
+        for process_id in woken:
+            if not queued[process_id]:
+                queued[process_id] = 1
+                ready.append(process_id)
 
     # -- procedural execution ------------------------------------------------------
 
@@ -234,63 +243,57 @@ class Simulator:
             if isinstance(step, int):
                 self._schedule(
                     step,
-                    lambda s=steps, p=position: self._resume_initial(s, p),
+                    lambda sim, s=steps, p=position: sim._resume_initial(s, p),
                 )
                 return
             step(self)
 
     # -- the event loop ---------------------------------------------------------------
 
-    def _run_ready(self) -> None:
-        """Run ready activations, one policy choice each, until none remain.
+    def _settle(self) -> None:
+        """Exhaust the current simulation time (active + NBA phases).
 
-        The policy sees ``range(len(ready))`` rather than a fresh key list,
-        and the one-ready case — the overwhelmingly common one — skips it
-        (every legal policy must pick index 0 there).  The ordinal advances
-        once per activation, the doomed one included, so stateless shuffle
-        policies see the same stream on every run.
+        The active phase runs ready activations, one policy choice each,
+        until none remain; only then are the deferred nonblocking updates
+        applied, which may wake more.  The policy sees the ready list
+        itself, and the one-ready case, the overwhelmingly common one,
+        skips it (every legal policy must pick index 0 there).  The
+        ordinal advances once per activation, the doomed one included, so
+        stateless shuffle policies see the same stream on every run.
         """
         ready = self._ready
-        ready_set = self._ready_set
+        queued = self._queued
+        runs = self._runs
         select = self.policy.select
+        set_signal = self.set_signal
         remaining = self._budget
         ordinal = self.activations
         try:
-            while ready:
-                remaining -= 1
-                if remaining < 0:
+            while True:
+                while ready:
+                    remaining -= 1
+                    if remaining < 0:
+                        ordinal += 1
+                        raise HDLError(
+                            f"activation budget exhausted at t={self.now} "
+                            "(zero-delay oscillation?)"
+                        )
+                    if len(ready) == 1:
+                        process_id = ready.pop()
+                    else:
+                        process_id = ready.pop(select(ready, ordinal))
                     ordinal += 1
-                    raise HDLError(
-                        f"activation budget exhausted at t={self.now} "
-                        "(zero-delay oscillation?)"
-                    )
-                count = len(ready)
-                if count == 1:
-                    choice = 0
-                else:
-                    choice = select(range(count), ordinal)
-                ordinal += 1
-                process = ready.pop(choice)
-                ready_set.discard(process.index)
-                process.run(self)
+                    queued[process_id] = 0
+                    runs[process_id](self)
+                updates = self._nba
+                if not updates:
+                    return
+                self._nba = []
+                for signal, value in updates:
+                    set_signal(signal, value)
         finally:
             self._budget = remaining
             self.activations = ordinal
-
-    def _apply_nba(self) -> bool:
-        if not self._nba:
-            return False
-        updates, self._nba = self._nba, []
-        for signal, value in updates:
-            self.set_signal(signal, value)
-        return True
-
-    def _settle(self) -> None:
-        """Exhaust the current simulation time (active + NBA phases)."""
-        while True:
-            self._run_ready()
-            if not self._apply_nba() and not self._ready:
-                break
 
     def run(self, until: int = 1_000_000, max_activations: int = 1_000_000) -> int:
         """Run until ``until`` or event exhaustion; returns the end time.
@@ -322,30 +325,35 @@ class Simulator:
     def _run(self, until: int, max_activations: int) -> int:
         self._budget = max_activations
         self._settle()
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            event = pop(heap)
+            action = event[2]
+            if action is None:
                 continue
-            if event.time > until:
-                heapq.heappush(self._heap, event)
+            now = event[0]
+            if now > until:
+                heapq.heappush(heap, event)
                 break
-            self.now = event.time
+            self.now = now
             self.events_executed += 1
-            event.action()
+            action(self)
             # Drain same-time events before settling.
-            while self._heap and self._heap[0].time == self.now:
-                follow = heapq.heappop(self._heap)
-                if not follow.cancelled:
+            while heap and heap[0][0] == now:
+                action = pop(heap)[2]
+                if action is not None:
                     self.events_executed += 1
-                    follow.action()
+                    action(self)
             self._settle()
         return self.now
 
     def next_event_time(self) -> Optional[int]:
         """Time of the next pending (uncancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     # -- results -----------------------------------------------------------------------
 

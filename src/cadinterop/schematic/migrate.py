@@ -146,15 +146,15 @@ def copy_schematic(schematic: Schematic) -> Schematic:
     )
     for page in schematic.pages:
         new_page = clone.add_page(page.frame)
-        for instance in page.instances:
-            new_page.add_instance(
-                Instance(
-                    name=instance.name,
-                    symbol=instance.symbol,
-                    transform=instance.transform,
-                    properties=instance.properties.copy(),
-                )
+        new_page.add_instances(
+            Instance(
+                name=instance.name,
+                symbol=instance.symbol,
+                transform=instance.transform,
+                properties=instance.properties.copy(),
             )
+            for instance in page.instances
+        )
         for wire in page.wires:
             new_page.add_wire(
                 Wire(list(wire.points), label=wire.label, label_position=wire.label_position)

@@ -501,10 +501,22 @@ class Page:
     labels: List[TextLabel] = field(default_factory=list)
 
     def add_instance(self, instance: Instance) -> Instance:
-        if any(existing.name == instance.name for existing in self.instances):
-            raise SchematicError(f"duplicate instance {instance.name!r} on page {self.number}")
-        self.instances.append(instance)
+        self.add_instances((instance,))
         return instance
+
+    def add_instances(self, instances: Iterable[Instance]) -> None:
+        """Append ``instances`` in order; a name already on the page raises.
+
+        Names are checked against one set, so adding n instances is linear.
+        """
+        names = {existing.name for existing in self.instances}
+        for instance in instances:
+            if instance.name in names:
+                raise SchematicError(
+                    f"duplicate instance {instance.name!r} on page {self.number}"
+                )
+            names.add(instance.name)
+            self.instances.append(instance)
 
     def add_wire(self, wire: Wire) -> Wire:
         self.wires.append(wire)

@@ -35,7 +35,14 @@ from cadinterop.hdl.ast_nodes import (
     Var,
     expr_reads,
 )
-from cadinterop.hdl.compile import compile_calls, compile_model, reference_model
+from cadinterop.hdl.compile import (
+    _CLOSURES,
+    _compile,
+    compile_calls,
+    compile_model,
+    compile_stmt,
+    reference_model,
+)
 from cadinterop.hdl.logic import Logic4
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.personalities import DEFAULT_ENSEMBLE
@@ -145,6 +152,20 @@ CORPUS = {
           always @(posedge clk or negedge clk) d = ~d;
           initial begin d = 1; clk = 0; #5 clk = 1; #5 clk = 0; #5 clk = 1;
             #5 clk = 1'bx; #5 clk = 0; end
+        endmodule
+    """,
+    # Equal assignments (same target, expression and kind) lower to one
+    # shared closure; the blocking and nonblocking ``d`` writes stay apart.
+    "repeated_statements": """
+        module repeated_statements;
+          reg clk; reg d; reg e;
+          always @(posedge clk) d <= ~d;
+          always @(negedge clk) d <= ~d;
+          always @(posedge clk) e = ~d;
+          always @(negedge clk) if (d) e = ~d; else e = d;
+          initial begin d = 0; e = 0; clk = 0; #5 clk = 1; #5 clk = 0;
+            #5 clk = 1; d = 0; #5 clk = 0; #5 clk = 1; d = 0; #5 clk = 0;
+            #5 e <= ~d; end
         endmodule
     """,
 }
@@ -261,6 +282,17 @@ def flat_modules(draw):
     return module
 
 
+def generated(count):
+    """Settings for a generated test: ``count`` examples, or the loaded
+    profile's count where that exceeds hypothesis's default (the
+    ``kernel-stress`` profile in conftest.py)."""
+    profile = settings.default.max_examples
+    if profile > settings.get_profile("default").max_examples:
+        count = max(count, profile)
+    return settings(max_examples=count, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
 # ---------------------------------------------------------------------------
 # Lowering equivalence
 # ---------------------------------------------------------------------------
@@ -295,8 +327,7 @@ class TestWaveformEquivalence:
         assert_lowerings_agree(parse_module(CORPUS[name]), policy)
 
     @given(module=flat_modules())
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @generated(150)
     def test_generated_modules_match_interpreter(self, module):
         for _, policy in POLICIES:
             # Short horizon and budget: generated zero-delay loops must
@@ -356,16 +387,26 @@ def scan_woken(module, signal, old, new):
     return woken
 
 
+def take_ready(sim):
+    """The process ids queued so far; empties the ready list and its flags."""
+    woken = list(sim._ready)
+    sim._ready.clear()
+    sim._queued[:] = bytes(len(sim._queued))
+    return woken
+
+
 def assert_trigger_index_matches_scan(module):
     sim = Simulator(compile_model(module), FIFO)
     for signal in module.nets:
         for old, new in itertools.product(V4, repeat=2):
-            sim._ready.clear()
-            sim._ready_set.clear()
+            take_ready(sim)
             sim.values[signal] = old
             sim.set_signal(signal, new)
-            woken = [process.index for process in sim._ready]
+            woken = take_ready(sim)
             assert woken == scan_woken(module, signal, old, new), (signal, old, new)
+            # The wake table itself holds the same ids, in the same order.
+            if old != new:
+                assert list(sim._triggers[signal][new]) == woken
 
 
 class TestTriggerIndex:
@@ -374,8 +415,7 @@ class TestTriggerIndex:
         assert_trigger_index_matches_scan(parse_module(CORPUS[name]))
 
     @given(module=flat_modules())
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @generated(60)
     def test_generated_index_matches_scan(self, module):
         assert_trigger_index_matches_scan(module)
 
@@ -394,12 +434,53 @@ class TestWakeOrder:
 
     def test_rising_clock_wakes_edge_block_before_level_block(self):
         sim = Simulator(compile_model(parse_module(CORPUS["edge_before_level"])))
-        sim._ready.clear()
-        sim._ready_set.clear()
+        take_ready(sim)
         sim.values["clk"] = "0"
         sim.set_signal("clk", "1")
         # posedge q-block, level lvl-block, both-edges block; not negedge n.
-        assert [process.index for process in sim._ready] == [0, 1, 2]
+        assert take_ready(sim) == [0, 1, 2]
+
+    def test_queued_process_is_not_queued_twice(self):
+        sim = Simulator(compile_model(parse_module(CORPUS["edge_before_level"])))
+        take_ready(sim)
+        sim.values["clk"] = "0"
+        sim.set_signal("clk", "1")
+        sim.set_signal("clk", "0")
+        # The level block (1) and the both-edges block (2) are already
+        # queued; the falling edge adds only the negedge block (3).
+        assert sim._ready == [0, 1, 2, 3]
+        assert [i for i, flag in enumerate(sim._queued) if flag] == [0, 1, 2, 3]
+
+
+class TestSharedLowering:
+    def test_equal_assignments_lower_once(self):
+        module = parse_module(CORPUS["repeated_statements"])
+        lowered = []
+
+        def counting(stmt):
+            lowered.append(stmt)
+            return compile_stmt(stmt)
+
+        model = _compile(module, _CLOSURES._replace(stmt=counting))
+        keys = [(s.target, s.expr, s.nonblocking) for s in lowered if isinstance(s, Assign)]
+        # d <= ~d, e = ~d, e <= ~d, d = 0, e = 0, clk = 0 and clk = 1 once
+        # each, plus the if (whose inner assignments compile_stmt lowers).
+        assert len(keys) == len(set(keys)) == 7
+        assert len(lowered) == 8
+        # The two flop bodies are one closure.
+        assert model.runs[0] is model.runs[1]
+        assert model.runs[0] is not model.runs[2]
+
+    @pytest.mark.parametrize("lower", [compile_model, reference_model])
+    def test_shared_closures_keep_the_schedule(self, lower):
+        module = parse_module(CORPUS["repeated_statements"])
+        for _, policy in POLICIES:
+            assert_lowerings_agree(module, policy)
+        sim, error = run_model(lower(module), FIFO)
+        assert error is None
+        assert sim.waveform("clk") == [
+            (0, "0"), (5, "1"), (10, "0"), (15, "1"), (20, "0"), (25, "1"), (30, "0"),
+        ]
 
 
 class TestEnsembleEquivalence:

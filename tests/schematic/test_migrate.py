@@ -6,7 +6,7 @@ from cadinterop.common.diagnostics import Category, Severity
 from cadinterop.schematic.dialects import COMPOSER_LIKE, VIEWDRAW_LIKE
 from cadinterop.obs import MetricsRegistry, ObsContext, Tracer, installed
 from cadinterop.schematic.migrate import PIPELINE_STAGES, Migrator, copy_schematic
-from cadinterop.schematic.model import Wire
+from cadinterop.schematic.model import Page, SchematicError, Wire
 from cadinterop.schematic.netlist import extract
 from cadinterop.schematic.samples import (
     build_sample_plan,
@@ -260,3 +260,41 @@ class TestStageInstrumentation:
         assert children == [
             "verify:extract-source", "verify:extract-target", "verify:compare"
         ]
+
+
+class TestCopySchematic:
+    def test_copy_keeps_instances_in_order(self, sample):
+        clone = copy_schematic(sample)
+        for page, copied in zip(sample.pages, clone.pages):
+            assert [i.name for i in copied.instances] == [i.name for i in page.instances]
+            assert all(a is not b for a, b in zip(page.instances, copied.instances))
+
+    def test_duplicate_name_raises_the_add_instance_error(self, sample):
+        page = sample.pages[0]
+        first = page.instances[0]
+        with pytest.raises(SchematicError) as added:
+            page.add_instance(first)
+        # A page that holds a duplicate anyway fails its copy the same way.
+        page.instances.append(first)
+        with pytest.raises(SchematicError) as copied:
+            copy_schematic(sample)
+        assert str(copied.value) == str(added.value)
+        assert str(added.value) == f"duplicate instance {first.name!r} on page {page.number}"
+
+    def test_add_instances_checks_names_already_on_the_page(self, sample):
+        page = sample.pages[0]
+        before = list(page.instances)
+        with pytest.raises(SchematicError, match="duplicate instance"):
+            page.add_instances([before[-1]])
+        assert page.instances == before
+
+    def test_copy_does_not_scan_the_page_per_instance(self, vl_libs, monkeypatch):
+        # add_instance scans the page, which made a copy quadratic per page.
+        cell = generate_chain_schematic(vl_libs, pages=1, chains_per_page=12, stages=5)
+
+        def scanning_add(page, instance):
+            raise AssertionError("copy_schematic called Page.add_instance")
+
+        monkeypatch.setattr(Page, "add_instance", scanning_add)
+        clone = copy_schematic(cell)
+        assert len(clone.pages[0].instances) == len(cell.pages[0].instances) >= 60
