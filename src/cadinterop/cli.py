@@ -305,7 +305,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             # Valid traces can still disagree (histogram buckets, a name's
             # instrument type); that makes this file unreadable here too.
             merged.merge(trace["metrics"])
-            loss.merge(LossReport.from_records(trace["lineage"]))
+            for record in trace["lineage"]:
+                loss.add(record)
         except (OSError, TypeError, ValueError) as exc:
             print(f"cannot read trace {path}: {exc}", file=sys.stderr)
             return 2
@@ -332,11 +333,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = LossReport()
     for path in _expand_trace_paths(args.files):
         try:
-            trace = read_trace(path)
+            for record in read_trace(path)["lineage"]:
+                report.add(record)
         except (OSError, ValueError) as exc:
             print(f"cannot read trace {path}: {exc}", file=sys.stderr)
             return 2
-        report.merge(LossReport.from_records(trace["lineage"]))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:

@@ -52,27 +52,23 @@ def cache_key(design_digest: str, plan_dig: str, pipeline_version: str = PIPELIN
 class ResultCache:
     """Store of :class:`MigrationResult` objects by content key.
 
-    A disk-backed cache (``root`` set) reads and writes only its directory,
-    so it holds no result in memory; ``root=None`` keeps results in a dict
-    instead — useful for tests and one-shot runs.  :meth:`get` counts its
-    traffic (``farm.cache.hits`` / ``farm.cache.misses`` /
-    ``farm.cache.corrupt``) into the current context's metrics: during a
-    farm run, that is the run's own fork, so a report counts its run only.
+    The cache reads and writes only its ``root`` directory, so it holds no
+    result in memory.  :meth:`get` counts its traffic (``farm.cache.hits``
+    / ``farm.cache.misses`` / ``farm.cache.corrupt``) into the current
+    context's metrics: during a farm run, that is the run's own fork, so a
+    report counts its run only.
     """
 
     def __init__(
         self,
-        root: Optional[Union[str, Path]] = None,
+        root: Union[str, Path],
         pipeline_version: str = PIPELINE_VERSION,
     ) -> None:
-        self.root = Path(root) if root is not None else None
+        self.root = Path(root)
         self.pipeline_version = pipeline_version
-        self._memory: Optional[dict] = {} if self.root is None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
-        assert self.root is not None
         return self.root / f"{key}.migr.pkl"
 
     @staticmethod
@@ -85,12 +81,6 @@ class ResultCache:
     def get(self, key: str) -> Optional[MigrationResult]:
         """Return the cached result for ``key``, or None (counting a miss)."""
         metrics = get_metrics()
-        if self._memory is not None:
-            result = self._memory.get(key)
-            metrics.counter(
-                "farm.cache.misses" if result is None else "farm.cache.hits"
-            ).inc()
-            return result
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -117,10 +107,7 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: MigrationResult) -> None:
-        """Store a result under ``key`` (atomically when disk-backed)."""
-        if self._memory is not None:
-            self._memory[key] = result
-            return
+        """Store a result under ``key``, atomically."""
         blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         try:
@@ -136,6 +123,4 @@ class ResultCache:
             raise
 
     def __len__(self) -> int:
-        if self._memory is not None:
-            return len(self._memory)
         return sum(1 for _ in self.root.glob("*.migr.pkl"))

@@ -196,18 +196,21 @@ def _single_lookup(expr: Expr) -> bool:
     )
 
 
+def _table(fn: ExprFn, names: Sequence[str], values: Dict[str, str]):
+    """``fn``'s nested table over the ``names`` not yet bound in ``values``
+    (module-level: a recursive closure would be a reference cycle)."""
+    if len(values) == len(names):
+        return fn(values)
+    name = names[len(values)]
+    return {
+        value: _table(fn, names, {**values, name: value})
+        for value in Logic4.VALUES
+    }
+
+
 def _tabulate(fn: ExprFn, names: Sequence[str]) -> ExprFn:
     """Collapse ``fn`` over ``names`` to ``table[values[a]][values[b]]...``."""
-
-    def level(depth: int, values: Dict[str, str]):
-        if depth == len(names):
-            return fn(values)
-        return {
-            value: level(depth + 1, {**values, names[depth]: value})
-            for value in Logic4.VALUES
-        }
-
-    table = level(0, {})
+    table = _table(fn, names, {})
     if len(names) == 1:
         (a,) = names
         return lambda values: table[values[a]]

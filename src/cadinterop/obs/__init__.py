@@ -23,9 +23,10 @@ gives every pipeline in the reproduction one way to report what it did:
 * :mod:`~cadinterop.obs.logger` — ``get_logger(name)``, stamping the
   current trace/span ids onto every record;
 * :mod:`~cadinterop.obs.export` — JSONL trace files (spans, ``metric``
-  records and lineage records in one file), span-tree and flat stats
-  renderers;
-* :mod:`~cadinterop.obs.validate` — schema checking for emitted traces
+  records and lineage records in one file): the writer, the one record
+  reader (``iter_records``) and the schema checks over it, span-tree and
+  flat stats renderers;
+* :mod:`~cadinterop.obs.validate` — the schema checker's command line
   (``python -m cadinterop.obs.validate``).
 
 The instrumented pipelines are ``schematic.migrate`` (per-stage spans),
@@ -48,13 +49,13 @@ from cadinterop.obs.context import (
     traced,
 )
 from cadinterop.obs.export import (
-    READABLE_FORMATS,
     TRACE_FORMAT,
+    iter_records,
     read_trace,
     render_stats,
     render_tree,
     span_stats,
-    trace_records,
+    validate_trace,
     write_trace,
 )
 from cadinterop.obs.lineage import (
@@ -84,16 +85,6 @@ from cadinterop.obs.trace import (
     current_span_id,
 )
 
-def __getattr__(name):
-    # Lazy so that ``python -m cadinterop.obs.validate`` does not find the
-    # submodule pre-imported by its own package (runpy RuntimeWarning).
-    if name == "validate_trace":
-        from cadinterop.obs.validate import validate_trace
-
-        return validate_trace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
@@ -110,7 +101,6 @@ __all__ = [
     "NullMetrics",
     "NullTracer",
     "ObsContext",
-    "READABLE_FORMATS",
     "Span",
     "SpanContextFilter",
     "StageSpan",
@@ -125,12 +115,12 @@ __all__ = [
     "get_tracer",
     "install",
     "installed",
+    "iter_records",
     "read_trace",
     "render_metrics",
     "render_stats",
     "render_tree",
     "span_stats",
-    "trace_records",
     "traced",
     "validate_trace",
     "write_trace",

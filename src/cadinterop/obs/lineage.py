@@ -253,21 +253,6 @@ class LossReport:
         )
         return [(name, count) for name, count in ranked if count][:limit]
 
-    def merge(self, other: "LossReport") -> None:
-        self.total += other.total
-        self.unlinked += other.unlinked
-        for verb, count in other.by_verb.items():
-            self.by_verb[verb] += count
-        for table, source in (
-            (self.matrix, other.matrix),
-            (self.designs, other.designs),
-            (self.dialects, other.dialects),
-        ):
-            for key, row in source.items():
-                target = table.setdefault(key, _verb_row())
-                for verb, count in row.items():
-                    target[verb] += count
-
     # -- rendering -------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:

@@ -252,6 +252,7 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
         raise CDFormatError(
             f"page numbers must be sequential; got {section[1]}, expected {page.number}"
         )
+    instances: List[Instance] = []
     for sub in _sections(section, 3):
         keyword = _sym(sub[0])
         if keyword == "inst":
@@ -274,7 +275,7 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
                 if _sym(inner[0]) != "prop":
                     raise CDFormatError(f"unexpected {_sym(inner[0])!r} in inst")
                 _read_prop(inner, instance.properties)
-            page.add_instance(instance)
+            instances.append(instance)
         elif keyword == "wire":
             label: Optional[str] = None
             points: List[Point] = []
@@ -309,3 +310,4 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
             )
         else:
             raise CDFormatError(f"unexpected {keyword!r} in page")
+    page.add_instances(instances)

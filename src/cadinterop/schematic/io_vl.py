@@ -211,12 +211,16 @@ def load_schematic(text: str, libraries) -> Schematic:
 
     page: Optional[Page] = None
     last_instance: Optional[Instance] = None
+    # Each page's instances, added in one call at END (one name check each).
+    placed: List[Tuple[Page, List[Instance]]] = []
     index = 1
     while index < len(lines):
         line = lines[index]
         fields = line.split()
         keyword = fields[0]
         if keyword == "END":
+            for target, instances in placed:
+                target.add_instances(instances)
             return schematic
         if keyword == "PORT":
             schematic.add_port(Port(_decode(fields[1]), fields[2]))
@@ -229,6 +233,7 @@ def load_schematic(text: str, libraries) -> Schematic:
                 raise VLFormatError(
                     f"page numbers must be sequential; got {fields[1]}, expected {page.number}"
                 )
+            placed.append((page, []))
         elif keyword == "ENDPAGE":
             page = None
             last_instance = None
@@ -241,7 +246,7 @@ def load_schematic(text: str, libraries) -> Schematic:
                 symbol=symbol,
                 transform=Transform(Point(int(fields[5]), int(fields[6])), Orientation(fields[7])),
             )
-            page.add_instance(last_instance)
+            placed[-1][1].append(last_instance)
         elif keyword == "IPROP":
             if last_instance is None:
                 raise VLFormatError("IPROP record without preceding instance")

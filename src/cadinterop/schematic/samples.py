@@ -322,6 +322,7 @@ def generate_chain_schematic(
         frame_w = 160 + (stages + 1) * pitch_x
         frame_h = 160 + chains_per_page * pitch_y
         page = cell.add_page(Rect(0, 0, frame_w, frame_h))
+        instances: List[Instance] = []
         for row in range(chains_per_page):
             y = 160 + row * pitch_y
             # Chain nets continue across the page boundary by shared label:
@@ -342,7 +343,7 @@ def generate_chain_schematic(
                 instance = Instance(name, inv, Transform(Point(x, y)))
                 if rng.random() < 0.25:
                     instance.properties.set("wl", f"{1 + stage}u/0.5u")
-                page.add_instance(instance)
+                instances.append(instance)
                 if stage + 1 < stages:
                     page.add_wire(
                         Wire([Point(x + 64, y + 16), Point(x + pitch_x, y + 16)])
@@ -352,4 +353,5 @@ def generate_chain_schematic(
             page.add_wire(
                 Wire([Point(end_x, y + 16), Point(end_x + 64, y + 16)], label=outgoing)
             )
+        page.add_instances(instances)
     return cell

@@ -366,12 +366,3 @@ class TestSingleStore:
         with pytest.raises(TypeError):
             ResultCache(tmp_path, metrics=MetricsRegistry())
 
-
-class TestMemoryOnlyCache:
-    def test_memory_cache_round_trip(self, plan, sample):
-        cache = ResultCache(None)
-        report = run_once(plan, [sample], cache)
-        assert report.migrated == 1
-        report = run_once(plan, [sample], cache)
-        assert report.cached == 1
-        assert (report.cache_hits, report.cache_misses) == (1, 0)

@@ -10,6 +10,7 @@ expressions and expressions reading more than ``TABLE_READS`` signals keep
 their closure tree.
 """
 
+import gc
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -136,3 +137,19 @@ class TestTruthTables:
     def test_constant_only_expressions_are_left_untabled(self):
         expr = Binary("&", Unary("~", Const("0")), Const("x"))
         assert not is_tabled(assert_matches_evaluate(expr))
+
+    def test_tabled_compiles_leave_no_reference_cycles(self):
+        # Building a table must not leave garbage that only the cyclic GC
+        # can free (a recursive closure refers to itself through its cell).
+        a, b, c = Var("a"), Var("b"), Var("c")
+        expr = Binary("&", Unary("~", Binary("|", a, b)), c)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(10):
+                assert is_tabled(compile_expr(expr))
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()

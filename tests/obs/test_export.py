@@ -5,11 +5,11 @@ import json
 import pytest
 
 from cadinterop.obs import (
-    READABLE_FORMATS,
     TRACE_FORMAT,
     LineageRecorder,
     MetricsRegistry,
     Tracer,
+    iter_records,
     read_trace,
     render_stats,
     render_tree,
@@ -80,26 +80,6 @@ class TestRoundtrip:
 class TestCorruptInput:
     """Satellite: read_trace/validate must fail loudly, not guess."""
 
-    def test_format_1_files_still_read(self, tmp_path):
-        # A pre-lineage trace written by the old exporter.
-        assert 1 in READABLE_FORMATS and TRACE_FORMAT == 2
-        path = tmp_path / "v1.jsonl"
-        path.write_text(
-            "\n".join([
-                json.dumps({"record": "meta", "format": 1, "trace_id": "old"}),
-                json.dumps({"record": "span", "span_id": "s1", "parent_id": None,
-                            "name": "root", "start": 1.0, "seconds": 0.5,
-                            "status": "ok", "attrs": {}}),
-                json.dumps({"record": "metric", "name": "hits",
-                            "type": "counter", "value": 2}),
-            ]) + "\n"
-        )
-        trace = read_trace(path)
-        assert trace["meta"]["format"] == 1
-        assert trace["lineage"] == []  # simply absent, not an error
-        assert trace["metrics"]["hits"]["value"] == 2
-        assert validate_trace(path) == []
-
     def test_truncated_line_names_the_line(self, tmp_path):
         tracer, registry = sample_trace()
         path = tmp_path / "cut.jsonl"
@@ -113,26 +93,43 @@ class TestCorruptInput:
             read_trace(path)
 
     def test_future_format_is_refused(self, tmp_path):
-        assert 3 not in READABLE_FORMATS
-        path = tmp_path / "v3.jsonl"
-        path.write_text(json.dumps({"record": "meta", "format": 3,
-                                    "trace_id": "x"}) + "\n")
-        with pytest.raises(ValueError, match="unsupported trace format 3"):
-            read_trace(path)
-        errors = "\n".join(validate_trace(path))
-        assert "unknown trace format 3" in errors
-        # Reader and validator share one list of readable formats.
-        for version in READABLE_FORMATS:
+        # Format 1 is no longer read, and format 3 is not known yet: the
+        # reader and the validator refuse both with the reader's message.
+        assert TRACE_FORMAT == 2
+        path = tmp_path / "other.jsonl"
+        for version in (1, 3):
             path.write_text(json.dumps({"record": "meta", "format": version,
                                         "trace_id": "x"}) + "\n")
-            assert read_trace(path)["meta"]["format"] == version
-            assert not any("format" in error for error in validate_trace(path))
+            message = (f"line 1: unsupported trace format {version} "
+                       f"(this reader understands 2)")
+            with pytest.raises(ValueError) as refused:
+                read_trace(path)
+            assert str(refused.value) == message
+            assert message in validate_trace(path)
+        path.write_text(json.dumps({"record": "meta", "format": TRACE_FORMAT,
+                                    "trace_id": "x"}) + "\n")
+        assert read_trace(path)["meta"]["format"] == TRACE_FORMAT
+        assert not any("format" in error for error in validate_trace(path))
 
     def test_non_object_record_is_refused(self, tmp_path):
         path = tmp_path / "list.jsonl"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ValueError, match="not an object"):
             read_trace(path)
+
+    def test_records_carry_their_line_and_kind(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(
+            json.dumps({"record": "meta", "format": TRACE_FORMAT, "trace_id": "x"})
+            + "\n\n"
+            + json.dumps({"record": "metric", "name": "hits", "type": "counter",
+                          "value": 1})
+            + "\n"
+        )
+        assert list(iter_records(path)) == [
+            (1, "meta", {"format": TRACE_FORMAT, "trace_id": "x"}),
+            (3, "metric", {"name": "hits", "type": "counter", "value": 1}),
+        ]
 
 
 class TestAttrSanitization:
@@ -288,6 +285,20 @@ class TestValidate:
         assert "status 'weird'" in errors
         assert "buckets+1" in errors or "counts" in errors
         assert "invalid JSON" in errors
+
+    def test_validation_stops_at_the_first_undecodable_line(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:10]  # a cut record in the middle of the file
+        lines[4] = json.dumps({"record": "span", "span_id": "late"})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as refused:
+            read_trace(path)
+        errors = validate_trace(path)
+        assert str(refused.value) in errors
+        assert str(refused.value).startswith("line 3: invalid JSON")
+        # The malformed span after the cut is never read.
+        assert not any("line 5" in error for error in errors)
 
     def test_lineage_contract(self, tmp_path):
         path = tmp_path / "lineage.jsonl"

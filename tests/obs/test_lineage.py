@@ -135,15 +135,6 @@ class TestLossReport:
         with pytest.raises(ValueError, match="unknown verb"):
             LossReport.from_records([{"verb": "vanished"}])
 
-    def test_merge_adds_everything(self):
-        left = LossReport.from_records(records_fixture())
-        right = LossReport.from_records(records_fixture())
-        left.merge(right)
-        assert left.total == 6
-        assert left.losses == 4
-        assert left.designs["d1"]["dropped"] == 2
-        assert left.unlinked == 2
-
     def test_as_dict_and_render(self):
         report = LossReport.from_records(records_fixture())
         data = report.as_dict()

@@ -23,6 +23,14 @@ def sample(vl_libs):
     return build_sample_schematic(vl_libs)
 
 
+def with_duplicate_name(sample, page_index):
+    """``sample`` with instance U2 renamed U1 on page 1, or with page 2's
+    U3 renamed U1 (a name may recur on another page)."""
+    page = sample.pages[page_index]
+    page.instances[1 if page_index == 0 else 0].name = "U1"
+    return sample
+
+
 def schematics_equal(a, b):
     """Structural equality good enough for round-trip checking."""
     assert a.name == b.name and a.dialect == b.dialect
@@ -98,6 +106,16 @@ class TestVLRoundTrip:
         with pytest.raises(SchematicError):
             io_vl.load_schematic(text, LibrarySet())
 
+    def test_duplicate_instance_name_rejected(self, vl_libs, sample):
+        text = io_vl.dump_schematic(with_duplicate_name(sample, 0))
+        with pytest.raises(SchematicError, match="^duplicate instance 'U1' on page 1$"):
+            io_vl.load_schematic(text, vl_libs)
+
+    def test_name_may_recur_on_another_page(self, vl_libs, sample):
+        sample = with_duplicate_name(sample, 1)
+        loaded = io_vl.load_schematic(io_vl.dump_schematic(sample), vl_libs)
+        schematics_equal(sample, loaded)
+
     def test_wire_count_mismatch(self, vl_libs):
         text = "VLSCHEM 1 c viewdraw-like\nPAGE 1 0 0 10 10\nW - 2 0 0\nENDPAGE\nEND\n"
         with pytest.raises(VLFormatError):
@@ -132,6 +150,16 @@ class TestCDRoundTrip:
     def test_wrong_head_rejected(self, vl_libs):
         with pytest.raises(CDFormatError):
             io_cd.load_schematic('(library "x")', vl_libs)
+
+    def test_duplicate_instance_name_rejected(self, vl_libs, sample):
+        text = io_cd.dump_schematic(with_duplicate_name(sample, 0))
+        with pytest.raises(SchematicError, match="^duplicate instance 'U1' on page 1$"):
+            io_cd.load_schematic(text, vl_libs)
+
+    def test_name_may_recur_on_another_page(self, vl_libs, sample):
+        sample = with_duplicate_name(sample, 1)
+        loaded = io_cd.load_schematic(io_cd.dump_schematic(sample), vl_libs)
+        schematics_equal(sample, loaded)
 
     def test_garbage_rejected(self, vl_libs):
         with pytest.raises(CDFormatError):
