@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 
@@ -92,7 +93,7 @@ def _cmd_races(args: argparse.Namespace) -> int:
     from cadinterop.hdl.races import detect_races
 
     try:
-        source = open(args.file).read()
+        source = Path(args.file).read_text()
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -120,7 +121,7 @@ def _cmd_subsets(args: argparse.Namespace) -> int:
     from cadinterop.hdl.synth import portability_report, written_in_intersection
 
     try:
-        source = open(args.file).read()
+        source = Path(args.file).read_text()
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -153,8 +154,6 @@ def _cmd_naming(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate_batch(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from cadinterop.farm import MigrationFarm, ResultCache
     from cadinterop.schematic import io_cd, io_vl
     from cadinterop.schematic.samples import (

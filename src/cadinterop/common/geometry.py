@@ -288,10 +288,6 @@ class Segment:
         return self.a.y == self.b.y
 
     @property
-    def is_vertical(self) -> bool:
-        return self.a.x == self.b.x
-
-    @property
     def length(self) -> int:
         return self.a.manhattan_to(self.b)
 

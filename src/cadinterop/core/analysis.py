@@ -73,9 +73,6 @@ class AnalysisReport:
     log: IssueLog = field(default_factory=IssueLog)
     conversion_cost: float = 0.0
 
-    def by_problem(self, problem: str) -> List[Finding]:
-        return [f for f in self.findings if f.problem == problem]
-
     def problem_counts(self) -> Dict[str, int]:
         counts = {problem: 0 for problem in Finding.PROBLEMS}
         for finding in self.findings:

@@ -37,10 +37,6 @@ class DataFlowEdge:
     def crosses_tools(self) -> bool:
         return self.producer_tool != self.consumer_tool
 
-    @property
-    def fully_modelled(self) -> bool:
-        return self.producer_port is not None and self.consumer_port is not None
-
 
 @dataclass(frozen=True)
 class ControlFlowEdge:
@@ -62,18 +58,6 @@ class FlowDiagram:
 
     def cross_tool_edges(self) -> List[DataFlowEdge]:
         return [e for e in self.data_edges if e.crosses_tools]
-
-    def edges_between(self, producer_tool: str, consumer_tool: str) -> List[DataFlowEdge]:
-        return [
-            e
-            for e in self.data_edges
-            if e.producer_tool == producer_tool and e.consumer_tool == consumer_tool
-        ]
-
-    def tool_pairs(self) -> Set[Tuple[str, str]]:
-        return {
-            (e.producer_tool, e.consumer_tool) for e in self.cross_tool_edges()
-        }
 
 
 def to_dot(diagram: "FlowDiagram", problems: Optional[Dict[Tuple[str, str], int]] = None) -> str:

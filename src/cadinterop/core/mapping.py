@@ -23,9 +23,6 @@ class TaskToolMap:
     scenario: str
     assignments: Dict[str, List[str]] = field(default_factory=dict)  # task -> tools
 
-    def tools_for(self, task_name: str) -> List[str]:
-        return self.assignments.get(task_name, [])
-
     def chosen_tool(self, task_name: str) -> Optional[str]:
         tools = self.assignments.get(task_name, [])
         return tools[0] if tools else None

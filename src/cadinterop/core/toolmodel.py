@@ -92,9 +92,6 @@ class ToolModel:
             c.kind in wanted for c in self.control if c.direction == "in"
         )
 
-    def task_cost(self, task_name: str) -> float:
-        return self.performance.get(task_name, 1.0)
-
 
 class ToolCatalog:
     """All tools available to an analysis."""

@@ -4,8 +4,8 @@ The paper's consulting engagement moved *libraries* of schematics between
 vendor dialects; this package turns the single-design pipeline of
 :mod:`cadinterop.schematic.migrate` into a corpus-scale engine:
 
-* :class:`MigrationFarm` / :func:`migrate_corpus` — run per-design work
-  inline or fan it out over a ``concurrent.futures`` process pool;
+* :class:`MigrationFarm` — run per-design work inline or fan it out over a
+  ``concurrent.futures`` process pool;
 * :class:`ResultCache` — content-addressed, on-disk result reuse keyed on
   ``(design digest, plan digest, pipeline version)``;
 * :class:`FarmReport` — outcomes, this run's cache hits and misses, and a
@@ -18,7 +18,7 @@ vendor dialects; this package turns the single-design pipeline of
 
 from cadinterop.farm.cache import CACHE_FORMAT, ResultCache, cache_key
 from cadinterop.farm.report import FarmItem, FarmReport
-from cadinterop.farm.scheduler import MigrationFarm, migrate_corpus
+from cadinterop.farm.scheduler import MigrationFarm
 from cadinterop.schematic.migrate import (
     PIPELINE_STAGES,
     PIPELINE_VERSION,
@@ -35,7 +35,6 @@ __all__ = [
     "PIPELINE_VERSION",
     "ResultCache",
     "cache_key",
-    "migrate_corpus",
     "plan_digest",
     "schematic_digest",
 ]

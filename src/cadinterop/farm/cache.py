@@ -43,9 +43,9 @@ from cadinterop.schematic.migrate import MigrationResult, PIPELINE_VERSION
 CACHE_FORMAT = 3
 
 
-def cache_key(design_digest: str, plan_dig: str, pipeline_version: str = PIPELINE_VERSION) -> str:
+def cache_key(design_digest: str, plan_dig: str) -> str:
     """The content address of one (design, plan, pipeline) migration."""
-    blob = f"{design_digest}\n{plan_dig}\n{pipeline_version}".encode("utf-8")
+    blob = f"{design_digest}\n{plan_dig}\n{PIPELINE_VERSION}".encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -59,13 +59,8 @@ class ResultCache:
     report counts its run only.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        pipeline_version: str = PIPELINE_VERSION,
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.pipeline_version = pipeline_version
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from cadinterop.farm.cache import ResultCache, cache_key
 from cadinterop.farm.report import FarmItem, FarmReport
@@ -101,13 +101,11 @@ class MigrationFarm:
         self,
         plan: MigrationPlan,
         jobs: int = 1,
-        cache: Optional[Union[ResultCache, str]] = None,
+        cache: Optional[ResultCache] = None,
         executor: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
-            cache = ResultCache(cache)
         if executor is None:
             executor = "process" if jobs > 1 else "inline"
         if executor not in ("process", "inline"):
@@ -172,9 +170,7 @@ class MigrationFarm:
                     item.digest = schematic_digest(design)
                     stage.items = 1
                 if self.cache is not None:
-                    keys[index] = cache_key(
-                        item.digest, plan_d, self.cache.pipeline_version
-                    )
+                    keys[index] = cache_key(item.digest, plan_d)
                     with StageSpan("farm:cache-lookup", "farm:cache-lookup") as stage:
                         hit = self.cache.get(keys[index])
                         stage.items = 1
@@ -252,16 +248,3 @@ class MigrationFarm:
             return list(
                 pool.map(_process_worker_migrate, tasks, chunksize=chunksize)
             )
-
-
-def migrate_corpus(
-    plan: MigrationPlan,
-    designs: Sequence[Schematic],
-    jobs: int = 1,
-    cache: Optional[Union[ResultCache, str]] = None,
-    executor: Optional[str] = None,
-    keep_results: bool = True,
-) -> FarmReport:
-    """One-call batch migration: build a farm, run the corpus, return the report."""
-    farm = MigrationFarm(plan, jobs=jobs, cache=cache, executor=executor)
-    return farm.run(designs, keep_results=keep_results)

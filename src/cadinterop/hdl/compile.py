@@ -61,7 +61,7 @@ from cadinterop.hdl.logic import (
     XOR_TABLE,
     Logic4,
 )
-from cadinterop.obs import get_metrics, get_tracer
+from cadinterop.obs import get_tracer
 
 #: An expression closure: values-dict in, 4-value level out.
 ExprFn = Callable[[Dict[str, str]], str]
@@ -556,7 +556,6 @@ def compile_model(module: Module) -> CompiledModel:
             nets=len(module.nets),
             drivers=model.driver_count,
         )
-    get_metrics().counter("hdl.compile.models").inc()
     _compile_calls += 1
     return model
 

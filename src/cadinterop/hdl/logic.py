@@ -169,10 +169,6 @@ class Logic4:
         return CASE_EQ_TABLE[a][b]
 
     @staticmethod
-    def is_true(a: str) -> bool:
-        return a == "1"
-
-    @staticmethod
     def resolve(a: str, b: str) -> str:
         """Two drivers on one net: z yields, conflict makes x."""
         return RESOLVE_TABLE[a][b]

@@ -1,4 +1,4 @@
-"""Unified observability: tracing, metrics, span-aware logging, exporters.
+"""Unified observability: tracing, metrics, lineage, exporters.
 
 The paper's Section 6 methodology analyzes *a CAD system in operation* —
 task graphs and data/control-flow traces of real tool runs.  This package
@@ -10,9 +10,9 @@ gives every pipeline in the reproduction one way to report what it did:
   fork of it runs a farm or a process worker, and its drained payload
   merges back in one call; :class:`StageSpan` times pipeline stages into
   spans and ``stage.*`` metrics;
-* :mod:`~cadinterop.obs.trace` — hierarchical spans (context manager /
-  decorator), contextvar nesting, thread-safe buffering, process-worker
-  merge; off by default via a no-op singleton tracer;
+* :mod:`~cadinterop.obs.trace` — hierarchical spans (context managers),
+  contextvar nesting, thread-safe buffering, process-worker merge; off by
+  default via a no-op singleton tracer;
 * :mod:`~cadinterop.obs.metrics` — counters and fixed-bucket histograms
   with mergeable plain-dict snapshots;
 * :mod:`~cadinterop.obs.lineage` — per-object provenance records at tool
@@ -20,8 +20,6 @@ gives every pipeline in the reproduction one way to report what it did:
   synthesized) — the one count of them — with a
   :class:`~cadinterop.obs.lineage.LossReport` aggregator behind
   ``cadinterop audit``;
-* :mod:`~cadinterop.obs.logger` — ``get_logger(name)``, stamping the
-  current trace/span ids onto every record;
 * :mod:`~cadinterop.obs.export` — JSONL trace files (spans, ``metric``
   records and lineage records in one file): the writer, the one record
   reader (``iter_records``) and the schema checks over it, span-tree and
@@ -46,7 +44,6 @@ from cadinterop.obs.context import (
     get_tracer,
     install,
     installed,
-    traced,
 )
 from cadinterop.obs.export import (
     TRACE_FORMAT,
@@ -66,7 +63,6 @@ from cadinterop.obs.lineage import (
     LossReport,
     NullLineage,
 )
-from cadinterop.obs.logger import SpanContextFilter, get_logger
 from cadinterop.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
@@ -102,7 +98,6 @@ __all__ = [
     "NullTracer",
     "ObsContext",
     "Span",
-    "SpanContextFilter",
     "StageSpan",
     "TRACE_FORMAT",
     "Tracer",
@@ -110,7 +105,6 @@ __all__ = [
     "current_context",
     "current_span_id",
     "get_lineage",
-    "get_logger",
     "get_metrics",
     "get_tracer",
     "install",
@@ -121,7 +115,6 @@ __all__ = [
     "render_stats",
     "render_tree",
     "span_stats",
-    "traced",
     "validate_trace",
     "write_trace",
 ]

@@ -17,10 +17,9 @@ all three — so every executor leaves the caller with the same record.
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from cadinterop.obs.lineage import NULL_LINEAGE, LineageRecorder
 from cadinterop.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -113,22 +112,6 @@ def get_metrics():
 
 def get_lineage():
     return _CURRENT.lineage
-
-
-def traced(name: Optional[str] = None, **attrs: Any) -> Callable:
-    """Decorator: run the function under a span (named after it by default)."""
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any):
-            with _CURRENT.tracer.span(label, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 class StageSpan:

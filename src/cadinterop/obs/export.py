@@ -104,13 +104,13 @@ def read_trace(path) -> Dict[str, Any]:
     """Parse a trace file into ``{"meta", "spans", "lineage", "metrics"}``.
 
     Spans come ordered by start time; raises what :func:`iter_records`
-    raises.
+    raises, and :class:`ValueError` for a metric record without a name.
     """
     meta: Dict[str, Any] = {}
     spans: List[Dict[str, Any]] = []
     lineage: List[Dict[str, Any]] = []
     metrics: Dict[str, Dict[str, Any]] = {}
-    for _line, kind, record in iter_records(path):
+    for line, kind, record in iter_records(path):
         if kind == "meta":
             meta = record
         elif kind == "span":
@@ -118,7 +118,10 @@ def read_trace(path) -> Dict[str, Any]:
         elif kind == "lineage":
             lineage.append(record)
         else:
-            metrics[record.pop("name")] = record
+            name = record.pop("name", None)
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"line {line}: metric without a name")
+            metrics[name] = record
     spans.sort(key=lambda span: span.get("start", 0.0))
     return {"meta": meta, "spans": spans, "lineage": lineage, "metrics": metrics}
 
@@ -278,8 +281,13 @@ def _format_attrs(attrs: Dict[str, Any]) -> str:
     return "  {" + inner + "}"
 
 
-def render_tree(spans: List[Dict[str, Any]], max_spans: int = 500) -> str:
-    """The trace as an indented tree, children ordered by start time."""
+#: Where :func:`render_tree` cuts a long trace off.
+MAX_TREE_SPANS = 500
+
+
+def render_tree(spans: List[Dict[str, Any]]) -> str:
+    """The trace as an indented tree, children ordered by start time; at
+    most :data:`MAX_TREE_SPANS` spans are drawn."""
     if not spans:
         return "(empty trace)"
     ordered = sorted(spans, key=lambda span: span.get("start", 0.0))
@@ -295,7 +303,7 @@ def render_tree(spans: List[Dict[str, Any]], max_spans: int = 500) -> str:
     truncated = [False]
 
     def walk(span: Dict[str, Any], prefix: str, last: bool) -> None:
-        if len(lines) >= max_spans:
+        if len(lines) >= MAX_TREE_SPANS:
             truncated[0] = True
             return
         branch = "└─ " if last else "├─ "
@@ -315,7 +323,7 @@ def render_tree(spans: List[Dict[str, Any]], max_spans: int = 500) -> str:
     for index, root in enumerate(roots):
         walk(root, "", index == len(roots) - 1)
     if truncated[0]:
-        lines.append(f"... truncated at {max_spans} spans")
+        lines.append(f"... truncated at {MAX_TREE_SPANS} spans")
     return "\n".join(lines)
 
 

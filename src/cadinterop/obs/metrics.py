@@ -6,10 +6,10 @@ rates, stage latency distributions, simulator event counts.
 
 Design rules:
 
-* **Fixed bucket boundaries.**  Histograms declare their boundaries up
-  front (default: a latency ladder from 1 ms to 10 s), so snapshots from
-  different workers and different runs merge by adding counts — no
-  rebinning, no quantile sketches.
+* **Fixed bucket boundaries.**  Every histogram uses
+  :data:`DEFAULT_BUCKETS` (a latency ladder from 1 ms to 10 s), so
+  snapshots from different workers and different runs merge by adding
+  counts — no rebinning, no quantile sketches.
 * **Mergeable snapshots.**  ``registry.snapshot()`` is plain dicts of
   primitives (JSON- and pickle-safe); ``registry.merge(snapshot)`` folds
   one registry's traffic into another, which is how per-run and
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Default histogram boundaries (seconds): a wall-clock latency ladder.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -61,16 +61,10 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        lock: threading.Lock,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
+    buckets = DEFAULT_BUCKETS
+
+    def __init__(self, name: str, lock: threading.Lock) -> None:
         self.name = name
-        self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket boundary")
         self.counts: List[int] = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0
@@ -134,10 +128,8 @@ class MetricsRegistry:
             raise TypeError(f"{name!r} is a {instrument.kind}, not a counter")
         return instrument
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        instrument = self._get(name, lambda: Histogram(name, self._lock, buckets))
+    def histogram(self, name: str) -> Histogram:
+        instrument = self._get(name, lambda: Histogram(name, self._lock))
         if instrument.kind != "histogram":
             raise TypeError(f"{name!r} is a {instrument.kind}, not a histogram")
         return instrument
@@ -169,7 +161,7 @@ class MetricsRegistry:
             if kind == "counter":
                 self.counter(name).merge(data)
             elif kind == "histogram":
-                self.histogram(name, buckets=data["buckets"]).merge(data)
+                self.histogram(name).merge(data)
             else:
                 raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
 
@@ -221,7 +213,7 @@ class NullMetrics:
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> _NullInstrument:
+    def histogram(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def instruments(self) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ what the pipelines actually did, as a tree of timed **spans**:
 * a span is one timed operation (``migrate:scaling``, ``farm:run``,
   ``workflow:step``) with attributes, a status, and a parent link;
 * the *current* span is tracked through :mod:`contextvars`, so nesting
-  works across ``with`` blocks and decorated calls;
+  works across ``with`` blocks;
 * finished spans buffer inside the :class:`Tracer` (a lock guards the
   buffer); process workers run their own tracer and ship span dicts back
   for :meth:`Tracer.adopt`, which re-roots them under the run's span.
@@ -33,9 +33,6 @@ from typing import Any, Dict, Iterable, List, Optional
 _CURRENT_ID: ContextVar[Optional[str]] = ContextVar("cadinterop_obs_span", default=None)
 
 _IDS = itertools.count(1)
-
-#: Sentinel distinguishing "no parent given" from "explicitly parentless".
-_UNSET = object()
 
 #: Attribute value types that survive span finish untouched; anything else
 #: is stringified *at finish time* so the exported trace never depends on
@@ -165,19 +162,9 @@ class Tracer:
 
     # -- span creation ---------------------------------------------------
 
-    def span(self, name: str, parent: Any = _UNSET, **attrs: Any) -> Span:
-        """Open a span (use as a context manager).
-
-        ``parent`` defaults to the context's current span; pass a span, a
-        span id, or None to override (None makes an explicit root).
-        """
-        if parent is _UNSET:
-            parent_id = _CURRENT_ID.get()
-        elif isinstance(parent, (Span, _NullSpan)):
-            parent_id = parent.span_id
-        else:
-            parent_id = parent
-        return Span(self, name, parent_id, attrs)
+    def span(self, name: str, **attrs: Any) -> Span:
+        """Open a span (use as a context manager) under the current span."""
+        return Span(self, name, _CURRENT_ID.get(), attrs)
 
     def _finish(self, span: Span) -> None:
         with self._lock:
@@ -221,7 +208,7 @@ class NullTracer:
     enabled = False
     trace_id: Optional[str] = None
 
-    def span(self, name: str, parent: Any = _UNSET, **attrs: Any) -> _NullSpan:
+    def span(self, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
 
     def adopt(self, span_dicts, parent_id=None) -> None:

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point
-from cadinterop.obs import get_lineage, get_logger, get_tracer
+from cadinterop.obs import get_lineage, get_tracer
 from cadinterop.pnr.cells import CellLibrary, effective_access
 from cadinterop.pnr.design import PnRDesign
 from cadinterop.pnr.dialects import PnRDialect
@@ -31,8 +31,6 @@ from cadinterop.pnr.parasitics import ParasiticReport, extract
 from cadinterop.pnr.placement import PlacementResult, RowPlacer
 from cadinterop.pnr.routing import GridRouter, RoutingResult
 from cadinterop.pnr.tech import Technology
-
-_log = get_logger("pnr.backplane")
 
 
 @dataclass
@@ -224,11 +222,6 @@ def convey(
                 "dropped", detail=f"no support in {dialect.name}",
                 dialect=dialect.name,
             )
-    if payload.dropped:
-        _log.debug(
-            "convey to %s dropped %d intents: %s",
-            dialect.name, len(payload.dropped), ", ".join(payload.dropped),
-        )
     return payload
 
 

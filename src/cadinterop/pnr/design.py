@@ -118,12 +118,3 @@ class PnRDesign:
         except KeyError:
             raise KeyError(f"no instance named {name!r}") from None
 
-    def all_placed(self) -> bool:
-        return all(instance.placed for instance in self.instances.values())
-
-    def nets_of_instance(self, instance_name: str) -> List[str]:
-        return [
-            net
-            for net, terminals in self.nets.items()
-            if any(k == "inst" and i == instance_name for k, i, _p in terminals)
-        ]

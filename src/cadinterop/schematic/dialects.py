@@ -86,25 +86,6 @@ class Dialect:
     #: Characters legal in object names beyond alphanumerics/underscore.
     extra_name_chars: str = ""
 
-    @property
-    def pin_pitch_inches(self) -> float:
-        return self.pin_pitch_units / self.grid.units_per_inch
-
-    def legal_name(self, name: str) -> bool:
-        if not name:
-            return False
-        allowed = set(self.extra_name_chars)
-        for index, char in enumerate(name):
-            if char.isalnum() or char == "_" or char in allowed:
-                continue
-            if index > 0 and char in self.bus_syntax.postfix_chars and self.bus_syntax.allows_postfix:
-                continue
-            if char in (self.bus_syntax.open_bracket, self.bus_syntax.close_bracket,
-                        self.bus_syntax.range_separator):
-                continue
-            return False
-        return True
-
 
 VIEWDRAW_LIKE = Dialect(
     name="viewdraw-like",

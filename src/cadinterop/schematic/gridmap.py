@@ -22,11 +22,9 @@ from typing import List, Optional
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import OffGridError, Point, Rect, Transform
-from cadinterop.obs import get_lineage, get_logger
+from cadinterop.obs import get_lineage
 from cadinterop.schematic.dialects import Dialect
 from cadinterop.schematic.model import Instance, Schematic, Symbol, SymbolPin, TextLabel, Wire
-
-_log = get_logger("schematic.gridmap")
 
 
 @dataclass
@@ -55,9 +53,6 @@ def scale_point(
         raw_y = float(point.y) * float(factor)
         scaled = target.grid.snap(Point(round(raw_x), round(raw_y)))
         report.points_snapped += 1
-        _log.debug(
-            "snap %s: off-grid %s -> %s", subject, point.as_tuple(), scaled.as_tuple()
-        )
         if log is not None:
             log.add(
                 Severity.WARNING, Category.SCALING, subject,

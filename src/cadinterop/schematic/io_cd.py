@@ -19,7 +19,7 @@ Format sketch::
       (page 1 (frame 0 0 1000 800)
         (inst "I1" ("cd_basic" "nand2" "symbol") (at 100 200) (orient R0)
           (prop "w" str "2u"))
-        (wire (label "A<0>") (pts 0 0 10 0))
+        (wire (label "A<0>") (at 4 0) (pts 0 0 10 0))
         (text "title" (at 5 5) (font 10 7 2))))
 """
 
@@ -108,9 +108,11 @@ def dump_schematic(schematic: Schematic) -> str:
             lines.extend(_emit_props(instance.properties, "      "))
             lines.append("    )")
         for wire in page.wires:
-            label = f"(label {_quote(wire.label)}) " if wire.label else ""
+            head = f"(label {_quote(wire.label)}) " if wire.label else ""
+            if wire.label_position is not None:
+                head += f"(at {wire.label_position.x} {wire.label_position.y}) "
             coords = " ".join(f"{p.x} {p.y}" for p in wire.points)
-            lines.append(f"    (wire {label}(pts {coords}))")
+            lines.append(f"    (wire {head}(pts {coords}))")
         for label in page.labels:
             lines.append(
                 f"    (text {_quote(label.text)} (at {label.position.x} {label.position.y}) "
@@ -278,11 +280,16 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
             instances.append(instance)
         elif keyword == "wire":
             label: Optional[str] = None
+            anchor: Optional[Point] = None
             points: List[Point] = []
             for inner in _sections(sub, 1):
                 inner_keyword = _sym(inner[0])
                 if inner_keyword == "label":
                     label = _str(inner[1])
+                elif inner_keyword == "at":
+                    if len(inner) != 3:
+                        raise CDFormatError(f"bad wire label anchor: {inner!r}")
+                    anchor = Point(_int(inner[1]), _int(inner[2]))
                 elif inner_keyword == "pts":
                     coords = inner[1:]
                     if len(coords) % 2:
@@ -293,7 +300,7 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
                     ]
                 else:
                     raise CDFormatError(f"unexpected {inner_keyword!r} in wire")
-            page.add_wire(Wire(points, label=label))
+            page.add_wire(Wire(points, label=label, label_position=anchor))
         elif keyword == "text":
             at = sub[2]
             font = sub[3]

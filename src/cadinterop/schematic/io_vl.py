@@ -23,13 +23,14 @@ Format summary::
     PAGE <number> <x1> <y1> <x2> <y2>
     I <instname> <library> <symbol> <view> <x> <y> <orient>
     IPROP <name> <type> <value>
-    W <label or -> <n> <x1> <y1> ... <xn> <yn>
+    W <label or -> <n> <x1> <y1> ... <xn> <yn> [<label x> <label y>]
     T <x> <y> <height> <charwidth> <baseline> <text...>
     ENDPAGE
     END
 
 Strings containing whitespace are percent-encoded (`%20`), keeping the
-format strictly whitespace-separated.
+format strictly whitespace-separated.  A ``W`` record ends with the wire
+label's anchor when the wire has one.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def dump_schematic(schematic: Schematic) -> str:
         for wire in page.wires:
             label = _encode(wire.label) if wire.label else "-"
             coords = " ".join(f"{p.x} {p.y}" for p in wire.points)
+            if wire.label_position is not None:
+                coords += f" {wire.label_position.x} {wire.label_position.y}"
             lines.append(f"W {label} {len(wire.points)} {coords}")
         for label in page.labels:
             lines.append(
@@ -257,10 +260,11 @@ def load_schematic(text: str, libraries) -> Schematic:
             label = None if fields[1] == "-" else _decode(fields[1])
             count = int(fields[2])
             coords = fields[3:]
-            if len(coords) != 2 * count:
+            if len(coords) not in (2 * count, 2 * count + 2):
                 raise VLFormatError(f"wire coordinate count mismatch: {line!r}")
             points = [Point(int(coords[i]), int(coords[i + 1])) for i in range(0, len(coords), 2)]
-            page.add_wire(Wire(points, label=label))
+            anchor = points.pop() if len(points) > count else None
+            page.add_wire(Wire(points, label=label, label_position=anchor))
         elif keyword == "T":
             if page is None:
                 raise VLFormatError("text record outside PAGE")

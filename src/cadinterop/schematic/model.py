@@ -645,9 +645,6 @@ class Design:
         except KeyError:
             raise SchematicError(f"design {self.name!r} has no cell {name!r}") from None
 
-    def has_cell(self, name: str) -> bool:
-        return name in self._cells
-
     def cells(self) -> List[Schematic]:
         return list(self._cells.values())
 

@@ -27,36 +27,6 @@ from cadinterop.schematic.model import PinOffsets, Schematic, Wire, WireIndex
 Terminal = Tuple[str, str]  # (instance name, pin name)
 
 
-class _UnionFind:
-    """Plain union-find over arbitrary hashable keys."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[object, object] = {}
-
-    def add(self, key: object) -> None:
-        self._parent.setdefault(key, key)
-
-    def find(self, key: object) -> object:
-        self.add(key)
-        root = key
-        while self._parent[root] is not root:
-            root = self._parent[root]
-        while self._parent[key] is not root:
-            self._parent[key], key = root, self._parent[key]
-        return root
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self._parent[rb] = ra
-
-    def groups(self) -> Dict[object, List[object]]:
-        result: Dict[object, List[object]] = {}
-        for key in self._parent:
-            result.setdefault(self.find(key), []).append(key)
-        return result
-
-
 @dataclass
 class Net:
     """One extracted electrical net."""
@@ -258,15 +228,14 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
 
     # Merge nets by binding name: globals always; off-page connectors in
     # explicit dialects; same-label nets across pages in implicit dialects.
-    merge_uf = _UnionFind()
-    for idx in range(len(provisional)):
-        merge_uf.add(idx)
+    # The same union-find runs again, now over provisional net indexes.
+    parent[:] = range(len(provisional))
 
     def merge_by(binding: Dict[int, str]) -> None:
         by_name: Dict[str, int] = {}
         for idx, name in binding.items():
             if name in by_name:
-                merge_uf.union(by_name[name], idx)
+                union(by_name[name], idx)
             else:
                 by_name[name] = idx
 
@@ -278,16 +247,18 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
         for idx, net in enumerate(provisional):
             for label in net.labels:
                 if label in by_label:
-                    merge_uf.union(by_label[label], idx)
+                    union(by_label[label], idx)
                 else:
                     by_label[label] = idx
 
     # Hierarchy connectors bind a net to a schematic port name.
     port_names = {port.name for port in schematic.ports}
 
-    merged: Dict[object, Net] = {}
+    # Merged nets are created in the order of each group's lowest index,
+    # whichever root the union-find picked, so names do not depend on it.
+    merged: Dict[int, Net] = {}
     for idx, net in enumerate(provisional):
-        root = merge_uf.find(idx)
+        root = find(idx)
         if root not in merged:
             merged[root] = Net(name="")
         target = merged[root]

@@ -317,10 +317,6 @@ class BatchReplacementReport:
         return sum(s.ripped_segments for s in self.per_instance)
 
     @property
-    def total_added(self) -> int:
-        return sum(s.added_segments for s in self.per_instance)
-
-    @property
     def total_retained(self) -> int:
         return sum(s.retained_segments for s in self.per_instance)
 

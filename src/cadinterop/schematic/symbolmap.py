@@ -78,9 +78,6 @@ class SymbolMap:
     def lookup(self, key: SymbolKey) -> Optional[SymbolMapping]:
         return self._by_source.get(key)
 
-    def lookup_symbol(self, symbol: Symbol) -> Optional[SymbolMapping]:
-        return self.lookup(SymbolKey.of(symbol))
-
     def __len__(self) -> int:
         return len(self._by_source)
 

@@ -59,10 +59,6 @@ class DataVariable:
         self._last = {path: snapshot_file(path) for path in self.paths}
         return dict(self._last)
 
-    @property
-    def last_observation(self) -> Dict[Path, DataSnapshot]:
-        return dict(self._last)
-
     def changed_since(self, baseline: Dict[Path, DataSnapshot]) -> List[Path]:
         """Paths whose current state differs from ``baseline``."""
         changed: List[Path] = []

@@ -100,14 +100,6 @@ class MetricsCollector:
         worst = max(ran, key=lambda m: m.failure_rate)
         return worst if worst.failure_rate > 0 else None
 
-    def rerun_hotspots(self, threshold: int = 2) -> List[StepMetrics]:
-        """Steps re-executed often — candidates for process fixes."""
-        return sorted(
-            (m for m in self._steps.values() if m.runs >= threshold),
-            key=lambda m: m.runs,
-            reverse=True,
-        )
-
     def report(self) -> str:
         lines = ["workflow metrics", "================"]
         for metrics in sorted(self._steps.values(), key=lambda m: m.name):

@@ -14,6 +14,7 @@ from cadinterop.common.diagnostics import Category, Issue, Severity
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
 from cadinterop.common.properties import PropertyBag
 from cadinterop.farm import CACHE_FORMAT, MigrationFarm, ResultCache, cache_key
+from cadinterop.farm import cache as cache_module
 from cadinterop.obs import MetricsRegistry, ObsContext, installed
 from cadinterop.schematic.migrate import Migrator
 from cadinterop.schematic import io_cd
@@ -221,11 +222,17 @@ class TestInvalidation:
         report = run_once(plan, [sample], ResultCache(tmp_path))
         assert report.migrated == 1 and report.cached == 0
 
-    def test_pipeline_version_participates(self, tmp_path, plan, sample):
+    def test_pipeline_version_participates(self, tmp_path, plan, sample, monkeypatch):
         run_once(plan, [sample], ResultCache(tmp_path))
-        bumped = ResultCache(tmp_path, pipeline_version=PIPELINE_VERSION + "-next")
-        report = run_once(plan, [sample], bumped)
+        monkeypatch.setattr(cache_module, "PIPELINE_VERSION", PIPELINE_VERSION + "-next")
+        report = run_once(plan, [sample], ResultCache(tmp_path))
         assert report.migrated == 1 and report.cached == 0
+
+    def test_cache_key_hashes_the_pipeline_version(self, monkeypatch):
+        key = cache_key("d" * 64, "p" * 64)
+        assert cache_key("d" * 64, "p" * 64) == key
+        monkeypatch.setattr(cache_module, "PIPELINE_VERSION", PIPELINE_VERSION + "-next")
+        assert cache_key("d" * 64, "p" * 64) != key
 
     def test_unrelated_design_untouched_entries_survive(self, tmp_path, plan, vl_libs):
         first = build_sample_schematic(vl_libs)

@@ -6,7 +6,6 @@ from cadinterop.farm import (
     MigrationFarm,
     PIPELINE_STAGES,
     ResultCache,
-    migrate_corpus,
 )
 from cadinterop.schematic.samples import (
     build_sample_plan,
@@ -115,19 +114,6 @@ class TestFarmRun:
         report = MigrationFarm(plan).run(corpus)
         assert report.result_for("unit01") is report.items[1].result
         assert report.result_for("nope") is None
-
-    def test_migrate_corpus_convenience(self, vl_libs, plan, tmp_path):
-        corpus = build_corpus(vl_libs, count=2)
-        report = migrate_corpus(plan, corpus, jobs=1, cache=ResultCache(tmp_path))
-        assert report.migrated == 2
-        report = migrate_corpus(plan, corpus, jobs=1, cache=ResultCache(tmp_path))
-        assert report.cached == 2
-
-    def test_cache_accepts_plain_path(self, vl_libs, plan, tmp_path):
-        corpus = build_corpus(vl_libs, count=1)
-        MigrationFarm(plan, cache=tmp_path).run(corpus)
-        report = MigrationFarm(plan, cache=str(tmp_path)).run(corpus)
-        assert report.cached == 1
 
 
 class TestFailureIsolation:

@@ -228,7 +228,7 @@ class TestTracerThreadSafety:
         tracer = Tracer()
 
         def worker(index):
-            with tracer.span(f"job{index}", parent=None):
+            with tracer.span(f"job{index}"):
                 for _ in range(20):
                     with tracer.span("step"):
                         pass

@@ -17,6 +17,7 @@ from cadinterop.obs import (
     validate_trace,
     write_trace,
 )
+from cadinterop.obs import export
 from cadinterop.obs.trace import sanitize_attrs
 from cadinterop.obs.validate import main as validate_main
 
@@ -30,7 +31,7 @@ def sample_trace():
             pass
     registry = MetricsRegistry()
     registry.counter("hits").inc(3)
-    registry.histogram("lat", buckets=(0.5, 1.0)).observe(0.2)
+    registry.histogram("lat").observe(0.2)
     return tracer, registry
 
 
@@ -51,7 +52,7 @@ class TestRoundtrip:
         assert trace["meta"]["format"] == TRACE_FORMAT
         assert [s["name"] for s in trace["spans"]] == ["root", "child-a", "child-b"]
         assert trace["metrics"]["hits"]["value"] == 3
-        assert trace["metrics"]["lat"]["counts"] == [1, 0, 0]
+        assert trace["metrics"]["lat"] == registry.snapshot()["lat"]
 
     def test_read_rejects_unknown_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -180,13 +181,14 @@ class TestRenderers:
         assert "└─ root" in tree and "{corpus=2}" in tree
         assert "├─ child-a" in tree and "└─ child-b" in tree
 
-    def test_tree_promotes_orphans_and_truncates(self):
+    def test_tree_promotes_orphans_and_truncates(self, monkeypatch):
         spans = [
             {"name": f"s{i}", "span_id": str(i), "parent_id": "missing",
              "start": float(i), "seconds": 0.0, "status": "ok", "attrs": {}}
             for i in range(5)
         ]
-        tree = render_tree(spans, max_spans=3)
+        monkeypatch.setattr(export, "MAX_TREE_SPANS", 3)
+        tree = render_tree(spans)
         assert "s0" in tree and "truncated at 3" in tree
         assert render_tree([]) == "(empty trace)"
 

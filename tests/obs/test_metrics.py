@@ -26,17 +26,18 @@ class TestInstruments:
 
     def test_histogram_buckets_and_moments(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
+        histogram = registry.histogram("lat")
+        assert histogram.buckets == DEFAULT_BUCKETS
+        for value in (0.0005, 0.05, 0.05, 50.0):
             histogram.observe(value)
-        assert histogram.counts == [1, 2, 1]  # <=0.1, <=1.0, overflow
+        expected = [0] * (len(DEFAULT_BUCKETS) + 1)
+        expected[0] = 1  # below the first boundary
+        expected[DEFAULT_BUCKETS.index(0.05) + 1] = 2  # on a boundary: the bucket above
+        expected[-1] = 1  # overflow
+        assert histogram.counts == expected
         assert histogram.count == 4
-        assert histogram.sum == pytest.approx(6.05)
-        assert histogram.mean == pytest.approx(6.05 / 4)
-
-    def test_histogram_needs_boundaries(self):
-        with pytest.raises(ValueError, match="bucket"):
-            MetricsRegistry().histogram("empty", buckets=())
+        assert histogram.sum == pytest.approx(50.1005)
+        assert histogram.mean == pytest.approx(50.1005 / 4)
 
     def test_kind_mismatch_is_a_type_error(self):
         registry = MetricsRegistry()
@@ -52,13 +53,15 @@ class TestSnapshotAndMerge:
     def build(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
-        registry.histogram("h", buckets=(0.5,)).observe(0.25)
+        registry.histogram("h").observe(0.25)
         return registry
 
     def test_snapshot_is_plain_data(self):
         snapshot = self.build().snapshot()
         assert snapshot["c"] == {"type": "counter", "value": 3}
-        assert snapshot["h"]["counts"] == [1, 0]
+        assert snapshot["h"]["buckets"] == list(DEFAULT_BUCKETS)
+        assert snapshot["h"]["counts"][DEFAULT_BUCKETS.index(0.25) + 1] == 1
+        assert sum(snapshot["h"]["counts"]) == 1
         import json
 
         json.dumps(snapshot)  # must be JSON-serializable as-is
@@ -70,13 +73,21 @@ class TestSnapshotAndMerge:
         assert snapshot["c"]["value"] == 6
         assert snapshot["h"]["count"] == 2
 
+    def test_merge_creates_a_missing_histogram(self):
+        registry = MetricsRegistry()
+        registry.merge(self.build().snapshot())
+        histogram = registry.histogram("h")
+        assert histogram.buckets == DEFAULT_BUCKETS
+        assert histogram.count == 1 and histogram.sum == pytest.approx(0.25)
+
     def test_merge_rejects_differing_buckets(self):
-        left = MetricsRegistry()
-        left.histogram("h", buckets=(0.5,))
-        right = MetricsRegistry()
-        right.histogram("h", buckets=(0.25, 0.5)).observe(0.1)
-        with pytest.raises(ValueError, match="boundaries differ"):
-            left.merge(right.snapshot())
+        foreign = {"type": "histogram", "buckets": [0.25, 0.5],
+                   "counts": [1, 0, 0], "sum": 0.1, "count": 1}
+        left = self.build()
+        for name in ("h", "new"):  # an existing histogram, and a first sight
+            with pytest.raises(ValueError, match="boundaries differ"):
+                left.merge({name: foreign})
+        assert left.snapshot()["h"]["count"] == 1
 
     def test_merge_rejects_unknown_type(self):
         for kind in ("meter", "gauge"):

@@ -1,6 +1,10 @@
-"""Span tracer: nesting, decorator, error capture, worker merge, no-op mode."""
+"""Span tracer: nesting, error capture, worker merge, no-op mode."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,6 @@ from cadinterop.obs import (
     current_span_id,
     get_tracer,
     installed,
-    traced,
 )
 
 
@@ -39,12 +42,21 @@ class TestNesting:
                 pass
         assert a.parent_id == b.parent_id == root.span_id
 
-    def test_explicit_parent_overrides_context(self):
+    def test_a_new_thread_starts_at_the_root(self):
+        import threading
+
         tracer = Tracer()
+        opened = []
+
+        def worker():
+            with tracer.span("job") as span:
+                opened.append(span)
+
         with tracer.span("root"):
-            with tracer.span("detached", parent=None) as span:
-                pass
-        assert span.parent_id is None
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        assert opened[0].parent_id is None
 
     def test_span_ids_are_unique(self):
         tracer = Tracer()
@@ -74,24 +86,6 @@ class TestSpanData:
         record = tracer.spans()[0]
         assert record["status"] == "error"
         assert "ValueError: nope" in record["attrs"]["error"]
-
-    def test_decorator_uses_function_name_by_default(self):
-        tracer = Tracer()
-        with installed(ObsContext(tracer)):
-            @traced()
-            def compute():
-                return 7
-
-            @traced("custom:name", flavor="x")
-            def other():
-                return 8
-
-            assert compute() == 7 and other() == 8
-        assert get_tracer() is NULL_TRACER
-        names = {s["name"] for s in tracer.spans()}
-        # Default label is the function's __qualname__.
-        assert any(name.endswith(".compute") for name in names)
-        assert "custom:name" in names
 
     def test_drain_empties_the_buffer(self):
         context = ObsContext(Tracer())
@@ -162,3 +156,21 @@ class TestGlobalSingleton:
         with installed(ObsContext.enabled("feedbeef")) as context:
             assert get_tracer() is context.tracer
         assert context.tracer.trace_id == "feedbeef"
+
+
+class TestOneReportingChannel:
+    def test_simulation_and_routing_do_not_import_logging(self):
+        import cadinterop
+
+        src = str(Path(cadinterop.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, cadinterop.hdl.races, cadinterop.hdl.cosim, "
+            "cadinterop.pnr.routing, cadinterop.rtl2gds; "
+            "assert 'logging' not in sys.modules, 'logging imported'"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]

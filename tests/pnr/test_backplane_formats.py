@@ -104,6 +104,18 @@ class TestConvey:
         assert "literal-pin-location" in dropped_kinds
         assert "clock-spine" in dropped_kinds
 
+    def test_each_dropped_intent_is_logged_and_traced(self, library):
+        from cadinterop.obs import LineageRecorder, ObsContext, installed
+
+        log = IssueLog()
+        with installed(ObsContext(lineage=LineageRecorder())) as context:
+            payload = convey(build_floorplan(), library, TOOL_R, log)
+        assert payload.dropped
+        dropped = [r for r in context.lineage.records() if r["verb"] == "dropped"]
+        assert sorted(r["object_id"] for r in dropped) == sorted(payload.dropped)
+        assert all(r["stage"] == "pnr:convey" for r in dropped)
+        assert len(log) >= len(payload.dropped)
+
     def test_coverage_differs_per_tool(self, library):
         drops = {
             tool.name: len(convey(build_floorplan(), library, tool).dropped)

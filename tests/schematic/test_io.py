@@ -5,11 +5,15 @@ import pytest
 from cadinterop.schematic import io_cd, io_vl
 from cadinterop.schematic.io_cd import CDFormatError
 from cadinterop.schematic.io_vl import VLFormatError
+from cadinterop.schematic.migrate import Migrator, schematic_digest
 from cadinterop.schematic.model import LibrarySet, SchematicError
 from cadinterop.schematic.netlist import extract
 from cadinterop.schematic.samples import (
+    build_cd_libraries,
+    build_sample_plan,
     build_sample_schematic,
     build_vl_libraries,
+    generate_chain_schematic,
 )
 
 
@@ -47,8 +51,8 @@ def schematics_equal(a, b):
             assert ia.symbol.full_name == ib.symbol.full_name
             assert ia.transform == ib.transform
             assert ia.properties.as_dict() == ib.properties.as_dict()
-        assert [(w.label, w.points) for w in page_a.wires] == [
-            (w.label, w.points) for w in page_b.wires
+        assert [(w.label, w.label_position, w.points) for w in page_a.wires] == [
+            (w.label, w.label_position, w.points) for w in page_b.wires
         ]
         assert [(l.text, l.position, l.height) for l in page_a.labels] == [
             (l.text, l.position, l.height) for l in page_b.labels
@@ -174,3 +178,63 @@ class TestCrossFormat:
         cd_text = io_cd.dump_schematic(via_vl)
         via_cd = io_cd.load_schematic(cd_text, vl_libs)
         assert extract(sample).signature() == extract(via_cd).signature()
+
+
+class TestWireLabelAnchors:
+    """A wire label's anchor survives both formats; files written without
+    anchors still load."""
+
+    @pytest.fixture
+    def offgrid(self, vl_libs):
+        return generate_chain_schematic(
+            vl_libs, pages=2, chains_per_page=2, stages=4, seed=1, offgrid_labels=2,
+        )
+
+    def test_vl_roundtrip_keeps_digest_and_snaps(self, vl_libs, offgrid):
+        loaded = io_vl.load_schematic(io_vl.dump_schematic(offgrid), vl_libs)
+        schematics_equal(offgrid, loaded)
+        assert schematic_digest(loaded) == schematic_digest(offgrid)
+        plan = build_sample_plan(source_libraries=vl_libs)
+        direct = Migrator(plan).migrate(offgrid)
+        reloaded = Migrator(plan).migrate(loaded)
+        assert direct.scaling.points_snapped == 2
+        assert reloaded.scaling.points_snapped == direct.scaling.points_snapped
+        assert schematic_digest(reloaded.schematic) == schematic_digest(direct.schematic)
+
+    def test_cd_roundtrip_keeps_migrated_anchors(self, vl_libs, offgrid):
+        plan = build_sample_plan(source_libraries=vl_libs)
+        migrated = Migrator(plan).migrate(offgrid).schematic
+        assert any(w.label_position is not None for p in migrated.pages for w in p.wires)
+        loaded = io_cd.load_schematic(io_cd.dump_schematic(migrated), build_cd_libraries())
+        schematics_equal(migrated, loaded)
+        assert schematic_digest(loaded) == schematic_digest(migrated)
+
+    def test_files_without_anchors_still_load(self, vl_libs):
+        vl = io_vl.load_schematic(
+            "VLSCHEM 1 c viewdraw-like\nPAGE 1 0 0 100 100\n"
+            "W n1 2 0 0 10 0\nW n2 2 0 10 10 10 5 12\nENDPAGE\nEND\n", vl_libs,
+        )
+        wires = vl.pages[0].wires
+        assert [(w.label, w.label_position) for w in wires] == [
+            ("n1", None), ("n2", (5, 12)),
+        ]
+        cd = io_cd.load_schematic(
+            '(schematic "c" "composer-like" (page 1 (frame 0 0 100 100)'
+            ' (wire (label "n1") (pts 0 0 10 0))'
+            ' (wire (label "n2") (at 5 12) (pts 0 10 10 10))))', vl_libs,
+        )
+        assert [(w.label, w.label_position) for w in cd.pages[0].wires] == [
+            ("n1", None), ("n2", (5, 12)),
+        ]
+
+    def test_malformed_anchor_rejected(self, vl_libs):
+        with pytest.raises(VLFormatError):
+            io_vl.load_schematic(
+                "VLSCHEM 1 c viewdraw-like\nPAGE 1 0 0 10 10\n"
+                "W - 2 0 0 10 0 5\nENDPAGE\nEND\n", vl_libs,
+            )
+        with pytest.raises(CDFormatError, match="anchor"):
+            io_cd.load_schematic(
+                '(schematic "c" "composer-like" (page 1 (frame 0 0 10 10)'
+                ' (wire (at 5) (pts 0 0 10 0))))', vl_libs,
+            )

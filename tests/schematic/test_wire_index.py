@@ -49,7 +49,7 @@ from cadinterop.schematic.model import (
     Wire,
     WireIndex,
 )
-from cadinterop.schematic.netlist import Net, Netlist, Terminal, _UnionFind, extract
+from cadinterop.schematic.netlist import Net, Netlist, Terminal, extract
 from cadinterop.schematic.ripup import (
     ReplacementStats,
     RipupError,
@@ -67,6 +67,36 @@ from cadinterop.schematic.symbolmap import SymbolKey, SymbolMapping
 
 
 # -- oracles: the pairwise scans the index replaced ---------------------------
+
+
+class _UnionFind:
+    """Plain union-find over arbitrary hashable keys (the oracle's own)."""
+
+    def __init__(self) -> None:
+        self._parent: Dict[object, object] = {}
+
+    def add(self, key: object) -> None:
+        self._parent.setdefault(key, key)
+
+    def find(self, key: object) -> object:
+        self.add(key)
+        root = key
+        while self._parent[root] is not root:
+            root = self._parent[root]
+        while self._parent[key] is not root:
+            self._parent[key], key = root, self._parent[key]
+        return root
+
+    def union(self, a: object, b: object) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra is not rb:
+            self._parent[rb] = ra
+
+    def groups(self) -> Dict[object, List[object]]:
+        result: Dict[object, List[object]] = {}
+        for key in self._parent:
+            result.setdefault(self.find(key), []).append(key)
+        return result
 
 
 def _touches_point(wire: Wire, point: Point) -> bool:

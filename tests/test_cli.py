@@ -255,14 +255,38 @@ class TestStats:
         {"type": "counter", "value": 1},
     ], ids=["buckets", "type"])
     def test_stats_reports_traces_that_cannot_merge(self, tmp_path, capsys, second):
+        from cadinterop.obs import DEFAULT_BUCKETS
+
         # Each file is valid alone; together their ``h`` metrics disagree.
-        first = {"type": "histogram", "buckets": [0.25, 0.5], "counts": [1, 0, 0],
-                 "sum": 0.1, "count": 1}
+        first = {"type": "histogram", "buckets": list(DEFAULT_BUCKETS),
+                 "counts": [1] + [0] * len(DEFAULT_BUCKETS), "sum": 0.0005,
+                 "count": 1}
         paths = [self.one_span_trace(tmp_path / "a.jsonl", {"h": first}),
                  self.one_span_trace(tmp_path / "b.jsonl", {"h": second})]
         assert main(["stats", *paths]) == 2
         err = capsys.readouterr().err
         assert "cannot read trace" in err and paths[1] in err
+
+    def test_nameless_metric_is_refused_everywhere(self, tmp_path, capsys):
+        import json
+
+        from cadinterop.obs import TRACE_FORMAT, read_trace, validate_trace
+
+        path = tmp_path / "nameless.jsonl"
+        path.write_text(
+            json.dumps({"record": "meta", "format": TRACE_FORMAT, "trace_id": "t"})
+            + "\n" + json.dumps({"record": "metric", "type": "counter", "value": 1})
+            + "\n"
+        )
+        message = "line 2: metric without a name"
+        with pytest.raises(ValueError) as refused:
+            read_trace(path)
+        assert str(refused.value) == message
+        assert message in validate_trace(path)
+        for command in ("stats", "audit"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot read trace {path}: {message}" in err, command
 
 
 class TestMigrateBatchObservability:

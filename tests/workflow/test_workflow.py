@@ -435,3 +435,38 @@ class TestMetrics:
         assert snapshot["workflow.steps.executed"]["value"] == 2
         assert snapshot["workflow.steps.succeeded"]["value"] == 1
         assert snapshot["workflow.steps.failed"]["value"] == 1
+
+    def test_permission_denial_is_recorded(self):
+        from cadinterop.obs import MetricsRegistry, ObsContext, installed
+
+        template = FlowTemplate("t")
+        template.add_step(
+            StepDef("signoff", action=py(ok_action), permissions={"lead"})
+        )
+        engine = WorkflowEngine()
+        instance = engine.instantiate(template)
+        registry = MetricsRegistry()
+        with installed(ObsContext(metrics=registry)):
+            summary = engine.run(instance, user="bob", roles={"designer"})
+        assert summary.skipped_permission == ["signoff"]
+        assert ("permission-denied", "signoff for user 'bob'") in instance.events
+        snapshot = registry.snapshot()
+        assert snapshot["workflow.steps.permission_denied"]["value"] == 1
+        assert "workflow.steps.executed" not in snapshot
+
+    def test_step_failure_is_recorded(self):
+        from cadinterop.obs import MetricsRegistry, ObsContext, Tracer, installed
+
+        template = FlowTemplate("t")
+        template.add_step(StepDef("flaky", action=py(fail_action)))
+        engine = WorkflowEngine()
+        instance = engine.instantiate(template)
+        tracer, registry = Tracer(), MetricsRegistry()
+        with installed(ObsContext(tracer, metrics=registry)):
+            summary = engine.run(instance)
+        assert summary.failed == ["flaky"]
+        assert ("step", "flaky:failed") in instance.events
+        assert registry.snapshot()["workflow.steps.failed"]["value"] == 1
+        steps = [s for s in tracer.spans() if s["name"] == "workflow:step"]
+        assert [s["attrs"]["step"] for s in steps] == ["flaky"]
+        assert steps[0]["attrs"]["state"] == "failed"
