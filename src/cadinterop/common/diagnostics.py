@@ -11,7 +11,7 @@ package in this library reports problems through the same structured
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 

@@ -121,19 +121,6 @@ class NameMap:
         """Every mapping that changed a name, with its reason."""
         return list(self._renames)
 
-    def aliased_groups(self) -> Dict[str, List[str]]:
-        """Source names that would collide under the raw transform.
-
-        This inspects the *preferred* (pre-uniquification) targets; a group
-        of size > 1 is precisely the aliasing hazard of the paper's
-        eight-character simulators (``cntr_reset1``/``cntr_reset2`` ->
-        ``cntr_res``).
-        """
-        groups: Dict[str, List[str]] = {}
-        for source in self._forward:
-            groups.setdefault(self._transform(source), []).append(source)
-        return {pref: srcs for pref, srcs in groups.items() if len(srcs) > 1}
-
 
 def truncating_transform(significant: int) -> Callable[[str], str]:
     """Transform modelling tools that only honor the first N characters."""

@@ -10,7 +10,7 @@ entries remember where they came from, so a migrated design can be audited
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 PropertyValue = Union[str, int, float, bool]

@@ -25,7 +25,7 @@ classification):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.core.flows import DataFlowEdge, FlowDiagram

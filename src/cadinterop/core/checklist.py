@@ -12,8 +12,8 @@ diagrams, detect the five classic problems — and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity, render_checklist
 from cadinterop.core.analysis import AnalysisReport, analyze

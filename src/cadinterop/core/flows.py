@@ -14,11 +14,11 @@ by the flow integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from cadinterop.core.mapping import TaskToolMap
 from cadinterop.core.tasks import TaskGraph
-from cadinterop.core.toolmodel import DataPort, ToolCatalog, ToolModel
+from cadinterop.core.toolmodel import DataPort, ToolCatalog
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from cadinterop.core.scenarios import DrivingFunctions, Scenario, UserProfile
-from cadinterop.core.tasks import InfoItem, Task, TaskGraph, task
+from cadinterop.core.tasks import TaskGraph, task
 from cadinterop.core.toolmodel import (
     ControlInterface,
     DataPort,

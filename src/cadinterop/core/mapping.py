@@ -10,10 +10,10 @@ identified."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from cadinterop.core.tasks import TaskGraph
-from cadinterop.core.toolmodel import ToolCatalog, ToolModel
+from cadinterop.core.toolmodel import ToolCatalog
 
 
 @dataclass

@@ -16,14 +16,14 @@ measured the same way the problem was: re-run the analysis and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Set
 
 from cadinterop.core.analysis import AnalysisReport, analyze
 from cadinterop.core.flows import build_flow_diagram
-from cadinterop.core.mapping import TaskToolMap, map_tasks_to_tools
+from cadinterop.core.mapping import map_tasks_to_tools
 from cadinterop.core.tasks import MethodologyError, Task, TaskGraph
-from cadinterop.core.toolmodel import DataPort, ToolCatalog, ToolModel
+from cadinterop.core.toolmodel import ToolCatalog, ToolModel
 
 
 @dataclass

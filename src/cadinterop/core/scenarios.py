@@ -12,8 +12,8 @@ tasks have with each other to a practical subset."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from cadinterop.core.tasks import MethodologyError, TaskGraph
 

@@ -19,8 +19,8 @@ may therefore legitimately contain cycles (design iteration loops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
 class MethodologyError(Exception):

@@ -11,7 +11,7 @@ analogous to the software component models like Corba and Com."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from cadinterop.core.tasks import MethodologyError
 

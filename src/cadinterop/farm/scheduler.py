@@ -115,7 +115,7 @@ class MigrationFarm:
         self.cache = cache
         self.executor = executor
 
-    def run(self, designs: Sequence[Schematic], keep_results: bool = True) -> FarmReport:
+    def run(self, designs: Sequence[Schematic]) -> FarmReport:
         """Migrate every design, preferring cached results; never raises for
         a single bad design — inspect ``report.items`` for failures.
 
@@ -135,7 +135,7 @@ class MigrationFarm:
             with installed(context), context.tracer.span(
                 "farm:run", jobs=self.jobs, designs=len(designs),
             ) as run_span:
-                report = self._run(designs, keep_results, context, run_span)
+                report = self._run(designs, context, run_span)
         finally:
             payload = context.drain()
             outer.adopt(payload, current_span_id())
@@ -144,7 +144,7 @@ class MigrationFarm:
             report.loss = LossReport.from_records(payload["lineage"])
         return report
 
-    def _run(self, designs, keep_results, context, run_span) -> FarmReport:
+    def _run(self, designs, context, run_span) -> FarmReport:
         started = time.perf_counter()
         dialect_pair = (
             f"{self.plan.source_dialect.name}->{self.plan.target_dialect.name}"
@@ -178,7 +178,7 @@ class MigrationFarm:
                         item.status = "cached"
                         item.clean = hit.clean
                         item.seconds = stage.seconds
-                        item.result = hit if keep_results else None
+                        item.result = hit
                         report.cached += 1
                         context.lineage.record(
                             "design", design.name, "farm:cache", "preserved",
@@ -209,7 +209,7 @@ class MigrationFarm:
                 continue
             item.status = "migrated"
             item.clean = result.clean
-            item.result = result if keep_results else None
+            item.result = result
             report.migrated += 1
             if self.cache is not None:
                 with StageSpan("farm:cache-store", "farm:cache-store") as stage:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Union
 
 from cadinterop.hdl.logic import Logic4
 
@@ -113,21 +113,22 @@ def expr_reads(expr: Expr) -> Set[str]:
     return set(_expr_reads_frozen(expr))
 
 
-def rename_expr(expr: Expr, mapping: Dict[str, str]) -> Expr:
-    """Return ``expr`` with variables renamed through ``mapping``."""
+def substitute(expr: Expr, env: Mapping[str, Expr]) -> Expr:
+    """Return ``expr`` with every variable named in ``env`` replaced by its
+    expression there; ``{old: Var(new)}`` entries make it a rename."""
+    if isinstance(expr, Var):
+        return env.get(expr.name, expr)
     if isinstance(expr, Const):
         return expr
-    if isinstance(expr, Var):
-        return Var(mapping.get(expr.name, expr.name))
     if isinstance(expr, Unary):
-        return Unary(expr.op, rename_expr(expr.operand, mapping))
+        return Unary(expr.op, substitute(expr.operand, env))
     if isinstance(expr, Binary):
-        return Binary(expr.op, rename_expr(expr.left, mapping), rename_expr(expr.right, mapping))
+        return Binary(expr.op, substitute(expr.left, env), substitute(expr.right, env))
     if isinstance(expr, Cond):
         return Cond(
-            rename_expr(expr.condition, mapping),
-            rename_expr(expr.if_true, mapping),
-            rename_expr(expr.if_false, mapping),
+            substitute(expr.condition, env),
+            substitute(expr.if_true, env),
+            substitute(expr.if_false, env),
         )
     raise HDLError(f"not an expression: {expr!r}")
 
@@ -209,6 +210,29 @@ def body_writes(body: Sequence[Stmt]) -> Set[str]:
     for stmt in body:
         writes |= stmt_writes(stmt)
     return writes
+
+
+def rename_body(body: Sequence[Stmt], mapping: Mapping[str, str]) -> List[Stmt]:
+    """Copy a statement list with every signal renamed through ``mapping``."""
+    env = {old: Var(new) for old, new in mapping.items()}
+
+    def rename(stmts: Sequence[Stmt]) -> List[Stmt]:
+        renamed: List[Stmt] = []
+        for stmt in stmts:
+            if isinstance(stmt, Assign):
+                target = mapping.get(stmt.target, stmt.target)
+                renamed.append(Assign(target, substitute(stmt.expr, env), stmt.nonblocking))
+            elif isinstance(stmt, If):
+                else_body = None if stmt.else_body is None else rename(stmt.else_body)
+                condition = substitute(stmt.condition, env)
+                renamed.append(If(condition, rename(stmt.then_body), else_body))
+            elif isinstance(stmt, Delay):
+                renamed.append(Delay(stmt.amount))
+            else:
+                raise HDLError(f"not a statement: {stmt!r}")
+        return renamed
+
+    return rename(body)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +468,62 @@ class Module:
             check({gate.output} | set(gate.inputs), f"gate {gate.name!r}")
         for inst in self.instances:
             check(set(inst.connections.values()), f"instance {inst.name!r}")
+
+
+def rewrite_module(module: Module, mapping: Mapping[str, str]) -> Module:
+    """Copy ``module`` with every signal renamed through ``mapping``.
+
+    Ports, nets (in declaration order), continuous assigns, gates, always
+    and initial blocks and submodule instances are all copied.  Instance
+    actuals are renamed; formals belong to the child module and, like gate
+    and instance names, are kept.  A mapping that merges two signals is an
+    error, not a silent alias.
+    """
+
+    def rename(signal: str) -> str:
+        return mapping.get(signal, signal)
+
+    copy = Module(module.name)
+    copy.ports = [PortDecl(rename(port.name), port.direction) for port in module.ports]
+    copy.nets = {
+        rename(name): NetDecl(rename(name), decl.kind) for name, decl in module.nets.items()
+    }
+    if len(copy.nets) != len(module.nets):
+        raise HDLError(f"module {module.name!r}: the rename merges signals")
+    env = {old: Var(new) for old, new in mapping.items()}
+    copy.assigns = [
+        ContAssign(rename(assign.target), substitute(assign.expr, env), assign.delay)
+        for assign in module.assigns
+    ]
+    copy.gates = [
+        GateInst(
+            gate.name, gate.gate, rename(gate.output), [rename(pin) for pin in gate.inputs],
+            gate.delay,
+        )
+        for gate in module.gates
+    ]
+    copy.always_blocks = [
+        AlwaysBlock(
+            Sensitivity(
+                [SensItem(rename(item.signal), item.edge) for item in block.sensitivity.items],
+                block.sensitivity.star,
+            ),
+            rename_body(block.body, mapping),
+        )
+        for block in module.always_blocks
+    ]
+    copy.initial_blocks = [
+        InitialBlock(rename_body(block.body, mapping)) for block in module.initial_blocks
+    ]
+    copy.instances = [
+        ModuleInst(
+            inst.name,
+            inst.module_name,
+            {formal: rename(actual) for formal, actual in inst.connections.items()},
+        )
+        for inst in module.instances
+    ]
+    return copy
 
 
 class DesignUnit:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from cadinterop.hdl.ast_nodes import DesignUnit, HDLError, Module, ModuleInst
+from cadinterop.hdl.ast_nodes import DesignUnit, HDLError, Module
 
 
 @dataclass

@@ -19,7 +19,7 @@ scripts teams actually maintained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity

@@ -18,24 +18,19 @@ true hierarchical path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from cadinterop.common.namemap import NameMap
 from cadinterop.hdl.ast_nodes import (
-    AlwaysBlock,
-    Assign,
-    ContAssign,
-    Delay,
     DesignUnit,
     GateInst,
     HDLError,
-    If,
-    InitialBlock,
     Module,
     SensItem,
     Sensitivity,
-    Stmt,
-    rename_expr,
+    Var,
+    rename_body,
+    substitute,
 )
 from cadinterop.hdl.elaborate import InstanceNode, elaborate
 
@@ -103,8 +98,9 @@ def _flatten_node(
             flat.add_net(flat_name, "reg")
 
     # Copy behavior with renamed signals.
+    env = {signal: Var(flat_name) for signal, flat_name in local.items()}
     for assign in node.module.assigns:
-        flat.add_assign(local[assign.target], rename_expr(assign.expr, local), assign.delay)
+        flat.add_assign(local[assign.target], substitute(assign.expr, env), assign.delay)
     for gate in node.module.gates:
         gate_name = (prefix + separator + gate.name) if prefix else gate.name
         flat.add_gate(
@@ -121,38 +117,12 @@ def _flatten_node(
             items=[SensItem(local[i.signal], i.edge) for i in block.sensitivity.items],
             star=block.sensitivity.star,
         )
-        flat.add_always(sensitivity, _rename_body(block.body, local))
+        flat.add_always(sensitivity, rename_body(block.body, local))
     for block in node.module.initial_blocks:
-        flat.add_initial(_rename_body(block.body, local))
+        flat.add_initial(rename_body(block.body, local))
 
     for child in node.children:
         _flatten_node(child, flat, name_map, separator, parent_local=local)
-
-
-def _rename_body(body: List[Stmt], mapping: Dict[str, str]) -> List[Stmt]:
-    renamed: List[Stmt] = []
-    for stmt in body:
-        if isinstance(stmt, Assign):
-            renamed.append(
-                Assign(
-                    mapping.get(stmt.target, stmt.target),
-                    rename_expr(stmt.expr, mapping),
-                    stmt.nonblocking,
-                )
-            )
-        elif isinstance(stmt, If):
-            renamed.append(
-                If(
-                    rename_expr(stmt.condition, mapping),
-                    _rename_body(stmt.then_body, mapping),
-                    _rename_body(stmt.else_body, mapping) if stmt.else_body else None,
-                )
-            )
-        elif isinstance(stmt, Delay):
-            renamed.append(Delay(stmt.amount))
-        else:
-            raise HDLError(f"cannot flatten statement {stmt!r}")
-    return renamed
 
 
 def unflatten_name(name_map: NameMap, flat_name: str) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 VERILOG_KEYWORDS: FrozenSet[str] = frozenset(
     """always and assign begin buf bufif0 bufif1 case casex casez cmos deassign

@@ -25,22 +25,19 @@ as the signal name, so the naming experiments can roundtrip them.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from cadinterop.hdl.ast_nodes import (
-    AlwaysBlock,
     Assign,
     Binary,
     Cond,
     Const,
-    ContAssign,
     Delay,
     DesignUnit,
     Expr,
     GateInst,
     HDLError,
     If,
-    InitialBlock,
     Module,
     ModuleInst,
     SensItem,

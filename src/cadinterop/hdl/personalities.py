@@ -11,22 +11,12 @@ product evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
-from cadinterop.common.namemap import NameMap, truncating_transform
-from cadinterop.hdl.ast_nodes import (
-    AlwaysBlock,
-    ContAssign,
-    GateInst,
-    HDLError,
-    Module,
-    SensItem,
-    Sensitivity,
-    rename_expr,
-)
+from cadinterop.common.namemap import NameCollisionError, NameMap, truncating_transform
+from cadinterop.hdl.ast_nodes import HDLError, Module, rewrite_module
 from cadinterop.hdl.compile import CompiledModel, compile_model
-from cadinterop.hdl.flatten import _rename_body
 from cadinterop.hdl.simulator import (
     FIFO,
     LIFO,
@@ -56,67 +46,30 @@ class SimulatorPersonality:
         if self.significant_chars is None:
             return module
         truncate = truncating_transform(self.significant_chars)
-        mapping: Dict[str, str] = {}
-        taken: Dict[str, str] = {}
+        names = NameMap(truncate, uniquify=False)
         for name in module.nets:
-            short = truncate(name)
-            if short in taken and taken[short] != name:
+            try:
+                names.map(name)
+            except NameCollisionError:
+                short = truncate(name)
+                other = names.source_of(short)
                 if log is not None:
                     log.add(
                         Severity.ERROR, Category.NAME_MAPPING, name,
-                        f"aliases {taken[short]!r} after {self.significant_chars}-char "
+                        f"aliases {other!r} after {self.significant_chars}-char "
                         f"truncation to {short!r}",
                         tool=self.name,
                         remedy="adopt a naming convention unique in the first "
                         f"{self.significant_chars} characters",
                     )
                 raise NameAliasError(
-                    f"{self.name}: {name!r} and {taken[short]!r} alias to {short!r}"
-                )
-            taken[short] = name
-            mapping[name] = short
-        return rename_module_signals(module, mapping)
+                    f"{self.name}: {name!r} and {other!r} alias to {short!r}"
+                ) from None
+        return rewrite_module(module, dict(names))
 
 
 class NameAliasError(HDLError):
     """Two signals became indistinguishable under a tool's name rules."""
-
-
-def rename_module_signals(module: Module, mapping: Dict[str, str]) -> Module:
-    """Deep-copy ``module`` with every signal renamed through ``mapping``."""
-    renamed = Module(module.name)
-    for port in module.ports:
-        renamed.add_port(mapping.get(port.name, port.name), port.direction)
-    for name, decl in module.nets.items():
-        renamed.add_net(mapping.get(name, name), decl.kind)
-    for assign in module.assigns:
-        renamed.add_assign(
-            mapping.get(assign.target, assign.target),
-            rename_expr(assign.expr, mapping),
-            assign.delay,
-        )
-    for gate in module.gates:
-        renamed.add_gate(
-            GateInst(
-                gate.name,
-                gate.gate,
-                mapping.get(gate.output, gate.output),
-                [mapping.get(pin, pin) for pin in gate.inputs],
-                gate.delay,
-            )
-        )
-    for block in module.always_blocks:
-        sensitivity = Sensitivity(
-            items=[
-                SensItem(mapping.get(item.signal, item.signal), item.edge)
-                for item in block.sensitivity.items
-            ],
-            star=block.sensitivity.star,
-        )
-        renamed.add_always(sensitivity, _rename_body(block.body, mapping))
-    for block in module.initial_blocks:
-        renamed.add_initial(_rename_body(block.body, mapping))
-    return renamed
 
 
 #: The reference workstation simulator: source-order (FIFO) scheduling.

@@ -18,7 +18,7 @@ flags) become checkable diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 

@@ -15,7 +15,7 @@ express — and :func:`migrate_constraints` reports every loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 

@@ -30,8 +30,8 @@ from cadinterop.hdl.ast_nodes import (
     SensItem,
     Sensitivity,
     Stmt,
+    rewrite_module,
 )
-from cadinterop.hdl.personalities import rename_module_signals
 from cadinterop.hdl.simulator import FIFO, Simulator
 
 
@@ -115,7 +115,7 @@ def synthesis_interpretation(module: Module) -> Module:
     sensitive to everything its body reads.
     """
     # Identity rename gives us a deep copy with the same structure.
-    copy = rename_module_signals(module, {})
+    copy = rewrite_module(module, {})
     for block in copy.always_blocks:
         if block.sensitivity.is_edge_triggered():
             continue
@@ -146,7 +146,7 @@ def simulation_synthesis_mismatch(
     The stimulus is whatever ``initial`` blocks the module carries, so the
     comparison is apples-to-apples.
     """
-    as_written = Simulator(rename_module_signals(module, {}), FIFO)
+    as_written = Simulator(module, FIFO)
     as_written.run(until)
     as_synthesized = Simulator(synthesis_interpretation(module), FIFO)
     as_synthesized.run(until)

@@ -17,7 +17,7 @@ which construct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from cadinterop.hdl.ast_nodes import (
     Assign,

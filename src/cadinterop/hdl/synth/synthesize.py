@@ -16,7 +16,7 @@ so that divergence is directly observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.hdl.ast_nodes import (
@@ -36,6 +36,7 @@ from cadinterop.hdl.ast_nodes import (
     Unary,
     Var,
     expr_reads,
+    substitute,
 )
 from cadinterop.hdl.synth.subset import SubsetProfile
 
@@ -141,9 +142,9 @@ def _symbolic_exec(body: Sequence[Stmt], env: Dict[str, Expr]) -> Dict[str, Expr
         if isinstance(stmt, Assign):
             if stmt.nonblocking:
                 raise SynthesisError("nonblocking assign in combinational block")
-            current[stmt.target] = _substitute(stmt.expr, current)
+            current[stmt.target] = substitute(stmt.expr, current)
         elif isinstance(stmt, If):
-            condition = _substitute(stmt.condition, current)
+            condition = substitute(stmt.condition, current)
             then_env = _symbolic_exec(stmt.then_body, current)
             else_env = _symbolic_exec(stmt.else_body or [], current)
             merged = dict(current)
@@ -158,24 +159,6 @@ def _symbolic_exec(body: Sequence[Stmt], env: Dict[str, Expr]) -> Dict[str, Expr
         else:
             raise SynthesisError(f"cannot synthesize statement {stmt!r}")
     return current
-
-
-def _substitute(expr: Expr, env: Dict[str, Expr]) -> Expr:
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        return env.get(expr.name, expr)
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _substitute(expr.operand, env))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, _substitute(expr.left, env), _substitute(expr.right, env))
-    if isinstance(expr, Cond):
-        return Cond(
-            _substitute(expr.condition, env),
-            _substitute(expr.if_true, env),
-            _substitute(expr.if_false, env),
-        )
-    raise SynthesisError(f"cannot substitute into {expr!r}")
 
 
 def _expr_self_reads(expr: Expr, target: str) -> bool:

@@ -23,7 +23,7 @@ pins the old semantics, which is precisely what users did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Waveform = Sequence[Tuple[int, str]]
 

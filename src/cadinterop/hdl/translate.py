@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.namemap import NameMap
-from cadinterop.hdl.ast_nodes import Module
+from cadinterop.hdl.ast_nodes import Module, rewrite_module
 from cadinterop.hdl.names import is_legal_vhdl_identifier
-from cadinterop.hdl.personalities import rename_module_signals
 
 
 def vhdl_safe_transform(name: str) -> str:
@@ -70,7 +69,7 @@ def plan_renames(names: Iterable[str], log: Optional[IssueLog] = None) -> Transl
 
 def apply_renames(module: Module, plan: TranslationPlan) -> Module:
     """Rewrite a module's signals per the plan."""
-    return rename_module_signals(module, dict(plan.renames))
+    return rewrite_module(module, plan.renames)
 
 
 def translate_module(module: Module, log: Optional[IssueLog] = None) -> Tuple[Module, TranslationPlan]:

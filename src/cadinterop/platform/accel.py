@@ -17,7 +17,7 @@ swapping boxes or hosts mid-project.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ target lacks or spells differently; :func:`translate_script` produces the
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.platform.hosts import HostProfile, INTENTS

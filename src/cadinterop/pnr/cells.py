@@ -21,9 +21,9 @@ the pin shape are clear of blockage metal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from cadinterop.common.geometry import Orientation, Point, Rect
+from cadinterop.common.geometry import Orientation, Rect
 
 #: Router approach directions.
 ACCESS_DIRECTIONS: Tuple[str, ...] = ("north", "south", "east", "west")

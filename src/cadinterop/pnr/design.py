@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from cadinterop.common.geometry import ORIGIN, Orientation, Point, Rect, Transform
 from cadinterop.pnr.cells import CellAbstract

@@ -14,7 +14,7 @@ paper describes; the backplane maps the neutral model onto each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 #: Floorplan feature tags a dialect may support.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from cadinterop.common.geometry import Orientation, Point, Rect
 from cadinterop.pnr.cells import CellLibrary

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from cadinterop.common.geometry import Point, Rect
 from cadinterop.obs import get_tracer
 from cadinterop.pnr.design import PinOffsets, PnRDesign, Terminal
 from cadinterop.pnr.floorplan import Floorplan, GlobalNetStrategy, NetRule
-from cadinterop.pnr.tech import Layer, Technology
+from cadinterop.pnr.tech import Technology
 
 #: A routing-grid node as the router reports it: (layer name, column index,
 #: row index).  The search itself works on integer ids (``GridRouter._id``).

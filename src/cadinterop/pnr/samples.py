@@ -12,9 +12,9 @@ strategies, and width/spacing/shield net rules.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from cadinterop.common.geometry import Orientation, Point, Rect
+from cadinterop.common.geometry import Point, Rect
 from cadinterop.pnr.cells import (
     Blockage,
     CellAbstract,
@@ -32,7 +32,6 @@ from cadinterop.pnr.floorplan import (
     NetRule,
     PinConstraint,
 )
-from cadinterop.pnr.tech import Technology, generic_two_layer_tech
 
 
 def build_cell_library() -> CellLibrary:

@@ -11,7 +11,7 @@ spacing, or even by shielding."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.namemap import NameMap
-from cadinterop.hdl.ast_nodes import GateInst, HDLError, Module
+from cadinterop.hdl.ast_nodes import GateInst, HDLError, Module, rewrite_module
 from cadinterop.obs import get_lineage
 from cadinterop.pnr.cells import CellLibrary
 from cadinterop.pnr.design import PnRDesign, PnRInstance, inst_terminal, pad_terminal
@@ -292,16 +292,6 @@ def pnr_to_gate_netlist(design: PnRDesign, name: str = "") -> Module:
 
 def strip_testbench(module: Module) -> Module:
     """Copy a module without initial blocks (hardware only)."""
-    stripped = Module(module.name)
-    for port in module.ports:
-        stripped.add_port(port.name, port.direction)
-    for name, decl in module.nets.items():
-        stripped.add_net(name, decl.kind)
-    for assign in module.assigns:
-        stripped.add_assign(assign.target, assign.expr, assign.delay)
-    for gate in module.gates:
-        stripped.add_gate(GateInst(gate.name, gate.gate, gate.output,
-                                   list(gate.inputs), gate.delay))
-    for block in module.always_blocks:
-        stripped.add_always(block.sensitivity, block.body)
+    stripped = rewrite_module(module, {})
+    stripped.initial_blocks = []
     return stripped

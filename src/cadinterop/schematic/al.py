@@ -399,8 +399,9 @@ class ObjectHandle:
         return self.target.properties
 
 
-def design_environment(handle: ObjectHandle) -> Environment:
-    """Extend the standard environment with design-hierarchy builtins."""
+def _property_environment() -> Environment:
+    """The standard environment plus the property builtins that both callback
+    environments share; each takes an :class:`ObjectHandle` first."""
     env = standard_environment()
 
     def get_prop(obj: ObjectHandle, name: str, default: Any = None) -> Any:
@@ -437,6 +438,12 @@ def design_environment(handle: ObjectHandle) -> Environment:
     env.define("prop-names", prop_names)
     env.define("object-name", object_name)
     env.define("context", context_get)
+    return env
+
+
+def design_environment(handle: ObjectHandle) -> Environment:
+    """Extend the standard environment with design-hierarchy builtins."""
+    env = _property_environment()
     env.define("obj", handle)
     return env
 
@@ -459,7 +466,7 @@ def schematic_environment(schematic: Any, context: Optional[Dict[str, Any]] = No
           (if (has-prop? inst "rval")
               (rename-prop! inst "rval" "r")))
     """
-    env = standard_environment()
+    env = _property_environment()
     extra = dict(context or {})
 
     def pages(design: Any) -> List[PageHandle]:
@@ -516,19 +523,6 @@ def schematic_environment(schematic: Any, context: Optional[Dict[str, Any]] = No
     env.define("relabel-wires!", relabel_wires)
     env.define("design-name", design_name)
     env.define("design", schematic)
-
-    def get_prop(obj: ObjectHandle, name: str, default: Any = None) -> Any:
-        value = obj.properties.get(name)
-        return default if value is None else value
-
-    env.define("get-prop", get_prop)
-    env.define("set-prop!", lambda obj, name, value: (obj.properties.set(name, value, origin="a/L"), value)[1])
-    env.define("del-prop!", lambda obj, name: obj.properties.remove(name) is not None)
-    env.define("rename-prop!", lambda obj, old, new: obj.properties.rename(old, new, origin="a/L"))
-    env.define("has-prop?", lambda obj, name: name in obj.properties)
-    env.define("prop-names", lambda obj: obj.properties.names())
-    env.define("object-name", lambda obj: getattr(obj.target, "name", ""))
-    env.define("context", lambda obj, key, default=None: obj.context.get(key, default))
     return env
 
 

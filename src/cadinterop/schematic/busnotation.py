@@ -16,7 +16,7 @@ postfix indicators (fold into the base name so net names stay unique).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 

@@ -20,7 +20,7 @@ the target dialect's native connector symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point, Rect, Segment, Transform

@@ -22,8 +22,8 @@ factor 5/8 per grid index... in fact positions scale by the pitch ratio).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from cadinterop.common.geometry import Grid
 from cadinterop.schematic.busnotation import (

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Orientation, Point
 from cadinterop.schematic.dialects import Dialect
-from cadinterop.schematic.model import LibrarySet, Schematic
+from cadinterop.schematic.model import Schematic
 from cadinterop.schematic.symbolmap import SymbolKey, SymbolMap, SymbolMapping
 
 

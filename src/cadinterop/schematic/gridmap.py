@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import OffGridError, Point, Rect, Transform
 from cadinterop.obs import get_lineage
 from cadinterop.schematic.dialects import Dialect
-from cadinterop.schematic.model import Instance, Schematic, Symbol, SymbolPin, TextLabel, Wire
+from cadinterop.schematic.model import Schematic, Symbol, SymbolPin
 
 
 @dataclass

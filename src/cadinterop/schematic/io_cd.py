@@ -25,7 +25,7 @@ Format sketch::
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
 from cadinterop.common.properties import PropertyBag, PropertyValue
@@ -33,7 +33,6 @@ from cadinterop.schematic import al
 from cadinterop.schematic.model import (
     Instance,
     Library,
-    Page,
     Port,
     Schematic,
     SchematicError,
@@ -141,6 +140,20 @@ def _parse_one(text: str, expected_head: str) -> List[Any]:
     return forms[0]
 
 
+def _field(record: List[Any], *path: int) -> Any:
+    """``record[path[0]][path[1]]...``: the one way the readers take a field.
+
+    A missing field, or a field that is not a form where ``path`` goes on,
+    raises :class:`CDFormatError` naming the record.
+    """
+    value: Any = record
+    for index in path:
+        if not isinstance(value, list) or index >= len(value):
+            raise CDFormatError(f"record {record!r} has no field {list(path)}")
+        value = value[index]
+    return value
+
+
 def _sym(value: Any) -> str:
     if isinstance(value, al.Symbol):
         return value.name
@@ -202,7 +215,7 @@ def load_library(text: str) -> Library:
             raise CDFormatError(f"bad symbol section: {section!r}")
         name, view, kind = _str(section[1]), _str(section[2]), _sym(section[3])
         body_section = section[4]
-        if _sym(body_section[0]) != "body" or len(body_section) != 5:
+        if _sym(_field(section, 4, 0)) != "body" or len(body_section) != 5:
             raise CDFormatError(f"bad body section: {body_section!r}")
         body = Rect(*(_int(v) for v in body_section[1:5]))
         pins: List[SymbolPin] = []
@@ -210,10 +223,10 @@ def load_library(text: str) -> Library:
         for sub in _sections(section, 5):
             keyword = _sym(sub[0])
             if keyword == "pin":
-                at = sub[3]
-                if _sym(at[0]) != "at":
+                if _sym(_field(sub, 3, 0)) != "at":
                     raise CDFormatError(f"pin missing (at ...): {sub!r}")
-                pins.append(SymbolPin(_str(sub[1]), Point(_int(at[1]), _int(at[2])), _sym(sub[2])))
+                position = Point(_int(_field(sub, 3, 1)), _int(_field(sub, 3, 2)))
+                pins.append(SymbolPin(_str(_field(sub, 1)), position, _sym(_field(sub, 2))))
             elif keyword == "prop":
                 _read_prop(sub, properties)
             else:
@@ -235,7 +248,7 @@ def load_schematic(text: str, libraries) -> Schematic:
     for section in _sections(form, 3):
         keyword = _sym(section[0])
         if keyword == "port":
-            schematic.add_port(Port(_str(section[1]), _sym(section[2])))
+            schematic.add_port(Port(_str(_field(section, 1)), _sym(_field(section, 2))))
         elif keyword == "prop":
             _read_prop(section, schematic.properties)
         elif keyword == "page":
@@ -246,11 +259,11 @@ def load_schematic(text: str, libraries) -> Schematic:
 
 
 def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
-    frame_section = section[2]
-    if _sym(frame_section[0]) != "frame" or len(frame_section) != 5:
+    frame_section = _field(section, 2)
+    if _sym(_field(section, 2, 0)) != "frame" or len(frame_section) != 5:
         raise CDFormatError(f"bad frame section: {frame_section!r}")
     page = schematic.add_page(Rect(*(_int(v) for v in frame_section[1:5])))
-    if page.number != _int(section[1]):
+    if page.number != _int(_field(section, 1)):
         raise CDFormatError(
             f"page numbers must be sequential; got {section[1]}, expected {page.number}"
         )
@@ -258,19 +271,21 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
     for sub in _sections(section, 3):
         keyword = _sym(sub[0])
         if keyword == "inst":
-            ref = sub[2]
+            ref = _field(sub, 2)
             if not isinstance(ref, list) or len(ref) != 3:
                 raise CDFormatError(f"bad symbol reference: {ref!r}")
             symbol = libraries.resolve(_str(ref[0]), _str(ref[1]), _str(ref[2]))
-            at = sub[3]
-            orient = sub[4]
-            if _sym(at[0]) != "at" or _sym(orient[0]) != "orient":
+            if _sym(_field(sub, 3, 0)) != "at" or _sym(_field(sub, 4, 0)) != "orient":
                 raise CDFormatError(f"bad inst placement: {sub!r}")
+            try:
+                orientation = Orientation(_sym(_field(sub, 4, 1)))
+            except ValueError:
+                raise CDFormatError(f"bad inst orientation: {sub!r}") from None
             instance = Instance(
-                name=_str(sub[1]),
+                name=_str(_field(sub, 1)),
                 symbol=symbol,
                 transform=Transform(
-                    Point(_int(at[1]), _int(at[2])), Orientation(_sym(orient[1]))
+                    Point(_int(_field(sub, 3, 1)), _int(_field(sub, 3, 2))), orientation
                 ),
             )
             for inner in _sections(sub, 5):
@@ -285,7 +300,7 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
             for inner in _sections(sub, 1):
                 inner_keyword = _sym(inner[0])
                 if inner_keyword == "label":
-                    label = _str(inner[1])
+                    label = _str(_field(inner, 1))
                 elif inner_keyword == "at":
                     if len(inner) != 3:
                         raise CDFormatError(f"bad wire label anchor: {inner!r}")
@@ -302,17 +317,15 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
                     raise CDFormatError(f"unexpected {inner_keyword!r} in wire")
             page.add_wire(Wire(points, label=label, label_position=anchor))
         elif keyword == "text":
-            at = sub[2]
-            font = sub[3]
-            if _sym(at[0]) != "at" or _sym(font[0]) != "font":
+            if _sym(_field(sub, 2, 0)) != "at" or _sym(_field(sub, 3, 0)) != "font":
                 raise CDFormatError(f"bad text section: {sub!r}")
             page.add_label(
                 TextLabel(
-                    text=_str(sub[1]),
-                    position=Point(_int(at[1]), _int(at[2])),
-                    height=_int(font[1]),
-                    width_per_char=_int(font[2]),
-                    baseline_offset=_int(font[3]),
+                    text=_str(_field(sub, 1)),
+                    position=Point(_int(_field(sub, 2, 1)), _int(_field(sub, 2, 2))),
+                    height=_int(_field(sub, 3, 1)),
+                    width_per_char=_int(_field(sub, 3, 2)),
+                    baseline_offset=_int(_field(sub, 3, 3)),
                 )
             )
         else:

@@ -35,7 +35,8 @@ label's anchor when the wire has one.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
@@ -88,6 +89,23 @@ def _decode_value(type_tag: str, text: str) -> PropertyValue:
     raise VLFormatError(f"unknown property type tag {type_tag!r}")
 
 
+def _field(fields: List[str], index: int, convert: Callable[[str], Any] = str) -> Any:
+    """The one way the readers take a field: a missing field, or one that
+    ``convert`` rejects, raises :class:`VLFormatError` naming the record."""
+    try:
+        return convert(fields[index])
+    except IndexError:
+        raise VLFormatError(f"record {' '.join(fields)!r} has no field {index}") from None
+    except ValueError as exc:
+        raise VLFormatError(f"record {' '.join(fields)!r}, field {index}: {exc}") from None
+
+
+def _read_prop(fields: List[str], bag: PropertyBag) -> None:
+    """Store a ``<keyword> <name> <type> <value>`` record in ``bag``."""
+    decode = partial(_decode_value, _field(fields, 2))
+    bag.set(_field(fields, 1, _decode), _field(fields, 3, decode))
+
+
 def _write_props(lines: List[str], keyword: str, bag: PropertyBag) -> None:
     for prop in bag:
         type_tag, encoded = _encode_value(prop.value)
@@ -119,7 +137,7 @@ def load_library(text: str) -> Library:
     lines = _meaningful_lines(text)
     if not lines or not lines[0].startswith("VLLIB "):
         raise VLFormatError("missing VLLIB header")
-    library = Library(_decode(lines[0].split()[1]))
+    library = Library(_field(lines[0].split(), 1, _decode))
     index = 1
     while index < len(lines):
         line = lines[index]
@@ -131,18 +149,17 @@ def load_library(text: str) -> Library:
         if len(fields) != 8:
             raise VLFormatError(f"bad SYM record: {line!r}")
         name, view, kind = _decode(fields[1]), _decode(fields[2]), fields[3]
-        body = Rect(int(fields[4]), int(fields[5]), int(fields[6]), int(fields[7]))
+        body = Rect(*(_field(fields, i, int) for i in range(4, 8)))
         pins: List[SymbolPin] = []
         properties = PropertyBag()
         index += 1
         while index < len(lines) and lines[index] != "ENDSYM":
             fields = lines[index].split()
             if fields[0] == "PIN":
-                pins.append(
-                    SymbolPin(_decode(fields[1]), Point(int(fields[3]), int(fields[4])), fields[2])
-                )
+                position = Point(_field(fields, 3, int), _field(fields, 4, int))
+                pins.append(SymbolPin(_field(fields, 1, _decode), position, _field(fields, 2)))
             elif fields[0] == "SPROP":
-                properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
+                _read_prop(fields, properties)
             else:
                 raise VLFormatError(f"unexpected record in SYM: {lines[index]!r}")
             index += 1
@@ -218,23 +235,23 @@ def load_schematic(text: str, libraries) -> Schematic:
     placed: List[Tuple[Page, List[Instance]]] = []
     index = 1
     while index < len(lines):
-        line = lines[index]
-        fields = line.split()
+        fields = lines[index].split()
+        field = partial(_field, fields)
         keyword = fields[0]
         if keyword == "END":
             for target, instances in placed:
                 target.add_instances(instances)
             return schematic
         if keyword == "PORT":
-            schematic.add_port(Port(_decode(fields[1]), fields[2]))
+            schematic.add_port(Port(field(1, _decode), field(2)))
         elif keyword == "CPROP":
-            schematic.properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
+            _read_prop(fields, schematic.properties)
         elif keyword == "PAGE":
-            frame = Rect(int(fields[2]), int(fields[3]), int(fields[4]), int(fields[5]))
+            frame = Rect(*(field(i, int) for i in range(2, 6)))
             page = schematic.add_page(frame)
-            if page.number != int(fields[1]):
+            if page.number != field(1, int):
                 raise VLFormatError(
-                    f"page numbers must be sequential; got {fields[1]}, expected {page.number}"
+                    f"page numbers must be sequential; got {field(1)}, expected {page.number}"
                 )
             placed.append((page, []))
         elif keyword == "ENDPAGE":
@@ -243,26 +260,26 @@ def load_schematic(text: str, libraries) -> Schematic:
         elif keyword == "I":
             if page is None:
                 raise VLFormatError("instance record outside PAGE")
-            symbol = libraries.resolve(_decode(fields[2]), _decode(fields[3]), _decode(fields[4]))
+            symbol = libraries.resolve(field(2, _decode), field(3, _decode), field(4, _decode))
             last_instance = Instance(
-                name=_decode(fields[1]),
+                name=field(1, _decode),
                 symbol=symbol,
-                transform=Transform(Point(int(fields[5]), int(fields[6])), Orientation(fields[7])),
+                transform=Transform(Point(field(5, int), field(6, int)), field(7, Orientation)),
             )
             placed[-1][1].append(last_instance)
         elif keyword == "IPROP":
             if last_instance is None:
                 raise VLFormatError("IPROP record without preceding instance")
-            last_instance.properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
+            _read_prop(fields, last_instance.properties)
         elif keyword == "W":
             if page is None:
                 raise VLFormatError("wire record outside PAGE")
-            label = None if fields[1] == "-" else _decode(fields[1])
-            count = int(fields[2])
-            coords = fields[3:]
-            if len(coords) not in (2 * count, 2 * count + 2):
-                raise VLFormatError(f"wire coordinate count mismatch: {line!r}")
-            points = [Point(int(coords[i]), int(coords[i + 1])) for i in range(0, len(coords), 2)]
+            label = None if field(1) == "-" else field(1, _decode)
+            count = field(2, int)
+            ends = len(fields)
+            if ends - 3 not in (2 * count, 2 * count + 2):
+                raise VLFormatError(f"wire coordinate count mismatch: {lines[index]!r}")
+            points = [Point(field(i, int), field(i + 1, int)) for i in range(3, ends, 2)]
             anchor = points.pop() if len(points) > count else None
             page.add_wire(Wire(points, label=label, label_position=anchor))
         elif keyword == "T":
@@ -271,10 +288,10 @@ def load_schematic(text: str, libraries) -> Schematic:
             page.add_label(
                 TextLabel(
                     text=_decode(" ".join(fields[6:])),
-                    position=Point(int(fields[1]), int(fields[2])),
-                    height=int(fields[3]),
-                    width_per_char=int(fields[4]),
-                    baseline_offset=int(fields[5]),
+                    position=Point(field(1, int), field(2, int)),
+                    height=field(3, int),
+                    width_per_char=field(4, int),
+                    baseline_offset=field(5, int),
                 )
             )
         else:

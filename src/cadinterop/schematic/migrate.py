@@ -39,13 +39,12 @@ from cadinterop.schematic.connectors import (
     insert_hierarchy_connectors,
     insert_offpage_connectors,
 )
-from cadinterop.schematic.dialects import Dialect, get_dialect
+from cadinterop.schematic.dialects import Dialect
 from cadinterop.schematic.globals_ import GlobalMap, rename_global_nets
 from cadinterop.schematic.gridmap import ScalingReport, rescale_schematic, scale_symbol
 from cadinterop.schematic.model import (
     Instance,
     LibrarySet,
-    Page,
     PinOffsets,
     Port,
     Schematic,

@@ -26,7 +26,7 @@ from cadinterop.common.geometry import (
     Transform,
     path_segments,
 )
-from cadinterop.common.properties import PropertyBag, PropertyValue
+from cadinterop.common.properties import PropertyBag
 
 
 class SchematicError(Exception):

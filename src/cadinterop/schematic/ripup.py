@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
-from cadinterop.common.geometry import Point, Segment, Transform
+from cadinterop.common.geometry import Point, Transform
 from cadinterop.schematic.model import (
     Instance,
     Page,

@@ -21,11 +21,11 @@ substitution table):
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
-from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.common.geometry import Point, Rect, Transform
 from cadinterop.schematic.connectors import build_connector_library
-from cadinterop.schematic.dialects import COMPOSER_LIKE, Dialect, VIEWDRAW_LIKE
+from cadinterop.schematic.dialects import COMPOSER_LIKE, VIEWDRAW_LIKE
 from cadinterop.schematic.globals_ import default_global_map
 from cadinterop.schematic.migrate import MigrationPlan
 from cadinterop.schematic.model import (

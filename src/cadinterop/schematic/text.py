@@ -17,11 +17,11 @@ font scale factor and the baseline-offset delta to every label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point
-from cadinterop.schematic.dialects import Dialect, FontMetrics
+from cadinterop.schematic.dialects import Dialect
 from cadinterop.schematic.model import Page, Schematic, TextLabel
 
 

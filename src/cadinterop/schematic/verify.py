@@ -15,7 +15,7 @@ invented shows up as a split, merge, or terminal mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.obs import get_tracer

@@ -21,10 +21,9 @@ zero-is-success policy.
 
 from __future__ import annotations
 
-import shlex
 import subprocess
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 
 @dataclass

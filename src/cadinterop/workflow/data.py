@@ -12,8 +12,7 @@ data."
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 

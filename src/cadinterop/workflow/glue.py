@@ -15,8 +15,8 @@ enforces the adopted standard the paper recommends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 

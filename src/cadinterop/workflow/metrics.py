@@ -8,8 +8,8 @@ continuously improving process environment."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from cadinterop.obs.context import get_metrics
 from cadinterop.obs.metrics import MetricsRegistry

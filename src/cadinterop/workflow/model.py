@@ -15,8 +15,8 @@ and process status is kept separate for each block."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 
 class WorkflowError(Exception):

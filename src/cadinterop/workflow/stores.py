@@ -17,9 +17,9 @@ Accordingly, all three levels share one minimal protocol (``put``/``get``/
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class StoreError(Exception):

@@ -18,8 +18,7 @@ errors, unknown features, per-call status) without a real daemon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 
 class ToolSessionError(Exception):

@@ -11,13 +11,13 @@ action must be provided."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from cadinterop.workflow.data import DataSnapshot, DataVariable
 from cadinterop.workflow.engine import WorkflowEngine
-from cadinterop.workflow.model import FlowInstance, StepState
+from cadinterop.workflow.model import FlowInstance
 
 
 @dataclass

@@ -103,12 +103,6 @@ class TestFarmRun:
                 s["parent_id"] == roots[0]["span_id"] for s in migrates
             ), executor
 
-    def test_keep_results_false_drops_payloads(self, vl_libs, plan):
-        corpus = build_corpus(vl_libs, count=2)
-        report = MigrationFarm(plan).run(corpus, keep_results=False)
-        assert report.migrated == 2 and report.all_clean
-        assert all(item.result is None for item in report.items)
-
     def test_result_for(self, vl_libs, plan):
         corpus = build_corpus(vl_libs, count=2)
         report = MigrationFarm(plan).run(corpus)

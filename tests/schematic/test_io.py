@@ -1,5 +1,7 @@
 """Round-trip tests for the two vendor file formats."""
 
+import re
+
 import pytest
 
 from cadinterop.schematic import io_cd, io_vl
@@ -125,6 +127,12 @@ class TestVLRoundTrip:
         with pytest.raises(VLFormatError):
             io_vl.load_schematic(text, vl_libs)
 
+    @pytest.mark.parametrize("record", ["T 1 2", "W - x 0 0"])
+    def test_short_or_malformed_record_is_named(self, vl_libs, record):
+        text = f"VLSCHEM 1 c viewdraw-like\nPAGE 1 0 0 10 10\n{record}\nENDPAGE\nEND\n"
+        with pytest.raises(VLFormatError, match=re.escape(repr(record))):
+            io_vl.load_schematic(text, vl_libs)
+
 
 class TestCDRoundTrip:
     def test_library_roundtrip(self, vl_libs):
@@ -168,6 +176,17 @@ class TestCDRoundTrip:
     def test_garbage_rejected(self, vl_libs):
         with pytest.raises(CDFormatError):
             io_cd.load_schematic("(schematic", vl_libs)
+
+    def test_short_record_is_named(self, vl_libs):
+        text = '(schematic "c" "cd" (page 1 (frame 0 0 10 10) (text "t" (at 1) (font 1 1 1))))'
+        with pytest.raises(CDFormatError, match=r"record \[text, 't', \[at, 1\]"):
+            io_cd.load_schematic(text, vl_libs)
+
+    def test_unknown_orientation_is_named(self, vl_libs, sample):
+        text = io_cd.dump_schematic(sample)
+        assert "(orient R0)" in text
+        with pytest.raises(CDFormatError, match=r"^bad inst orientation: \[inst, "):
+            io_cd.load_schematic(text.replace("(orient R0)", "(orient x)", 1), vl_libs)
 
 
 class TestCrossFormat:

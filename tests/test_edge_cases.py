@@ -106,7 +106,7 @@ class TestWorkflowEdges:
 class TestPersonalityRenameCompleteness:
     def test_rename_covers_every_construct(self):
         from cadinterop.hdl.parser import parse_module
-        from cadinterop.hdl.personalities import rename_module_signals
+        from cadinterop.hdl.ast_nodes import rewrite_module
         from cadinterop.hdl.simulator import simulate
 
         module = parse_module(
@@ -122,7 +122,7 @@ class TestPersonalityRenameCompleteness:
             """
         )
         mapping = {name: f"x_{name}" for name in module.nets}
-        renamed = rename_module_signals(module, mapping)
+        renamed = rewrite_module(module, mapping)
         assert set(renamed.nets) == {f"x_{n}" for n in module.nets}
         # Behaviorally identical under renaming.
         sim_a = simulate(module, until=10)
@@ -202,8 +202,7 @@ class TestPnRCorners:
 
 class TestNameMapEdge:
     def test_transform_changing_after_use_is_isolated(self):
-        # Each NameMap owns its transform; confirm aliased_groups reflects it.
+        # Each NameMap owns its transform and uniquifies what it aliases.
         nm = NameMap(lambda n: n[:2])
-        nm.map("abc")
-        nm.map("abd")
-        assert nm.aliased_groups() == {"ab": ["abc", "abd"]}
+        assert nm.map("abc") == "ab"
+        assert nm.map("abd") == "ab_2"
