@@ -101,8 +101,7 @@ class PropertyBag:
 
     def copy(self) -> "PropertyBag":
         bag = PropertyBag()
-        for prop in self:
-            bag.add(prop)
+        bag._items = self._items.copy()  # properties are immutable
         return bag
 
     def __reduce__(self):

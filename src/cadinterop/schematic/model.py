@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from cadinterop.common.geometry import (
     Orientation,
@@ -205,6 +205,9 @@ def _placed_instance(
     return Instance(name, symbol, Transform(Point(x, y), orientation), properties)
 
 
+_T = TypeVar("_T")
+
+
 class PinOffsets:
     """Each symbol's pins as ``(name, dx, dy)`` under one orientation, taken once.
 
@@ -214,11 +217,17 @@ class PinOffsets:
     unhashable, so a symbol's identity stands for it; the table holds every
     symbol it has seen, so no id is reused while its entries stand.  Make
     one table per call: it assumes no symbol's pins change while it lives.
+
+    :meth:`memo` keeps other facts that depend only on masters and rules the
+    same way, such as a replacement plan per (source master, orientation,
+    mapping, target master).
     """
 
     def __init__(self) -> None:
         self._offsets: Dict[Tuple[int, Orientation], Tuple[Tuple[str, int, int], ...]] = {}
         self._symbols: List[Symbol] = []
+        self._memos: Dict[Tuple[object, ...], object] = {}
+        self._kept: List[Tuple[object, ...]] = []
 
     def of(self, symbol: Symbol, orientation: Orientation) -> Tuple[Tuple[str, int, int], ...]:
         key = (id(symbol), orientation)
@@ -233,14 +242,18 @@ class PinOffsets:
             self._symbols.append(symbol)
         return offsets
 
-    def positions(self, instance: Instance) -> Dict[str, Point]:
-        """:meth:`Instance.pin_positions`, from the table."""
-        transform = instance.transform
-        ox, oy = transform.offset.x, transform.offset.y
-        return {
-            name: Point(ox + dx, oy + dy)
-            for name, dx, dy in self.of(instance.symbol, transform.orientation)
-        }
+    def memo(self, build: Callable[..., _T], *objects: object) -> _T:
+        """``build(self, *objects)``, made once per table for these objects.
+
+        The objects are keyed by identity, and the table holds every tuple
+        it has keyed, so no id is reused while its entries stand.
+        """
+        key = (build, *map(id, objects))
+        value = self._memos.get(key)
+        if value is None:
+            value = self._memos[key] = build(self, *objects)
+            self._kept.append(objects)
+        return value  # type: ignore[return-value]
 
 
 def _check_manhattan(points: Sequence[Point]) -> None:
@@ -307,9 +320,8 @@ def _intervals(points: Sequence[Point], number: int) -> List[Tuple[bool, int, _I
     result: List[Tuple[bool, int, _Interval]] = []
     if not points:
         return result
-    px, py = points[0].x, points[0].y
-    for point in points:
-        x, y = point.x, point.y
+    px, py = points[0]
+    for x, y in points:
         if y == py:
             if x == px:
                 continue  # a repeated point
@@ -317,7 +329,7 @@ def _intervals(points: Sequence[Point], number: int) -> List[Tuple[bool, int, _I
         elif x == px:
             result.append((True, x, (y, py, number) if y < py else (py, y, number)))
         else:
-            raise ValueError(f"segment {Point(px, py)}->{point} is not Manhattan")
+            raise ValueError(f"segment {Point(px, py)}->{Point(x, y)} is not Manhattan")
         px, py = x, y
     return result
 

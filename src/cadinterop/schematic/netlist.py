@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point
 from cadinterop.schematic.dialects import Dialect, get_dialect
-from cadinterop.schematic.model import PinOffsets, Schematic, Wire, WireIndex
+from cadinterop.schematic.model import PinOffsets, Schematic, WireIndex
 
 
 Terminal = Tuple[str, str]  # (instance name, pin name)
@@ -92,8 +92,10 @@ class Netlist:
 def _path_length(points: Sequence[Point]) -> int:
     """A Manhattan polyline's length: the sum of its steps."""
     total = 0
-    for a, b in zip(points, points[1:]):
-        total += abs(b.x - a.x) + abs(b.y - a.y)
+    ax, ay = points[0]
+    for bx, by in points:
+        total += abs(bx - ax) + abs(by - ay)
+        ax, ay = bx, by
     return total
 
 
@@ -108,9 +110,9 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
 
     # Union-find over integer nodes: every page's wires first, numbered in
     # page order, then each distinct (page, pin point) in the order the
-    # pins are met.  Nets come out in the order of their lowest node.
+    # pins are met.  A union keeps the lower root, so a group's root is its
+    # lowest node and no node's parent is above it.
     parent: List[int] = []
-    wires: List[Tuple[int, Wire]] = []
 
     def find(node: int) -> int:
         root = parent[node]
@@ -121,16 +123,16 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
 
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
-        if ra != rb:
+        if ra < rb:
             parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
 
     indexes = []
+    wire_count = 0
     for page in schematic.pages:
-        index = WireIndex(page.wires)
-        base = len(wires)
-        indexes.append((page, index, base))
-        wires.extend((page.number, wire) for wire in page.wires)
-    wire_count = len(wires)
+        indexes.append((page, WireIndex(page.wires), wire_count))
+        wire_count += len(page.wires)
     parent.extend(range(wire_count))
     for _page, index, base in indexes:
         # Merge wires that touch geometrically: a segment of one contains a
@@ -140,96 +142,120 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
 
     # Attach instance pins to wires passing through their location; pins at
     # identical locations connect by abutment even with no wire.  Point
-    # ``i`` is node ``wire_count + i``.
+    # ``i`` is node ``wire_count + i``.  Connector pins are bound later
+    # through their own point: an instance name may repeat on another page.
     points: Dict[Tuple[int, int, int], int] = {}
     point_pages: List[int] = []
     point_terminals: List[List[Terminal]] = []
+    connector_pins: List[Tuple[str, str, str, str, int]] = []
     pins = PinOffsets()
     for page, index, base in indexes:
         page_number = page.number
         for instance in page.instances:
             name, transform = instance.name, instance.transform
+            kind = instance.symbol.kind
+            if kind != "component":
+                signal = str(
+                    instance.properties.get("signal")
+                    or instance.properties.get("net")
+                    or instance.symbol.name
+                )
             ox, oy = transform.offset.x, transform.offset.y
             for pin_name, dx, dy in pins.of(instance.symbol, transform.orientation):
                 x, y = ox + dx, oy + dy
                 key = (page_number, x, y)
                 point = points.get(key)
                 if point is None:
+                    # A new point joins the wires through it; a pin on a
+                    # point already met joins them through that point.
                     point = points[key] = len(point_pages)
                     point_pages.append(page_number)
                     point_terminals.append([])
-                    parent.append(len(parent))
+                    node = len(parent)
+                    parent.append(node)
+                    for number in index.wires_at(x, y):
+                        union(node, base + number)
                 point_terminals[point].append((name, pin_name))
-                for number in index.wires_at(x, y):
-                    union(wire_count + point, base + number)
+                if kind != "component":
+                    connector_pins.append((kind, signal, name, pin_name, point))
 
-    # Build provisional nets from connected groups, each filled in node
-    # order.
-    by_root: Dict[int, Net] = {}
+    # Point every node at its root in one pass from the lowest: a node's
+    # parent is below it, so it already points at the root.
+    node_count = len(parent)
+    for node in range(node_count):
+        parent[node] = parent[parent[node]]
 
-    def net_of(node: int) -> Net:
-        root = find(node)
-        net = by_root.get(root)
-        if net is None:
-            net = by_root[root] = Net(name="")
-        return net
-
-    for node, (page_number, wire) in enumerate(wires):
-        net = net_of(node)
-        net.pages.add(page_number)
-        net.wire_length += _path_length(wire.points)
-        if wire.label:
-            net.labels.add(wire.label)
-    for point, (page_number, terminals) in enumerate(zip(point_pages, point_terminals)):
-        net = net_of(wire_count + point)
-        net.terminals.update(terminals)
-        net.pages.add(page_number)
-    provisional = [
-        net for net in by_root.values() if net.terminals or net.labels or net.wire_length
+    # Gather provisional nets in root order, each filled in node order: a
+    # group is met first at its root.  Geometry joins nothing across pages,
+    # so each net lies on one page.  ``slots`` maps a root to its net.
+    slots = [0] * node_count
+    net_pages: List[int] = []
+    net_terminals: List[Set[Terminal]] = []
+    net_labels: List[Set[str]] = []
+    net_lengths: List[int] = []
+    for page, _index, base in indexes:
+        page_number = page.number
+        for node, wire in enumerate(page.wires, base):
+            root = parent[node]
+            if root == node:
+                slot = slots[node] = len(net_pages)
+                net_pages.append(page_number)
+                net_terminals.append(set())
+                net_labels.append(set())
+                net_lengths.append(0)
+            else:
+                slot = slots[root]
+            net_lengths[slot] += _path_length(wire.points)
+            if wire.label:
+                net_labels[slot].add(wire.label)
+    for node, (page_number, terminals) in enumerate(
+        zip(point_pages, point_terminals), wire_count
+    ):
+        root = parent[node]
+        if root == node:
+            slots[node] = len(net_pages)
+            net_pages.append(page_number)
+            net_terminals.append(set(terminals))
+            net_labels.append(set())
+            net_lengths.append(0)
+        else:
+            net_terminals[slots[root]].update(terminals)
+    # Provisional net ``i`` is slot ``kept[i]``; a lone unlabeled wire with
+    # no segment is no net.
+    kept = [
+        slot for slot in range(len(net_pages))
+        if net_terminals[slot] or net_labels[slot] or net_lengths[slot]
     ]
+    provisional_of = {slot: idx for idx, slot in enumerate(kept)}
 
     # Handle connector instances: their single pin joins the net at its
     # location (already done geometrically); the *meaning* differs by kind.
+    # A pin whose net holds no wire and no other terminal binds nothing.
     global_binding: Dict[int, str] = {}  # provisional index -> global net name
     offpage_binding: Dict[int, str] = {}
     hier_binding: Dict[int, str] = {}
-
-    # A terminal's first provisional net (an instance name may repeat on
-    # another page, so later nets do not overwrite earlier ones).
-    provisional_index: Dict[Terminal, int] = {}
-    for idx, net in enumerate(provisional):
-        for terminal in net.terminals:
-            provisional_index.setdefault(terminal, idx)
-
-    for page in schematic.pages:
-        for instance in page.instances:
-            kind = instance.symbol.kind
-            if kind == "component":
-                continue
-            signal = str(
-                instance.properties.get("signal")
-                or instance.properties.get("net")
-                or instance.symbol.name
+    bindings = {
+        "global": global_binding,
+        "offpage_connector": offpage_binding,
+        "hier_connector": hier_binding,
+    }
+    for kind, signal, name, pin_name, point in connector_pins:
+        root = parent[wire_count + point]
+        slot = slots[root]
+        if root >= wire_count and net_terminals[slot] == {(name, pin_name)}:
+            netlist.log.add(
+                Severity.WARNING, Category.CONNECTIVITY, name,
+                f"{kind} connector pin {pin_name!r} is not attached to anything",
             )
-            for pin_name in instance.symbol.pin_names():
-                idx = provisional_index.get((instance.name, pin_name))
-                if idx is None:
-                    netlist.log.add(
-                        Severity.WARNING, Category.CONNECTIVITY, instance.name,
-                        f"{kind} connector pin {pin_name!r} is not attached to anything",
-                    )
-                    continue
-                if kind == "global":
-                    global_binding[idx] = signal
-                elif kind == "offpage_connector":
-                    offpage_binding[idx] = signal
-                elif kind == "hier_connector":
-                    hier_binding[idx] = signal
+            continue
+        binding = bindings.get(kind)
+        if binding is not None:
+            binding[provisional_of[slot]] = signal
 
     # Merge nets by binding name: globals always; off-page connectors in
     # explicit dialects; same-label nets across pages in implicit dialects.
     # The same union-find runs again, now over provisional net indexes.
-    parent[:] = range(len(provisional))
+    parent[:] = range(len(kept))
 
     def merge_by(binding: Dict[int, str]) -> None:
         by_name: Dict[str, int] = {}
@@ -244,49 +270,54 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
 
     if active.implicit_cross_page_by_name:
         by_label: Dict[str, int] = {}
-        for idx, net in enumerate(provisional):
-            for label in net.labels:
+        for idx, slot in enumerate(kept):
+            for label in net_labels[slot]:
                 if label in by_label:
                     union(by_label[label], idx)
                 else:
                     by_label[label] = idx
 
-    # Hierarchy connectors bind a net to a schematic port name.
+    # Merged nets come in the order of each group's lowest index, its root.
+    groups: Dict[int, List[int]] = {}
+    for idx in range(len(kept)):
+        root = parent[idx] = parent[parent[idx]]
+        if root == idx:
+            groups[idx] = [idx]
+        else:
+            groups[root].append(idx)
+
+    # Every bound name joins its provisional net's labels, and a global
+    # binding makes its group global.
+    global_roots = {parent[idx] for idx in global_binding}
+    for binding in (global_binding, offpage_binding, hier_binding):
+        for idx, signal in binding.items():
+            net_labels[kept[idx]].add(signal)
+
+    # Name nets: prefer a label bound to a port, then any label, else
+    # synthesize.  Hierarchy connectors bind a net to a schematic port name.
     port_names = {port.name for port in schematic.ports}
-
-    # Merged nets are created in the order of each group's lowest index,
-    # whichever root the union-find picked, so names do not depend on it.
-    merged: Dict[int, Net] = {}
-    for idx, net in enumerate(provisional):
-        root = find(idx)
-        if root not in merged:
-            merged[root] = Net(name="")
-        target = merged[root]
-        target.terminals |= net.terminals
-        target.labels |= net.labels
-        target.pages |= net.pages
-        target.wire_length += net.wire_length
-        if idx in global_binding:
-            target.is_global = True
-            target.labels.add(global_binding[idx])
-        if idx in offpage_binding:
-            target.labels.add(offpage_binding[idx])
-        if idx in hier_binding:
-            target.labels.add(hier_binding[idx])
-
-    # Name nets: prefer a label bound to a port, then any label, else synthesize.
     counter = 0
     used_names: Set[str] = set()
-    for net in merged.values():
-        port_labels = sorted(net.labels & port_names)
-        other_labels = sorted(net.labels - port_names)
-        if port_labels:
-            name = port_labels[0]
-        elif other_labels:
-            name = other_labels[0]
-        else:
+    for root, members in groups.items():
+        # The net takes over its first member's sets; the others join them.
+        first = kept[root]
+        net = Net(
+            "", net_terminals[first], net_labels[first], {net_pages[first]},
+            root in global_roots, net_lengths[first],
+        )
+        for idx in members[1:]:
+            slot = kept[idx]
+            net.terminals |= net_terminals[slot]
+            net.labels |= net_labels[slot]
+            net.pages.add(net_pages[slot])
+            net.wire_length += net_lengths[slot]
+        labels = net.labels
+        if not labels:
             counter += 1
             name = f"unnamed${counter}"
+        else:
+            port_labels = labels & port_names
+            name = min(port_labels) if port_labels else min(labels)
         if name in used_names:
             netlist.log.add(
                 Severity.ERROR, Category.CONNECTIVITY, name,
@@ -300,10 +331,10 @@ def extract(schematic: Schematic, dialect: Optional[Dialect] = None) -> Netlist:
         used_names.add(name)
         net.name = name
         netlist.add_net(net)
-        if len(net.labels) > 1 and not net.is_global:
+        if len(labels) > 1 and not net.is_global:
             netlist.log.add(
                 Severity.WARNING, Category.CONNECTIVITY, net.name,
-                f"net carries multiple labels {sorted(net.labels)}; shorted nets?",
+                f"net carries multiple labels {sorted(labels)}; shorted nets?",
             )
 
     # Implicit cross-page connection without labels cannot be resolved; in

@@ -23,10 +23,10 @@ Two strategies are provided so the minimization claim is measurable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
-from cadinterop.common.geometry import Point, Transform
+from cadinterop.common.geometry import Orientation, Point, Transform
 from cadinterop.schematic.model import (
     Instance,
     Page,
@@ -102,34 +102,28 @@ def replace_component(
     pins = pins if pins is not None else PinOffsets()
     position = page.instance_position(instance_name)
     old_instance = page.instances[position]
-    stats = ReplacementStats(instance=instance_name)
-
-    correction = Transform(mapping.origin_offset, mapping.rotation)
-    new_transform = correction.compose(old_instance.transform)
+    old_transform = old_instance.transform
+    plan = pins.memo(_plan, old_instance.symbol, old_transform.orientation, mapping, target_symbol)
+    if plan.missing is not None:
+        old_pin, new_pin = plan.missing
+        raise RipupError(
+            f"pin {old_pin!r} of {instance_name!r} has no target pin "
+            f"{new_pin!r} on {target_symbol.full_name}"
+        )
+    stats = ReplacementStats(instance_name, moved_pins=plan.moved, unmoved_pins=plan.unmoved)
+    ox, oy = old_transform.offset
+    nx, ny = ox + plan.shift.x, oy + plan.shift.y
     new_instance = Instance(
         name=old_instance.name,
         symbol=target_symbol,
-        transform=new_transform,
+        transform=Transform(Point(nx, ny), plan.orientation),
         properties=old_instance.properties.copy(),
     )
-
     # Old pin position -> new pin position, via the pin-name map.
-    old_positions = pins.positions(old_instance)
-    new_positions = pins.positions(new_instance)
-    pin_moves: Dict[Point, Point] = {}
-    for old_pin, old_pos in old_positions.items():
-        new_pin = mapping.map_pin(old_pin)
-        if new_pin not in new_positions:
-            raise RipupError(
-                f"pin {old_pin!r} of {instance_name!r} has no target pin "
-                f"{new_pin!r} on {target_symbol.full_name}"
-            )
-        new_pos = new_positions[new_pin]
-        pin_moves[old_pos] = new_pos
-        if old_pos == new_pos:
-            stats.unmoved_pins += 1
-        else:
-            stats.moved_pins += 1
+    pin_moves: Dict[Point, Point] = {
+        Point(ox + odx, oy + ody): Point(nx + ndx, ny + ndy)
+        for odx, ody, ndx, ndy in plan.pairs
+    }
 
     # The new instance has the old one's name, so the swap cannot clash.
     del page.instances[position]
@@ -141,27 +135,27 @@ def replace_component(
     # all, and then its every point is the same.
     if index is None:
         index = WireIndex(page.wires)
-    tapped = {old_pos: index.wires_at(old_pos.x, old_pos.y) for old_pos in pin_moves}
-    visit = set().union(*tapped.values())
-    visit.update(n for n in index.bare if page.wires[n].points[0] in pin_moves)
+    # Wire number -> the old pin positions its segments pass through.
+    taps: Dict[int, List[Point]] = {}
+    for old_pos in pin_moves:
+        for number in index.wires_at(*old_pos):
+            taps.setdefault(number, []).append(old_pos)
+    for number in index.bare:
+        if page.wires[number].points[0] in pin_moves:
+            taps[number] = []
 
-    for wire_index in sorted(visit):
+    for wire_index in sorted(taps):
         wire = page.wires[wire_index]
-        attached_ends = [
-            (end_index, point)
-            for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1]))
-            if point in pin_moves
-        ]
-        mid_attach = any(
-            wire_index in wires and old_pos not in wire.endpoints
-            for old_pos, wires in tapped.items()
-        )
-        if mid_attach:
+        first, last = wire.points[0], wire.points[-1]
+        if any(old_pos != first and old_pos != last for old_pos in taps[wire_index]):
             log.add(
                 Severity.WARNING, Category.CONNECTIVITY, instance_name,
                 f"wire taps pin mid-segment; rerouting endpoint-attached wires only",
                 remedy="verification will flag any broken connection",
             )
+        attached_ends = [(0, first)] if first in pin_moves else []
+        if last in pin_moves:
+            attached_ends.append((-1, last))
         if not attached_ends:
             continue
 
@@ -179,12 +173,50 @@ def replace_component(
     return stats
 
 
+class _Plan(NamedTuple):
+    """What replacing one source master under one orientation by a mapping
+    onto one target master does, wherever the instance sits."""
+
+    #: The new instance's orientation, and its origin minus the old origin.
+    orientation: Orientation
+    shift: Point
+    #: ``(old dx, old dy, new dx, new dy)`` pin offsets, one per source pin.
+    pairs: Tuple[Tuple[int, int, int, int], ...]
+    moved: int
+    unmoved: int
+    #: ``(source pin, target pin)`` of the first source pin whose mapped
+    #: name the target lacks; the plan is unusable then.
+    missing: Optional[Tuple[str, str]]
+
+
+def _plan(
+    pins: PinOffsets, source: Symbol, orientation: Orientation,
+    mapping: SymbolMapping, target: Symbol,
+) -> _Plan:
+    """The replacement plan, as the instance transform composed with the
+    mapping's origin offset and rotation code places the target master."""
+    new_orientation = mapping.rotation.compose(orientation)
+    shift = orientation.apply(mapping.origin_offset)
+    old_offsets = {name: (dx, dy) for name, dx, dy in pins.of(source, orientation)}
+    new_offsets = {name: (dx, dy) for name, dx, dy in pins.of(target, new_orientation)}
+    pairs = []
+    moved = 0
+    for old_pin, (odx, ody) in old_offsets.items():
+        new_pin = mapping.map_pin(old_pin)
+        if new_pin not in new_offsets:
+            return _Plan(new_orientation, shift, (), 0, 0, (old_pin, new_pin))
+        ndx, ndy = new_offsets[new_pin]
+        pairs.append((odx, ody, ndx, ndy))
+        moved += (odx, ody) != (shift.x + ndx, shift.y + ndy)
+    return _Plan(new_orientation, shift, tuple(pairs), moved, len(pairs) - moved, None)
+
+
 def _segment_count(points: List[Point]) -> int:
     """``len(path_segments(points))`` without building the segments."""
     count = 0
     previous = points[0]
     for point in points:
-        if point.x != previous.x or point.y != previous.y:
+        if point != previous:
             count += 1
         previous = point
     return count
@@ -288,15 +320,15 @@ def _cleanup_polyline(wire: Wire) -> None:
     """Remove repeated points and merge collinear runs in place."""
     cleaned: List[Point] = []
     for point in wire.points:
-        if cleaned and point == cleaned[-1]:
-            continue
-        if len(cleaned) >= 2:
-            a, b = cleaned[-2], cleaned[-1]
-            collinear_x = a.x == b.x == point.x
-            collinear_y = a.y == b.y == point.y
-            if collinear_x or collinear_y:
-                cleaned[-1] = point
+        if cleaned:
+            last = cleaned[-1]
+            if point == last:
                 continue
+            if len(cleaned) >= 2:
+                (ax, ay), (bx, by), (x, y) = cleaned[-2], last, point
+                if ax == bx == x or ay == by == y:
+                    cleaned[-1] = point
+                    continue
         cleaned.append(point)
     if len(cleaned) < 2:
         raise RipupError("rerouting collapsed a wire to a single point")

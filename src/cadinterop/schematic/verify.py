@@ -99,13 +99,22 @@ def _compare(
 ) -> None:
     """Fill ``result`` from the two netlists' connectivity partitions."""
     # Build pin-name normalization: instance name -> pin map, from the
-    # source instances' symbols and the declared replacement rules.
+    # source instances' symbols and the declared replacement rules, looked
+    # up once per master (by id: the source holds every master).
     pin_maps: Dict[str, Dict[str, str]] = {}
     if symbol_map is not None:
+        master_maps: Dict[int, Optional[Dict[str, str]]] = {}
         for _page, instance in source.all_instances():
-            mapping = symbol_map.lookup(SymbolKey.of(instance.symbol))
-            if mapping is not None and mapping.pin_map:
-                pin_maps[instance.name] = dict(mapping.pin_map)
+            symbol = instance.symbol
+            if id(symbol) in master_maps:
+                pin_map = master_maps[id(symbol)]
+            else:
+                mapping = symbol_map.lookup(SymbolKey.of(symbol))
+                pin_map = master_maps[id(symbol)] = (
+                    mapping.pin_map if mapping is not None and mapping.pin_map else None
+                )
+            if pin_map:
+                pin_maps[instance.name] = pin_map
 
     def normalize(terminal: Terminal) -> Terminal:
         instance_name, pin_name = terminal

@@ -228,6 +228,48 @@ class TestNetlistExtraction:
         # Mid-segment tap joins N1.
         assert ("R1", "N") in netlist.net("N1").terminals
 
+    @pytest.mark.parametrize("kind", ["offpage_connector", "global"])
+    @pytest.mark.parametrize("names", [("C0", "C1"), ("C1", "C1")])
+    def test_connectors_bind_their_own_page_net(self, kind, names):
+        """Each connector binds the net at its own pin, even when its
+        instance name repeats on another page."""
+        connector = Symbol(
+            library="lib", name="S", kind=kind, body=Rect(0, 0, 16, 16),
+            pins=[SymbolPin("P", Point(0, 0))],
+        )
+        cell = Schematic("c", COMPOSER_LIKE.name)
+        for number, name in enumerate(names, 1):
+            page = cell.add_page(Rect(0, 0, 640, 480))
+            page.add_instance(Instance(f"I{number}", inv_symbol(), Transform(Point(0, 0))))
+            page.add_instance(Instance(name, connector, Transform(Point(128, 16))))
+            page.add_wire(Wire([Point(64, 16), Point(128, 16)]))
+        netlist = extract(cell)
+        assert list(netlist.nets) == ["S", "unnamed$1", "unnamed$2"]
+        assert netlist.net("S").terminals == {
+            ("I1", "Y"), (names[0], "P"), ("I2", "Y"), (names[1], "P")
+        }
+        assert not netlist.log.has_errors()
+
+    def test_unattached_connector_pin_warns(self):
+        connector = Symbol(
+            library="lib", name="S", kind="offpage_connector", body=Rect(0, 0, 16, 16),
+            pins=[SymbolPin("P", Point(0, 0))],
+        )
+        cell = Schematic("c", COMPOSER_LIKE.name)
+        page = cell.add_page(Rect(0, 0, 640, 480))
+        page.add_instance(Instance("I1", inv_symbol(), Transform(Point(0, 0))))
+        page.add_instance(Instance("C0", connector, Transform(Point(320, 320))))
+        # Abutting a pin with no wire is attached.
+        page.add_instance(Instance("C1", connector, Transform(Point(0, 16))))
+        netlist = extract(cell)
+        warnings = [issue for issue in netlist.log if "not attached" in issue.message]
+        assert [(issue.subject, issue.message) for issue in warnings] == [
+            ("C0", "offpage_connector connector pin 'P' is not attached to anything")
+        ]
+        # The lone pin binds no name; the abutting one names its net.
+        assert netlist.net("S").terminals == {("I1", "A"), ("C1", "P")}
+        assert ("C0", "P") in netlist.net("unnamed$2").terminals
+
     def test_terminal_map(self):
         netlist = extract(self.build_two_inv_page())
         assert netlist.terminal_map()[("I1", "Y")] == "mid"

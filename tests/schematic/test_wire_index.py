@@ -153,7 +153,9 @@ def pairwise_extract(schematic: Schematic, dialect: Optional[Dialect] = None) ->
 
     # Build provisional nets from connected groups.
     provisional: List[Net] = []
-    for members in groups.values():
+    provisional_of_root: Dict[object, int] = {}
+    wired_roots: Set[object] = set()
+    for root, members in groups.items():
         net = Net(name="")
         for member in members:
             kind = member[0]
@@ -162,6 +164,7 @@ def pairwise_extract(schematic: Schematic, dialect: Optional[Dialect] = None) ->
                 wire = wire_nodes[(page_number, index)]
                 net.pages.add(page_number)
                 net.wire_length += wire.length()
+                wired_roots.add(root)
                 if wire.label:
                     net.labels.add(wire.label)
             else:
@@ -170,6 +173,7 @@ def pairwise_extract(schematic: Schematic, dialect: Optional[Dialect] = None) ->
                     net.terminals.add(terminal)
                 net.pages.add(page_number)
         if net.terminals or net.labels or net.wire_length:
+            provisional_of_root[root] = len(provisional)
             provisional.append(net)
 
     # Handle connector instances: their single pin joins the net at its
@@ -177,12 +181,6 @@ def pairwise_extract(schematic: Schematic, dialect: Optional[Dialect] = None) ->
     global_binding: Dict[int, str] = {}  # provisional index -> global net name
     offpage_binding: Dict[int, str] = {}
     hier_binding: Dict[int, str] = {}
-
-    def provisional_index_of(terminal: Terminal) -> Optional[int]:
-        for idx, net in enumerate(provisional):
-            if terminal in net.terminals:
-                return idx
-        return None
 
     for page in schematic.pages:
         for instance in page.instances:
@@ -194,9 +192,14 @@ def pairwise_extract(schematic: Schematic, dialect: Optional[Dialect] = None) ->
                 or instance.properties.get("net")
                 or instance.symbol.name
             )
-            for pin_name in instance.symbol.pin_names():
-                idx = provisional_index_of((instance.name, pin_name))
-                if idx is None:
+            for pin_name, position in instance.pin_positions().items():
+                # The pin's own point: its instance name may repeat on
+                # another page.
+                root = uf.find(("pt", page.number, position.x, position.y))
+                idx = provisional_of_root[root]
+                if root not in wired_roots and provisional[idx].terminals == {
+                    (instance.name, pin_name)
+                }:
                     netlist.log.add(
                         Severity.WARNING, Category.CONNECTIVITY, instance.name,
                         f"{kind} connector pin {pin_name!r} is not attached to anything",
@@ -533,6 +536,50 @@ def replacement_sequences(draw):
 
 
 @st.composite
+def plan_sequences(draw):
+    """A page with two to four components and, for each in a drawn order, a
+    rule from a small pool: per source master, two rules onto one shared
+    target master and, when drawn, one that maps a pin to a name the target
+    lacks.  Masters repeat under drawn orientations, so one carried pin
+    table plans a master under several orientations, plans two rules onto
+    one target, and answers later replacements (refused ones too) from the
+    plans it already holds."""
+    cell = draw(schematics(min_instances=draw(st.integers(2, 4)), max_pages=1))
+    page = cell.pages[0]
+    pool = {}
+    for instance in page.instances:
+        source = instance.symbol
+        if source.kind != "component" or source.name in pool:
+            continue
+        pin_map = {pin: pin.lower() for pin in source.pin_names()}
+        target = Symbol(
+            library="tgt", name=source.name, kind="component", body=source.body,
+            pins=[SymbolPin(pin_map[pin], _lattice(draw, 0, 2)) for pin in source.pin_names()],
+        )
+        rules = [
+            SymbolMapping(
+                source=SymbolKey.of(source),
+                target=SymbolKey.of(target),
+                origin_offset=_lattice(draw, -2, 2),
+                rotation=draw(st.sampled_from(list(Orientation))),
+                pin_map=pin_map,
+            )
+            for _ in range(2)
+        ]
+        if draw(st.booleans()):
+            unmapped = dict(pin_map, **{source.pin_names()[-1]: "nc"})
+            rules.append(SymbolMapping(SymbolKey.of(source), SymbolKey.of(target), pin_map=unmapped))
+        pool[source.name] = (target, rules)
+    victims = [i for i in page.instances if i.symbol.kind == "component"]
+    steps = []
+    for victim in draw(st.permutations(victims)):
+        target, rules = pool[victim.symbol.name]
+        steps.append((victim.name, draw(st.sampled_from(rules)), target))
+    strategy = draw(st.sampled_from(["minimal", "naive"]))
+    return page, steps, strategy
+
+
+@st.composite
 def stubs(draw):
     """A horizontal or vertical segment between lattice points."""
     a = _lattice(draw, -1, SPAN + 1)
@@ -596,6 +643,53 @@ def run_sequence(page, steps, strategy, carried: bool):
             assert_index_is_fresh(index, page)
     instances = [(i.name, i.symbol.full_name, i.transform) for i in page.instances]
     return outcomes, [wire.points for wire in page.wires], instances, list(log)
+
+
+def page_state(page: Page):
+    return (
+        [(i.name, i.symbol.full_name, i.transform) for i in page.instances],
+        [list(wire.points) for wire in page.wires],
+    )
+
+
+def run_plan_sequence(page, steps, strategy, carried: bool):
+    """As :func:`run_sequence`, but a replacement refused for a missing
+    target pin is recorded and the sequence goes on; a refusal must leave
+    the page untouched.  The oracle refuses with the ``KeyError`` of its pin
+    lookup."""
+    page = copy.deepcopy(page)
+    log = IssueLog()
+    index, pins = WireIndex(page.wires), PinOffsets()
+    outcomes = []
+    for name, mapping, target in steps:
+        before = page_state(page)
+        try:
+            if carried:
+                outcome = replace_component(
+                    page, name, mapping, target, log=log, strategy=strategy,
+                    index=index, pins=pins,
+                )
+            else:
+                outcome = scan_replace_component(
+                    page, name, mapping, target, log=log, strategy=strategy
+                )
+        except RipupError as exc:
+            if "has no target pin" not in str(exc):
+                outcomes.append(f"RipupError: {exc}")
+                break
+            assert carried and f"of {name!r} has no target pin 'nc'" in str(exc)
+            assert page_state(page) == before
+            outcomes.append(("refused", name))
+            continue
+        except KeyError:
+            assert not carried
+            assert page_state(page) == before
+            outcomes.append(("refused", name))
+            continue
+        outcomes.append(outcome)
+        if carried:
+            assert_index_is_fresh(index, page)
+    return outcomes, page_state(page), list(log)
 
 
 # -- tests ---------------------------------------------------------------------
@@ -718,6 +812,35 @@ class TestSharedIndexAcrossReplacements:
         assert run_sequence(page, steps, strategy, carried=True) == run_sequence(
             page, steps, strategy, carried=False
         )
+
+    @given(case=plan_sequences())
+    @GENERATED
+    def test_carried_plans_match_scan(self, case):
+        page, steps, strategy = case
+        assert run_plan_sequence(page, steps, strategy, carried=True) == run_plan_sequence(
+            page, steps, strategy, carried=False
+        )
+
+    def test_refusal_from_a_held_plan_leaves_the_page_untouched(self):
+        buf = COMPONENTS[0]
+        page = Page(1, Rect(0, 0, 160, 160))
+        for number in range(2):
+            page.add_instance(Instance(f"U{number}", buf, Transform(Point(0, 32 * number))))
+            page.add_wire(Wire([Point(32, 32 * number), Point(96, 32 * number)]))
+        target = _symbol("buf", "component", [("a", (0, 0)), ("y", (32, 16))])
+        mapping = SymbolMapping(
+            SymbolKey.of(buf), SymbolKey.of(target), pin_map={"A": "a", "Y": "z"}
+        )
+        index, pins = WireIndex(page.wires), PinOffsets()
+        for name in ("U0", "U1"):  # the second call finds the plan held
+            before = page_state(page)
+            with pytest.raises(RipupError) as refused:
+                replace_component(page, name, mapping, target, index=index, pins=pins)
+            assert str(refused.value) == (
+                f"pin 'Y' of {name!r} has no target pin 'z' on {target.full_name}"
+            )
+            assert page_state(page) == before
+        assert_index_is_fresh(index, page)
 
     def test_replace_wire_adds_and_empties(self):
         wires = [Wire([Point(0, 0), Point(32, 0)]), Wire([Point(16, 16), Point(16, 16)])]
